@@ -14,6 +14,12 @@ For n = 3 the single type 1 polynomial is the classical cubic relation and
 is the whole story.  Enumeration order is fixed: type 1 over lexicographic
 unordered pairs of triples, type 2 over lexicographic (i, quadruple),
 type 3 last.
+
+Type 1 and type 2 values are read from per-point tables, built once and
+memoized on the point: the symmetric ``z`` matrix and the ``s3`` value of
+every ascending triple.  ``membership`` and the public
+evaluators share these tables and the one formula for each family; indices
+are checked only where the public evaluators are entered.
 """
 
 from __future__ import annotations
@@ -42,33 +48,87 @@ def _check_ascending(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
         raise BadIndex(f"indices {indices} out of range 1..{x.n}")
 
 
+def _tables(x: TraceCoordinates) -> tuple:
+    """The per-point tables ``(z, s)``, built once and memoized on x.
+
+    ``z`` is the symmetric (n+1) x (n+1) list of lists of ``z_entry``
+    values, row and column 0 padding.  ``s`` maps every ascending triple, in
+    lexicographic order, to its ``s3`` value.
+    """
+    tables = x._cache.get("tables")
+    if tables is not None:
+        return tables
+    n = x.n
+    a = (0.0,) + x.local.a  # 1-based
+    pairs = x.pairs
+    # Both halves of z are computed, each entry as z_entry defines it, so the
+    # kernel reproduces the from-definition values bit for bit.
+    z = [[0.0] * (n + 1)]
+    for i in range(1, n + 1):
+        z.append([0.0] + [
+            0.5 * a[i] * a[i] - 2.0 if i == j
+            else pairs[(i, j) if i < j else (j, i)] - 0.5 * a[i] * a[j]
+            for j in range(1, n + 1)
+        ])
+    s = {}
+    for t in combinations(range(1, n + 1), 3):
+        i1, i2, i3 = t
+        # the triple trace tr(M_i3 M_i2 M_i1); for n = 3 it is the closing trace
+        stored = a[4] if n == 3 else x.triples[t]
+        s[t] = (
+            a[i1] * pairs[(i2, i3)] + a[i2] * pairs[(i1, i3)] + a[i3] * pairs[(i1, i2)]
+            - a[i3] * a[i2] * a[i1]
+            - 2.0 * stored
+        )
+    tables = (z, s)
+    x._cache["tables"] = tables
+    return tables
+
+
 def s3(x: TraceCoordinates, i1: int, i2: int, i3: int) -> complex:
     """a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1} - a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}."""
     _check_ascending(x, (i1, i2, i3))
-    a = x.local.trace
-    return (
-        a(i1) * x.pair(i3, i2) + a(i2) * x.pair(i3, i1) + a(i3) * x.pair(i2, i1)
-        - a(i3) * a(i2) * a(i1)
-        - 2.0 * triple_trace(x, i3, i2, i1)
-    )
+    return _tables(x)[1][(i1, i2, i3)]
 
 
 def z_entry(x: TraceCoordinates, i: int, j: int) -> complex:
     """a_i^2/2 - 2 on the diagonal, x_ij - a_i a_j / 2 off it."""
     if not (1 <= i <= x.n and 1 <= j <= x.n):
         raise BadIndex(f"z entry ({i}, {j}) out of range 1..{x.n}")
-    a = x.local.trace
-    if i == j:
-        return 0.5 * a(i) * a(i) - 2.0
-    return x.pair(i, j) - 0.5 * a(i) * a(j)
+    return _tables(x)[0][i][j]
 
 
-def _det3(m: list[list[complex]]) -> complex:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _type1_row(z, s_a: complex, ta, cols) -> list[complex]:
+    """type 1 values of ``ta`` against each ``(b0, b1, b2, s3(b))`` in ``cols``.
+
+    The 3x3 determinant of ``z`` over rows ``ta`` and columns ``b`` is
+    expanded along its first row.
+    """
+    r0, r1, r2 = z[ta[0]], z[ta[1]], z[ta[2]]
+    return [
+        s_a * s_b + 2.0 * (
+            r0[b0] * (r1[b1] * r2[b2] - r1[b2] * r2[b1])
+            - r0[b1] * (r1[b0] * r2[b2] - r1[b2] * r2[b0])
+            + r0[b2] * (r1[b0] * r2[b1] - r1[b1] * r2[b0])
+        )
+        for b0, b1, b2, s_b in cols
+    ]
+
+
+def _type2_row(z_i, terms) -> list[complex]:
+    """type 2 values at one index for each quadruple term of ``_quad_terms``."""
+    return [
+        z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
+        for p0, p1, p2, p3, c0, c1, c2, c3 in terms
+    ]
+
+
+def _quad_terms(s, quads) -> list[tuple]:
+    """Each quadruple with the ``s3`` values of its sub-triples, dropping p0, ..., p3 in turn."""
+    return [
+        (p0, p1, p2, p3, s[(p1, p2, p3)], s[(p0, p2, p3)], s[(p0, p1, p3)], s[(p0, p1, p2)])
+        for p0, p1, p2, p3 in quads
+    ]
 
 
 def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
@@ -78,10 +138,12 @@ def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
     swapped call returns the identical value.
     """
     ta, tb = sorted((tuple(triple_a), tuple(triple_b)))
-    _check_ascending(x, ta)
-    _check_ascending(x, tb)
-    z = [[z_entry(x, p, q) for q in tb] for p in ta]
-    return s3(x, *ta) * s3(x, *tb) + 2.0 * _det3(z)
+    for t in (ta, tb):
+        if len(t) != 3:
+            raise BadIndex(f"need an index triple, got {t}")
+        _check_ascending(x, t)
+    z, s = _tables(x)
+    return _type1_row(z, s[ta], ta, [(*tb, s[tb])])[0]
 
 
 def type2(x: TraceCoordinates, i: int, quad) -> complex:
@@ -94,12 +156,8 @@ def type2(x: TraceCoordinates, i: int, quad) -> complex:
     _check_ascending(x, quad)
     if not 1 <= i <= x.n:
         raise BadIndex(f"index {i} out of range 1..{x.n}")
-    total = 0.0
-    for pos in range(4):
-        rest = quad[:pos] + quad[pos + 1:]
-        term = z_entry(x, i, quad[pos]) * s3(x, *rest)
-        total = total - term if pos % 2 else total + term
-    return total
+    z, s = _tables(x)
+    return _type2_row(z[i], _quad_terms(s, [quad]))[0]
 
 
 def g_poly(x: TraceCoordinates, indices) -> complex:
@@ -214,6 +272,9 @@ class RelationResiduals:
 def membership(x: TraceCoordinates) -> RelationResiduals:
     """Evaluate every defining relation at x.
 
+    The values come from the per-point tables of ``z`` and ``s3`` values
+    that the public evaluators share, by the same formulas; indices are
+    checked only at those public entry points, never in the loops here.
     Reports residual magnitudes only and never fails on large values;
     deciding what counts as "on the variety" is the caller's job.  The
     result is memoized on the (immutable) coordinate point.
@@ -222,15 +283,21 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     if cached is not None:
         return cached
     n = x.n
-    r1 = tuple(abs(type1(x, ta, tb)) for ta, tb in type1_pairs(n))
-    if n == 3:
-        r2: tuple[float, ...] = ()
-        r3 = None
-    else:
-        r2 = tuple(abs(type2(x, i, quad)) for i, quad in type2_terms(n))
+    z, s = _tables(x)
+    triples = list(s)
+    cols = [(*t, s[t]) for t in triples]
+    r1: list[float] = []
+    for pos, ta in enumerate(triples):
+        r1 += map(abs, _type1_row(z, s[ta], ta, cols[pos:]))
+    r2: list[float] = []
+    r3 = None
+    if n > 3:
+        terms = _quad_terms(s, combinations(range(1, n + 1), 4))
+        for i in range(1, n + 1):
+            r2 += map(abs, _type2_row(z[i], terms))
         r3 = abs(type3(x))
     worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
-    result = RelationResiduals(r1, r2, r3, worst, scale, worst / scale)
+    result = RelationResiduals(tuple(r1), tuple(r2), r3, worst, scale, worst / scale)
     x._cache["membership"] = result
     return result

@@ -1,7 +1,10 @@
 """Shared fixtures and independent oracle helpers.
 
-The oracle helpers work on plain nested tuples, not on Mat2, so trace
-values asserted in tests come from a second arithmetic path.
+The trace oracle helpers work on plain nested tuples, not on Mat2, so trace
+values asserted in tests come from a second arithmetic path.  The relation
+oracle evaluates each relation from its definition through the coordinate
+accessors, one call per value, in the order of operations the package
+kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from monodromy import Mat2, Representation, SamplerConfig, close_tuple, phi
-from monodromy import sample_generic, sample_su2, sample_su11
+from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
 
 
 # --- plain-tuple 2x2 oracle -------------------------------------------------
@@ -35,6 +38,45 @@ def oword(rep: Representation, indices) -> complex:
     for idx in indices[1:]:
         prod = omul(prod, omat(rep.matrix(idx)))
     return otr(prod)
+
+
+# --- from-definition relation oracle ----------------------------------------
+
+def oracle_s3(x, i1, i2, i3):
+    a = x.local.trace
+    return (
+        a(i1) * x.pair(i3, i2) + a(i2) * x.pair(i3, i1) + a(i3) * x.pair(i2, i1)
+        - a(i3) * a(i2) * a(i1)
+        - 2.0 * triple_trace(x, i3, i2, i1)
+    )
+
+
+def oracle_z(x, i, j):
+    a = x.local.trace
+    if i == j:
+        return 0.5 * a(i) * a(i) - 2.0
+    return x.pair(i, j) - 0.5 * a(i) * a(j)
+
+
+def oracle_type1(x, ta, tb):
+    """s3(ta) s3(tb) + 2 det over z(ta[p], tb[q]), expanded along the first row."""
+    m = [[oracle_z(x, p, q) for q in tb] for p in ta]
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return oracle_s3(x, *ta) * oracle_s3(x, *tb) + 2.0 * det
+
+
+def oracle_type2(x, i, quad):
+    """The alternating sum + - + - of z(i, p_k) s3(quad minus p_k)."""
+    total = 0.0
+    for pos in range(4):
+        rest = quad[:pos] + quad[pos + 1:]
+        term = oracle_z(x, i, quad[pos]) * oracle_s3(x, *rest)
+        total = total - term if pos % 2 else total + term
+    return total
 
 
 # --- canonical fixtures -------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from monodromy import (
     BadIndex,
     LocalData,
+    Mat2,
     NotApplicable,
     TraceCoordinates,
+    close_tuple,
     g_poly,
     membership,
     phi,
@@ -20,7 +23,17 @@ from monodromy import (
     type3,
     z_entry,
 )
-from conftest import generic, identity_rep, oword
+from conftest import (
+    generic,
+    identity_rep,
+    oracle_s3,
+    oracle_type1,
+    oracle_type2,
+    oracle_z,
+    oword,
+    su2,
+    su11,
+)
 
 
 def synthetic_coords(n, a, pair_value, triple_value=None):
@@ -243,3 +256,73 @@ def test_membership_counts():
 def test_membership_memoized():
     x = phi(generic(4, seed=4))
     assert membership(x) is membership(x)
+
+
+# Integer generators of SL2(Z[i]): words in them have Gaussian-integer
+# entries and traces, which floating point holds exactly at these sizes.
+_U = Mat2(1.0, 1.0, 0.0, 1.0)
+_L = Mat2(1.0, 0.0, 1.0, 1.0)
+_INTEGER_GENERATORS = (
+    _U, _U.adjugate(), _L, _L.adjugate(),
+    Mat2(1j, 0.0, 0.0, -1j), Mat2(0.0, 1.0, -1.0, 0.0),
+)
+
+
+def integer_tuple(n, rng):
+    mats = []
+    for _ in range(n):
+        word = rng.choice(_INTEGER_GENERATORS)
+        for _ in range(rng.randrange(3)):
+            word = word @ rng.choice(_INTEGER_GENERATORS)
+        mats.append(word)
+    return close_tuple(mats)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_relations_exactly_zero_on_integer_tuples(n):
+    rng = random.Random(f"integer/{n}")
+    for _ in range(6):
+        x = phi(integer_tuple(n, rng))
+        assert membership(x).max == 0.0
+        for ta, tb in type1_pairs(n):
+            assert type1(x, ta, tb) == 0.0
+        if n > 3:
+            for i, quad in type2_terms(n):
+                assert type2(x, i, quad) == 0.0
+            assert type3(x) == 0.0
+
+
+_FAMILIES = {
+    "su2": su2,
+    "su11": su11,
+    "generic": generic,
+    "generic16": lambda n, seed: generic(n, seed, entry_bound=16.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", range(3, 10))
+def test_kernel_bit_identical_to_definition(n, family):
+    x = phi(_FAMILIES[family](n, 300 + n))
+    res = membership(x)
+    assert res.type1 == tuple(abs(oracle_type1(x, ta, tb)) for ta, tb in type1_pairs(n))
+    assert res.type2 == tuple(abs(oracle_type2(x, i, quad)) for i, quad in type2_terms(n))
+    for ta, tb in type1_pairs(n):
+        assert type1(x, ta, tb) == oracle_type1(x, ta, tb)
+    for i, quad in type2_terms(n):
+        assert type2(x, i, quad) == oracle_type2(x, i, quad)
+    for t in combinations(range(1, n + 1), 3):
+        assert s3(x, *t) == oracle_s3(x, *t)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert z_entry(x, i, j) == oracle_z(x, i, j)
+
+
+def test_type1_rejects_malformed_triples():
+    x = phi(generic(5, seed=14))
+    with pytest.raises(BadIndex):
+        type1(x, (1, 2), (1, 2, 3))
+    with pytest.raises(BadIndex):
+        type1(x, (1, 2, 3), (3, 2, 1))
+    with pytest.raises(BadIndex):
+        type1(x, (1, 2, 3), (4, 5, 6))
