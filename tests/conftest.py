@@ -81,14 +81,34 @@ def oracle_type2(x, i, quad):
 
 # --- canonical fixtures -------------------------------------------------------
 
+# The hand-checked n = 3 tuple with a = (0, 0, 3, -9/2), x = (-5/2, 0, 3/2).
+FIXTURE_MATS = (
+    Mat2(0.0, 1.0, -1.0, 0.0),
+    Mat2(0.0, 2.0, -0.5, 0.0),
+    Mat2(2.0, 1.0, 1.0, 1.0),
+)
+
+# n = 3 coordinate file with every pair trace at +/-2: every chart polynomial
+# vanishes, so no chart is admissible.
+FLAT_COORDS = {
+    "n": 3,
+    "a": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+    "pairs": {"21": [2.0, 0.0], "31": [-2.0, 0.0], "32": [2.0, 0.0]},
+    "triples": {},
+}
+
+# n = 3 coordinate file whose deciding psi sits within tolerance of zero.
+BOUNDARY_COORDS = {
+    "n": 3,
+    "a": [[(5e-10) ** 0.5, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+    "pairs": {"21": [0.0, 0.0], "31": [2.0, 0.0], "32": [2.0, 0.0]},
+    "triples": {},
+}
+
+
 @pytest.fixture
 def fixture_mats():
-    """The hand-checked n = 3 tuple with a = (0, 0, 3, -9/2), x = (-5/2, 0, 3/2)."""
-    return (
-        Mat2(0.0, 1.0, -1.0, 0.0),
-        Mat2(0.0, 2.0, -0.5, 0.0),
-        Mat2(2.0, 1.0, 1.0, 1.0),
-    )
+    return FIXTURE_MATS
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from monodromy.cli import (
     rep_to_obj,
 )
 
-from conftest import identity_rep
+from conftest import BOUNDARY_COORDS, FLAT_COORDS, identity_rep
 
 
 @pytest.fixture
@@ -152,15 +152,8 @@ def test_reconstruct_branches_agree(tmp_path, fixture_rep):
 
 
 def test_reconstruct_no_admissible_chart(tmp_path):
-    # all pair traces +/-2: every chart polynomial vanishes
-    obj = {
-        "n": 3,
-        "a": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
-        "pairs": {"21": [2.0, 0.0], "31": [-2.0, 0.0], "32": [2.0, 0.0]},
-        "triples": {},
-    }
     path = tmp_path / "flat.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(FLAT_COORDS))
     assert run("reconstruct", path, "-o", tmp_path / "out.json") == EXIT_NO_CHART
     assert run("reconstruct", path, "--chart", "1,2,base",
                "-o", tmp_path / "out.json") == EXIT_NO_CHART
@@ -202,15 +195,8 @@ def test_classify_generic_not_unitary(tmp_path, capsys):
 
 
 def test_classify_boundary_exit(tmp_path, capsys):
-    a1 = (5e-10) ** 0.5
-    obj = {
-        "n": 3,
-        "a": [[a1, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
-        "pairs": {"21": [0.0, 0.0], "31": [2.0, 0.0], "32": [2.0, 0.0]},
-        "triples": {},
-    }
     path = tmp_path / "boundary.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(BOUNDARY_COORDS))
     assert run("classify", path) == EXIT_BOUNDARY
     assert "boundary" in capsys.readouterr().out
 
