@@ -47,7 +47,6 @@ from .reconstruct import (
     reconstruct,
     reconstruct_anchored,
     reconstruct_base,
-    reducibility_residual,
 )
 from .relations import (
     RelationResiduals,
@@ -79,13 +78,8 @@ from .sl2 import (
     IDENTITY,
     Mat2,
     Tolerance,
-    det_trace_inverse,
-    eigenvalues,
-    eigenvectors,
     four_trace_reduction,
     max_entry_diff,
-    mul,
-    skein_check,
 )
 from .unitary import (
     HermitianForm,

@@ -37,16 +37,18 @@ class ChartId:
         return f"({self.j},{self.k},{'base' if self.i0 == 0 else self.i0})"
 
 
+def _is_chart_pair(n: int, j: int, k: int) -> bool:
+    """j = 1 takes 2 <= k < n, middle j take j < k <= n, and j = n takes k = 1."""
+    return (j == 1 and 2 <= k < n) or (2 <= j < n and j < k <= n) or (j == n and k == 1)
+
+
 def index_set(n: int) -> list[tuple[int, int]]:
-    """The chart pairs (j, k): j = 1 takes 2 <= k < n, middle j take
-    j < k <= n, and j = n takes k = 1."""
+    """The chart pairs (j, k) for tuples of size n, in lexicographic order."""
     if n < 3:
         raise ValueError("need n >= 3")
-    out = [(1, k) for k in range(2, n)]
-    for j in range(2, n):
-        out.extend((j, k) for k in range(j + 1, n + 1))
-    out.append((n, 1))
-    return out
+    return [
+        (j, k) for j in range(1, n + 1) for k in range(1, n + 1) if _is_chart_pair(n, j, k)
+    ]
 
 
 def charts_for(n: int) -> list[ChartId]:
@@ -60,14 +62,8 @@ def charts_for(n: int) -> list[ChartId]:
 
 def _validate_chart(x: TraceCoordinates, chart: ChartId) -> None:
     n = x.n
-    j, k = chart.j, chart.k
-    pair_ok = (
-        (j == 1 and 2 <= k < n)
-        or (2 <= j < n and j < k <= n)
-        or (j == n and k == 1)
-    )
-    if not pair_ok:
-        raise BadChart(f"pair ({j}, {k}) is not a chart pair for n = {n}")
+    if not _is_chart_pair(n, chart.j, chart.k):
+        raise BadChart(f"pair ({chart.j}, {chart.k}) is not a chart pair for n = {n}")
     if chart.i0 > n:
         raise BadChart(f"anchor index {chart.i0} out of range for n = {n}")
 
@@ -130,12 +126,6 @@ class ChartReport:
 
     def admissible(self) -> list[ChartId]:
         return [e.chart for e in self.entries if e.admissible]
-
-    def value(self, chart: ChartId) -> complex:
-        for e in self.entries:
-            if e.chart == chart:
-                return e.value
-        raise BadChart(f"chart {chart.label()} not in report")
 
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:

@@ -38,7 +38,6 @@ from .errors import (
     DegenerateEigenvalues,
     MonodromyError,
     PsiDegenerate,
-    TraceOutOfRange,
 )
 from .reconstruct import MINUS, PLUS, reconstruct
 from .relations import membership, type1_pairs, type2_terms
@@ -54,7 +53,7 @@ EXIT_BOUNDARY = 5
 
 
 class ParseError(Exception):
-    """Malformed file content or flag value (exit code 2)."""
+    """Malformed file or flag, or a tuple too large for a coordinate file (exit code 2)."""
 
 
 class DataError(Exception):
@@ -139,7 +138,7 @@ def rep_from_obj(obj, tol: Tolerance) -> Representation:
 
 def coords_to_obj(x: TraceCoordinates) -> dict:
     if x.n > 9:
-        raise ValueError("the concatenated-digit key format supports n <= 9")
+        raise ParseError(f"coordinate files hold n <= 9 (digit keys), got n = {x.n}")
     pairs: dict[str, list[float]] = {}
     triples: dict[str, list[float]] = {}
     for key, v in x.items():
@@ -224,11 +223,11 @@ def _fmt_c(z: complex) -> str:
 
 def cmd_coords(args, tol: Tolerance) -> int:
     rep = rep_from_obj(read_json(args.input), tol)
-    x = phi(rep)
+    obj = coords_to_obj(phi(rep))
     print(f"n                : {rep.n}")
     print(f"closure residual : {closure_residual(rep):.3e}")
     print(f"closing trace    : {_fmt_c(rep.last.trace)}")
-    write_json(args.output, coords_to_obj(x))
+    write_json(args.output, obj)
     if args.output != "-":
         print(f"wrote {args.output}")
     return EXIT_OK
@@ -460,13 +459,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except TraceOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except MonodromyError as exc:
+    except (DataError, MonodromyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
 

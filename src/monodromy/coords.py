@@ -26,7 +26,15 @@ from itertools import combinations
 from math import comb
 
 from .errors import BadIndex
-from .sl2 import DEFAULT_TOL, IDENTITY, Mat2, Tolerance, check_unimodular, max_entry_diff
+from .sl2 import (
+    DEFAULT_TOL,
+    IDENTITY,
+    Mat2,
+    Tolerance,
+    check_unimodular,
+    four_trace_reduction,
+    max_entry_diff,
+)
 
 
 def _require_finite_scalar(v: complex, what: str) -> None:
@@ -171,12 +179,6 @@ class TraceCoordinates:
             raise BadIndex(f"bad pair index ({j}, {i}) for n = {self.n}")
         return self.pairs[(i, j) if i < j else (j, i)]
 
-    def triple(self, k: int, j: int, i: int) -> complex:
-        return triple_trace(self, k, j, i)
-
-    def quad(self, k: int, j: int, i: int, i0: int) -> complex:
-        return quad_trace(self, k, j, i, i0)
-
     def items(self):
         """Yield ((j, i), x_ji) then ((k, j, i), x_kji) in canonical order.
 
@@ -255,21 +257,18 @@ def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
 def quad_trace(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:
     """tr(M_k M_j M_i M_{i0}) for four distinct indices, reduced to stored data.
 
-    Evaluates the four-factor trace identity on the pair and triple
-    accessors; agrees with the directly computed trace whenever the
-    coordinates come from an actual tuple.
+    Evaluates ``four_trace_reduction`` with (A, B, C, D) = (M_k, M_j, M_i,
+    M_{i0}) on the pair and triple accessors; agrees with the directly
+    computed trace whenever the coordinates come from an actual tuple.
     """
     _check_distinct(x, (k, j, i, i0))
     a = x.local.trace
     p = x.pair
-    t = lambda c1, c2, c3: triple_trace(x, c1, c2, c3)
-    return 0.5 * (
-        a(k) * a(j) * a(i) * a(i0)
-        + a(k) * t(j, i, i0) + a(j) * t(k, i, i0)
-        + a(i) * t(k, j, i0) + a(i0) * t(k, j, i)
-        + p(k, j) * p(i, i0) - p(k, i) * p(j, i0) + p(k, i0) * p(j, i)
-        - a(k) * a(j) * p(i, i0) - a(k) * a(i0) * p(j, i)
-        - a(j) * a(i) * p(k, i0) - a(i0) * a(i) * p(k, j)
+    return four_trace_reduction(
+        a(k), a(j), a(i), a(i0),
+        p(k, j), p(k, i), p(k, i0), p(j, i), p(j, i0), p(i, i0),
+        triple_trace(x, k, j, i), triple_trace(x, k, j, i0),
+        triple_trace(x, k, i, i0), triple_trace(x, j, i, i0),
     )
 
 

@@ -10,6 +10,10 @@ four-factor trace identity.
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
 its conjugacy class, so coordinates of the output never depend on it;
 ``branch_independence_check`` verifies that numerically.
+
+Every reconstruction is irreducible, so nothing tests that numerically:
+psi != 0 on an admissible chart, and psi vanishes exactly when (M_j, M_k),
+or (M_k M_j, M_{i0}) on an anchored chart, generates a reducible group.
 """
 
 from __future__ import annotations
@@ -31,11 +35,7 @@ from .coords import (
 )
 from .errors import BadChart, DegenerateEigenvalues, OffVarietyWarning
 from .relations import membership, psi
-from .sl2 import DEFAULT_TOL, Mat2, Tolerance, eigenvectors
-
-# A tuple counts as numerically reducible when some candidate eigenvector is
-# a common eigenvector of every matrix to within this misalignment.
-REDUCIBLE_EPS = 1e-6
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class Diagnostics:
     """Residuals of one reconstruction.
 
     ``trace`` and ``det`` run over M_1 .. M_{n+1}; ``round_trip`` and
-    ``membership_max`` are scale-normalized.
+    ``membership_max`` are scale-normalized.  No irreducibility flag: the
+    chart's psi != 0 already proves the rebuilt tuple irreducible.
     """
 
     trace: tuple[float, ...]
@@ -82,7 +83,6 @@ class Diagnostics:
     closure: float
     round_trip: float
     membership_max: float
-    reducible: bool
 
     def worst(self) -> float:
         return max(max(self.trace), max(self.det), self.closure, self.round_trip)
@@ -94,33 +94,6 @@ class ReconstructionResult:
     chart: ChartId
     branch: BranchChoice
     diagnostics: Diagnostics
-
-
-def reducibility_residual(mats) -> float:
-    """Smallest over candidate eigenvectors of the worst misalignment of M v with v.
-
-    Candidates are the eigenvectors of the first matrix that is not
-    numerically scalar; a scalar tuple is reducible outright (residual 0).
-    Values near zero flag a common eigenvector, i.e. a reducible tuple.
-    """
-    mats = tuple(mats)
-    base = None
-    for m in mats:
-        if abs(m.m12) + abs(m.m21) + abs(m.m11 - m.m22) > 1e-12:
-            base = m
-            break
-    if base is None:
-        return 0.0
-    best = float("inf")
-    for v in eigenvectors(base):
-        worst = 0.0
-        for m in mats:
-            w = (m.m11 * v[0] + m.m12 * v[1], m.m21 * v[0] + m.m22 * v[1])
-            wnorm = (abs(w[0]) ** 2 + abs(w[1]) ** 2) ** 0.5
-            cross = abs(w[0] * v[1] - w[1] * v[0])
-            worst = max(worst, cross / wnorm if wnorm > 0 else 0.0)
-        best = min(best, worst)
-    return best
 
 
 def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
@@ -146,7 +119,6 @@ def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
         closure=closure_residual(rep),
         round_trip=round_trip,
         membership_max=mem,
-        reducible=reducibility_residual(mats) <= REDUCIBLE_EPS,
     )
     return ReconstructionResult(rep, chart, branch, diag)
 

@@ -1,4 +1,4 @@
-"""Complex 2x2 matrix algebra and the trace identities everything else consumes.
+"""Complex 2x2 matrix algebra and the four-factor trace identity.
 
 Scalars are double-precision complex numbers throughout; matrices are
 immutable value objects.  Inverses always go through the adjugate, which is
@@ -79,10 +79,6 @@ class Mat2:
             complex(self.m22).conjugate(),
         )
 
-    def scaled(self, factor: complex) -> Mat2:
-        return Mat2(factor * self.m11, factor * self.m12,
-                    factor * self.m21, factor * self.m22)
-
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.m11, self.m12, self.m21, self.m22)
 
@@ -91,11 +87,6 @@ class Mat2:
 
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
-
-
-def mul(a: Mat2, b: Mat2) -> Mat2:
-    """Matrix product a @ b."""
-    return a @ b
 
 
 def max_entry_diff(a: Mat2, b: Mat2) -> float:
@@ -108,30 +99,6 @@ def check_unimodular(a: Mat2, tol: Tolerance = DEFAULT_TOL) -> None:
     err = abs(a.det - 1.0)
     if err > tol.bound():
         raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.bound():.3e}")
-
-
-def det_trace_inverse(a: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[complex, complex, Mat2]:
-    """Return (det, trace, inverse) with the inverse taken as the adjugate.
-
-    Raises NotUnimodular if |det - 1| exceeds tolerance, since the adjugate
-    is only the true inverse of a determinant-1 matrix.
-    """
-    d = a.det
-    if abs(d - 1.0) > tol.bound():
-        raise NotUnimodular(f"|det - 1| = {abs(d - 1.0):.3e} exceeds tolerance")
-    return d, a.trace, a.adjugate()
-
-
-def skein_check(a: Mat2, b: Mat2, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Residual |tr(AB) + tr(AB^-1) - tr(A) tr(B)| for unimodular A, B.
-
-    The combination vanishes identically on determinant-1 matrices; callers
-    assert the returned residual against their tolerance.
-    """
-    check_unimodular(a, tol)
-    check_unimodular(b, tol)
-    lhs = (a @ b).trace + (a @ b.adjugate()).trace
-    return abs(lhs - a.trace * b.trace)
 
 
 def four_trace_reduction(
@@ -153,30 +120,3 @@ def four_trace_reduction(
         - t_a * t_b * t_cd - t_a * t_d * t_bc
         - t_b * t_c * t_ad - t_d * t_c * t_ab
     )
-
-
-def eigenvalues(a: Mat2) -> tuple[complex, complex]:
-    """Closed-form eigenvalues (tr +/- sqrt(tr^2 - 4 det)) / 2."""
-    t, d = a.trace, a.det
-    s = cmath.sqrt(t * t - 4.0 * d)
-    return (t + s) / 2.0, (t - s) / 2.0
-
-
-def eigenvectors(a: Mat2) -> list[tuple[complex, complex]]:
-    """Unit eigenvectors of a 2x2 matrix, one per eigenvalue.
-
-    For a (near-)scalar matrix both rows of a - lambda*I vanish and the
-    standard basis vector is returned instead.
-    """
-    vecs = []
-    for lam in eigenvalues(a):
-        v1 = (a.m12, lam - a.m11)
-        v2 = (lam - a.m22, a.m21)
-        v = max(v1, v2, key=lambda w: abs(w[0]) + abs(w[1]))
-        norm = (abs(v[0]) ** 2 + abs(v[1]) ** 2) ** 0.5
-        if norm == 0.0:
-            v = (1.0, 0.0)
-        else:
-            v = (v[0] / norm, v[1] / norm)
-        vecs.append(v)
-    return vecs

@@ -30,29 +30,25 @@ class Signature(enum.Enum):
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """2x2 Hermitian matrix [[h11, h12], [conj(h12), h22]] times a real scale."""
+    """2x2 Hermitian matrix [[h11, h12], [conj(h12), h22]]."""
 
     h11: float
     h22: float
     h12: complex = 0.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale == 0:
-            raise ValueError("scale must be non-zero")
         if self.h11 * self.h22 - abs(self.h12) ** 2 == 0:
             raise ValueError("form is degenerate")
 
     def matrix(self) -> Mat2:
         h12 = complex(self.h12)
-        return Mat2(self.h11, h12, h12.conjugate(), self.h22).scaled(self.scale)
+        return Mat2(self.h11, h12, h12.conjugate(), self.h22)
 
     def eigenvalues(self) -> tuple[float, float]:
-        """Real eigenvalues, scale included, larger first."""
+        """Real eigenvalues, larger first."""
         mean = 0.5 * (self.h11 + self.h22)
         radius = (0.25 * (self.h11 - self.h22) ** 2 + abs(self.h12) ** 2) ** 0.5
-        lo, hi = self.scale * (mean - radius), self.scale * (mean + radius)
-        return (hi, lo) if hi >= lo else (lo, hi)
+        return mean + radius, mean - radius
 
     def is_definite(self) -> bool:
         hi, lo = self.eigenvalues()

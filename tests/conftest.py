@@ -32,6 +32,11 @@ def otr(p):
     return p[0][0] + p[1][1]
 
 
+def commutator_gap(a: Mat2, b: Mat2) -> float:
+    """|tr(B A B^-1 A^-1) - 2|, which vanishes exactly when <A, B> is reducible."""
+    return abs((b @ a @ b.adjugate() @ a.adjugate()).trace - 2.0)
+
+
 def oword(rep: Representation, indices) -> complex:
     """Trace of M_{i1} M_{i2} ... (1-based indices, written left to right)."""
     prod = omat(rep.matrix(indices[0]))

@@ -118,6 +118,19 @@ def test_relations_tolerance_flag_and_env(tmp_path, capsys, fixture_rep, monkeyp
     capsys.readouterr()
 
 
+def test_coords_rejects_n_above_nine(tmp_path, capsys):
+    rep_path = tmp_path / "t10.json"
+    assert run("sample", "--n", "10", "--seed", "1", "-o", rep_path) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "c10.json"
+    assert run("coords", rep_path, "-o", out) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "n <= 9" in captured.err
+    assert not out.exists()
+
+
 def test_reconstruct_round_trip(tmp_path, fixture_rep):
     coords1 = coords_path(tmp_path, fixture_rep, "c1.json")
     rep_out = tmp_path / "rebuilt.rep.json"

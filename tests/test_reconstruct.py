@@ -1,5 +1,3 @@
-import cmath
-
 import pytest
 
 from monodromy import (
@@ -20,12 +18,10 @@ from monodromy import (
     reconstruct,
     reconstruct_anchored,
     reconstruct_base,
-    reducibility_residual,
 )
 from monodromy.samplers import SplitMix64
-from monodromy.sl2 import Mat2
 
-from conftest import generic, identity_rep, su2
+from conftest import commutator_gap, generic, identity_rep, su2
 
 
 def test_branch_choice_validation():
@@ -77,7 +73,7 @@ def test_base_fixture_round_trip(fixture_coords):
     assert max(result.diagnostics.trace) <= 1e-10
     assert max(result.diagnostics.det) <= 1e-10
     assert result.diagnostics.closure <= 1e-10
-    assert not result.diagnostics.reducible
+    assert commutator_gap(result.rep.matrix(1), result.rep.matrix(2)) > 1e-6
 
 
 def test_base_pair_product_diagonal(fixture_coords):
@@ -196,17 +192,3 @@ def test_off_variety_warning():
     with pytest.warns(OffVarietyWarning):
         result = reconstruct(moved, chart)
     assert result.diagnostics.membership_max > 1e-6
-
-
-def test_reducibility_residual_flags_diagonal_tuple():
-    diag = [
-        Mat2(cmath.exp(1j * t), 0.0, 0.0, cmath.exp(-1j * t))
-        for t in (0.3, 0.8, 1.1)
-    ]
-    assert reducibility_residual(diag) <= 1e-12
-    assert reducibility_residual([Mat2(1.0, 0.0, 0.0, 1.0)] * 3) == 0.0
-
-
-def test_reducibility_residual_generic_tuple():
-    rep = generic(4, seed=31)
-    assert reducibility_residual(rep.mats) > 1e-6

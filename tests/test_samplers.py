@@ -11,13 +11,14 @@ from monodromy import (
     max_entry_diff,
     phi,
     reality_gate,
-    reducibility_residual,
     sample_generic,
     sample_su11,
     sample_su2,
     verify_invariance,
 )
 from monodromy.samplers import SplitMix64, companion, random_unimodular, su11_element
+
+from conftest import commutator_gap
 
 I_ONE_ONE = Mat2(1.0, 0.0, 0.0, -1.0)
 
@@ -79,7 +80,7 @@ def test_generic_irreducible_and_closed():
         rep = sample_generic(SamplerConfig(seed=seed, n=3 + seed % 4))
         close_tuple(rep.mats, tight)  # unimodularity at 1e-11
         assert closure_residual(rep) <= 1e-11
-        assert reducibility_residual(rep.mats) > 1e-6
+        assert commutator_gap(rep.matrix(1), rep.matrix(2)) > 1e-6
 
 
 def test_su2_unitarity():

@@ -1,36 +1,46 @@
 import pytest
 
 from monodromy import (
+    DEFAULT_TOL,
     IDENTITY,
     Mat2,
     NotUnimodular,
     Tolerance,
-    det_trace_inverse,
     four_trace_reduction,
     max_entry_diff,
-    mul,
-    skein_check,
 )
 from monodromy.samplers import SplitMix64, random_unimodular
+from monodromy.sl2 import check_unimodular
 
 from conftest import omat, omul, otr
 
 ROT = Mat2(0.0, 1.0, -1.0, 0.0)
 
 
+def skein_check(a: Mat2, b: Mat2, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Residual |tr(AB) + tr(AB^-1) - tr(A) tr(B)| for unimodular A, B.
+
+    The combination vanishes identically on determinant-1 matrices.
+    """
+    check_unimodular(a, tol)
+    check_unimodular(b, tol)
+    lhs = (a @ b).trace + (a @ b.adjugate()).trace
+    return abs(lhs - a.trace * b.trace)
+
+
 def test_mul_identity():
-    assert mul(IDENTITY, IDENTITY) == IDENTITY
+    assert IDENTITY @ IDENTITY == IDENTITY
 
 
 def test_mul_rotation_squared():
-    assert mul(ROT, ROT) == Mat2(-1.0, 0.0, 0.0, -1.0)
+    assert ROT @ ROT == Mat2(-1.0, 0.0, 0.0, -1.0)
 
 
 def test_mul_direct_case():
     # oracle: plain-tuple product of [[2,1],[1,1]] and [[0,1],[-1,0]]
     a, b = Mat2(2.0, 1.0, 1.0, 1.0), ROT
     expect = omul(omat(a), omat(b))
-    got = mul(a, b)
+    got = a @ b
     assert omat(got) == expect == ((-1.0, 2.0), (-1.0, 1.0))
 
 
@@ -58,15 +68,15 @@ def test_tolerance_validation():
     ],
 )
 def test_det_trace_inverse(mat, expect):
-    d, t, inv = det_trace_inverse(mat)
-    assert d == expect[0]
-    assert t == expect[1]
-    assert inv == expect[2]
+    check_unimodular(mat)
+    assert mat.det == expect[0]
+    assert mat.trace == expect[1]
+    assert mat.adjugate() == expect[2]
 
 
 def test_det_trace_inverse_rejects():
     with pytest.raises(NotUnimodular):
-        det_trace_inverse(Mat2(2.0, 0.0, 0.0, 1.0))
+        check_unimodular(Mat2(2.0, 0.0, 0.0, 1.0))
 
 
 def test_skein_identity_pair():
