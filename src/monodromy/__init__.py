@@ -27,6 +27,7 @@ from .errors import (
     BadChart,
     BadIndex,
     ChartNotAdmissible,
+    ChartsDisagree,
     DegenerateEigenvalues,
     MonodromyError,
     NotApplicable,

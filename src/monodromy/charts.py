@@ -6,13 +6,19 @@ A chart is labeled by a pair (j, k) from the index set plus an anchor
 admissible at a point when its chart polynomial is numerically nonzero;
 the union of all admissible loci is where explicit matrix representatives
 exist.
+
+Which stored coordinates each chart reads is worked out once per n.
+``classify_charts`` evaluates every chart of a point from those reads and
+memoizes the report on the point, per tolerance; ``chart_psi`` and
+``chart_poly`` evaluate one chart by the same formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .coords import TraceCoordinates, triple_trace
+from .coords import TraceCoordinates, opposite_rotation
 from .errors import BadChart, ChartNotAdmissible
 from .relations import psi
 from .sl2 import DEFAULT_TOL, Tolerance
@@ -53,10 +59,59 @@ def index_set(n: int) -> list[tuple[int, int]]:
 
 def charts_for(n: int) -> list[ChartId]:
     """Every chart for tuples of size n, in lexicographic (j, k, i0) order."""
-    out = []
+    return list(_layout(n)[0])
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[tuple[ChartId, ...], tuple[tuple, ...]]:
+    """The charts for size n and, in the same order, the row ``_row`` gives each."""
+    charts = []
     for j, k in index_set(n):
-        out.append(ChartId(j, k, 0))
-        out.extend(ChartId(j, k, i0) for i0 in range(1, n + 1) if i0 not in (j, k))
+        charts.append(ChartId(j, k, 0))
+        charts.extend(ChartId(j, k, i0) for i0 in range(1, n + 1) if i0 not in (j, k))
+    return tuple(charts), tuple(_row(c) for c in charts)
+
+
+def _row(chart: ChartId) -> tuple:
+    """Where the chart's psi reads its data: ``(kj, k, j, i0, tkey, flip)``.
+
+    ``kj`` is the stored key of x_kj.  On an anchored chart ``tkey`` is the
+    stored key of the triple (k, j, i0), and ``flip`` is None when the word
+    M_k M_j M_i0 is a rotation of the stored descending word, else the stored
+    keys of x_{j i0} and x_{k i0} that the reordering identity reads.
+    """
+    j, k, i0 = chart.j, chart.k, chart.i0
+    kj = (min(j, k), max(j, k))
+    if i0 == 0:
+        return kj, k, j, 0, None, None
+    lo, mid, hi = sorted((k, j, i0))
+    flip = None
+    if (k, j, i0) not in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+        flip = ((min(j, i0), max(j, i0)), (min(k, i0), max(k, i0)))
+    return kj, k, j, i0, (lo, mid, hi), flip
+
+
+def _psi_values(x: TraceCoordinates, rows) -> list[tuple[complex, complex]]:
+    """(x_kj, psi) of each chart row, read straight from the stored coordinates.
+
+    Base charts use psi(x_kj, a_k, a_j); anchored charts use
+    psi(x_{k j i0}, x_kj, a_{i0}), the triple trace taken as
+    ``coords.triple_trace`` takes it.
+    """
+    a = (0.0,) + x.local.a  # 1-based
+    pairs = x.pairs
+    # for n = 3 the single triple trace is the closing trace a_4
+    triples = x.triples or {(1, 2, 3): a[4]}
+    out = []
+    for kj, k, j, i0, tkey, flip in rows:
+        xkj = pairs[kj]
+        if i0 == 0:
+            out.append((xkj, psi(xkj, a[k], a[j])))
+            continue
+        t = triples[tkey]
+        if flip is not None:
+            t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
+        out.append((xkj, psi(t, xkj, a[i0])))
     return out
 
 
@@ -73,20 +128,16 @@ def chart_psi(x: TraceCoordinates, chart: ChartId) -> complex:
 
     Base charts use psi(x_kj, a_k, a_j); anchored charts use
     psi(x_{k j i0}, x_kj, a_{i0}) with the triple trace canonicalized
-    through the accessor.
+    as ``triple_trace`` does.
     """
     _validate_chart(x, chart)
-    a = x.local.trace
-    xkj = x.pair(chart.k, chart.j)
-    if chart.i0 == 0:
-        return psi(xkj, a(chart.k), a(chart.j))
-    return psi(triple_trace(x, chart.k, chart.j, chart.i0), xkj, a(chart.i0))
+    return _psi_values(x, (_row(chart),))[0][1]
 
 
 def chart_poly(x: TraceCoordinates, chart: ChartId) -> complex:
     """(x_kj^2 - 4) times the chart's psi factor."""
-    ps = chart_psi(x, chart)  # validates the chart against n
-    xkj = x.pair(chart.k, chart.j)
+    _validate_chart(x, chart)
+    ((xkj, ps),) = _psi_values(x, (_row(chart),))
     return (xkj * xkj - 4.0) * ps
 
 
@@ -107,9 +158,12 @@ def require_admissible(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEF
 
 @dataclass(frozen=True)
 class ChartEval:
+    """One chart at a point: its polynomial value, admissibility and psi factor."""
+
     chart: ChartId
     value: complex
     admissible: bool
+    psi: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -129,14 +183,25 @@ class ChartReport:
 
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:
-    """Evaluate every chart polynomial at x and pick the best admissible chart."""
+    """Evaluate every chart polynomial at x and pick the best admissible chart.
+
+    The report is built once per point and tolerance and memoized on x.
+    """
+    key = ("charts", tol)
+    report = x._cache.get(key)
+    if report is not None:
+        return report
+    charts, rows = _layout(x.n)
     entries = []
     best: ChartId | None = None
     best_mag = 0.0
-    for chart in charts_for(x.n):
-        value = chart_poly(x, chart)
-        admissible = abs(value) > admissibility_threshold(x, chart, tol)
-        entries.append(ChartEval(chart, value, admissible))
-        if admissible and abs(value) > best_mag:
-            best, best_mag = chart, abs(value)
-    return ChartReport(tuple(entries), best)
+    for chart, (xkj, ps) in zip(charts, _psi_values(x, rows)):
+        value = (xkj * xkj - 4.0) * ps
+        mag = abs(value)
+        admissible = mag > tol.abs * (1.0 + abs(xkj) ** 4)
+        entries.append(ChartEval(chart, value, admissible, ps))
+        if admissible and mag > best_mag:
+            best, best_mag = chart, mag
+    report = ChartReport(tuple(entries), best)
+    x._cache[key] = report
+    return report

@@ -207,18 +207,16 @@ def phi(rep: Representation) -> TraceCoordinates:
 
     Conjugation-invariant up to roundoff, since traces are.
     """
-    mats = rep.mats
+    mats = (None,) + rep.mats  # 1-based
     n = rep.n
-    pairs = {
-        (i, j): (mats[j - 1] @ mats[i - 1]).trace
-        for i, j in combinations(range(1, n + 1), 2)
-    }
+    prods = {(i, j): mats[j] @ mats[i] for i, j in combinations(range(1, n + 1), 2)}
+    pairs = {key: p.trace for key, p in prods.items()}
     triples = {}
     if n >= 4:
-        triples = {
-            (i, j, k): (mats[k - 1] @ mats[j - 1] @ mats[i - 1]).trace
-            for i, j, k in combinations(range(1, n + 1), 3)
-        }
+        # tr((M_k M_j) M_i) from entries, rounded as (M_k @ M_j @ M_i).trace rounds it
+        for i, j, k in combinations(range(1, n + 1), 3):
+            p, q = prods[(j, k)], mats[i]
+            triples[(i, j, k)] = (p.m11 * q.m11 + p.m12 * q.m21) + (p.m21 * q.m12 + p.m22 * q.m22)
     return TraceCoordinates(rep.local(), pairs, triples)
 
 
@@ -247,11 +245,14 @@ def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     if (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
         return stored
     a = x.local.trace
-    sym = (
-        a(k) * x.pair(j, i) + a(j) * x.pair(k, i) + a(i) * x.pair(k, j)
-        - a(k) * a(j) * a(i)
+    return opposite_rotation(
+        a(k), a(j), a(i), x.pair(j, i), x.pair(k, i), x.pair(k, j), stored
     )
-    return sym - stored
+
+
+def opposite_rotation(ak, aj, ai, xji, xki, xkj, stored: complex) -> complex:
+    """tr(M_k M_j M_i) from stored = tr(M_k M_i M_j), by the reordering identity."""
+    return ak * xji + aj * xki + ai * xkj - ak * aj * ai - stored
 
 
 def quad_trace(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:

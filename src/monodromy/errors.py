@@ -39,6 +39,11 @@ class PsiDegenerate(MonodromyError):
     the boundary between the definite and indefinite regions."""
 
 
+class ChartsDisagree(MonodromyError):
+    """Two admissible charts, or a chart and its constructed form, give
+    different signature verdicts: the point is off the variety."""
+
+
 class TraceOutOfRange(MonodromyError):
     """A requested local trace cannot be realized by the requested sampler."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .charts import ChartId, chart_psi, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
-from .errors import DegenerateEigenvalues, NotReal, PsiDegenerate
+from .errors import ChartsDisagree, DegenerateEigenvalues, NotReal, PsiDegenerate
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, max_entry_diff
 
 
@@ -143,19 +143,21 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
     verdict = _verdict(disc, ps)
     form = hermitian_form(x, best, tol)
     if form.is_definite() != (verdict is Signature.DEFINITE):
-        raise RuntimeError(
+        raise ChartsDisagree(
             f"sign rule and constructed form disagree on chart {best.label()}"
         )
-    for chart in report.admissible():
-        if chart == best:
+    # The best chart is in this loop too; it agrees with itself.
+    for e in report.entries:
+        if not e.admissible:
             continue
+        chart = e.chart
         other_xkj = complex(x.pair(chart.k, chart.j)).real
         other_disc = other_xkj * other_xkj - 4.0
-        other_ps = complex(chart_psi(x, chart)).real
+        other_ps = complex(e.psi).real
         if abs(other_ps) <= tol.abs or abs(other_disc) <= tol.abs:
             continue  # boundary-adjacent chart: no reliable sign
         if _verdict(other_disc, other_ps) is not verdict:
-            raise RuntimeError(
+            raise ChartsDisagree(
                 f"charts {best.label()} and {chart.label()} disagree; "
                 "the point likely violates the defining relations"
             )

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from monodromy import Mat2, Representation, SamplerConfig, close_tuple, phi
+from monodromy import Mat2, Representation, SamplerConfig, close_tuple, phi, psi
 from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
+from monodromy import chart_poly, chart_psi, charts_for
+from monodromy.charts import admissibility_threshold
 
 
 # --- plain-tuple 2x2 oracle -------------------------------------------------
@@ -84,6 +86,32 @@ def oracle_type2(x, i, quad):
     return total
 
 
+# --- from-definition chart oracle -------------------------------------------
+
+def oracle_chart_psi(x, chart):
+    """psi(x_kj, a_k, a_j) on a base chart, psi(x_{k j i0}, x_kj, a_i0) on an
+    anchored one, read through the coordinate accessors."""
+    a = x.local.trace
+    xkj = x.pair(chart.k, chart.j)
+    if chart.i0 == 0:
+        return psi(xkj, a(chart.k), a(chart.j))
+    return psi(triple_trace(x, chart.k, chart.j, chart.i0), xkj, a(chart.i0))
+
+
+def oracle_chart_entries(x, tol):
+    """(chart, value, admissible, psi) per chart and the best admissible chart,
+    one public single-chart call per value."""
+    entries = []
+    best, best_mag = None, 0.0
+    for chart in charts_for(x.n):
+        value = chart_poly(x, chart)
+        admissible = abs(value) > admissibility_threshold(x, chart, tol)
+        entries.append((chart, value, admissible, chart_psi(x, chart)))
+        if admissible and abs(value) > best_mag:
+            best, best_mag = chart, abs(value)
+    return entries, best
+
+
 # --- canonical fixtures -------------------------------------------------------
 
 # The hand-checked n = 3 tuple with a = (0, 0, 3, -9/2), x = (-5/2, 0, 3/2).
@@ -140,3 +168,12 @@ def su2(n: int, seed: int, **kw) -> Representation:
 
 def su11(n: int, seed: int, **kw) -> Representation:
     return sample_su11(SamplerConfig(seed=seed, n=n, **kw))
+
+
+# sampler families by name; generic16 is generic at entry bound 16
+FAMILIES = {
+    "su2": su2,
+    "su11": su11,
+    "generic": generic,
+    "generic16": lambda n, seed: generic(n, seed, entry_bound=16.0),
+}

@@ -3,9 +3,11 @@ from itertools import combinations
 import pytest
 
 from monodromy import (
+    DEFAULT_TOL,
     BadChart,
     ChartId,
     LocalData,
+    Tolerance,
     TraceCoordinates,
     chart_poly,
     chart_psi,
@@ -17,7 +19,17 @@ from monodromy import (
 )
 from monodromy.samplers import SplitMix64, random_unimodular
 
-from conftest import generic, identity_rep, omat, omul, otr, oword
+from conftest import (
+    FAMILIES,
+    generic,
+    identity_rep,
+    omat,
+    omul,
+    oracle_chart_entries,
+    oracle_chart_psi,
+    otr,
+    oword,
+)
 
 
 def test_index_set_n3():
@@ -162,3 +174,20 @@ def test_chart_psi_matches_commutator_interpretation():
     comm = otr(omul(omul(a, b), omul(ainv, binv)))
     got = chart_psi(x, ChartId(1, 2, 0))
     assert abs(got - (comm - 2.0)) <= 1e-10 * (1.0 + abs(comm))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", range(3, 10))
+def test_chart_table_matches_definition(n, family):
+    x = phi(FAMILIES[family](n, 400 + n))
+    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):
+        report = classify_charts(x, tol)
+        assert classify_charts(x, tol) is report  # memoized per point and tolerance
+        entries, best = oracle_chart_entries(x, tol)
+        assert [(e.chart, e.value, e.admissible, e.psi) for e in report.entries] == entries
+        assert report.best == best
+        for e in report.entries:
+            xkj = x.pair(e.chart.k, e.chart.j)
+            ps = oracle_chart_psi(x, e.chart)
+            assert e.psi == ps
+            assert e.value == (xkj * xkj - 4.0) * ps

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monodromy import phi
+from monodromy import ChartsDisagree, TraceCoordinates, classify, classify_charts, phi
 from monodromy.cli import (
     EXIT_BOUNDARY,
     EXIT_NO_CHART,
@@ -15,7 +15,7 @@ from monodromy.cli import (
     rep_to_obj,
 )
 
-from conftest import BOUNDARY_COORDS, FLAT_COORDS, identity_rep
+from conftest import BOUNDARY_COORDS, FLAT_COORDS, identity_rep, su2
 
 
 @pytest.fixture
@@ -212,6 +212,24 @@ def test_classify_boundary_exit(tmp_path, capsys):
     path.write_text(json.dumps(BOUNDARY_COORDS))
     assert run("classify", path) == EXIT_BOUNDARY
     assert "boundary" in capsys.readouterr().out
+
+
+def test_classify_off_variety_exits_3(tmp_path, capsys):
+    # a real su2 point with x_21 moved off the variety: the reality gate passes,
+    # then two admissible charts give different verdicts
+    x = phi(su2(4, seed=0))
+    pairs = dict(x.pairs)
+    pairs[(1, 2)] += 1.0
+    off = TraceCoordinates(x.local, pairs, x.triples)
+    classify_charts(off)  # the memoized report is what classify cross-checks
+    with pytest.raises(ChartsDisagree, match="disagree"):
+        classify(off)
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(coords_to_obj(off)))
+    assert run("classify", path) == EXIT_RESIDUAL
+    out, err = capsys.readouterr()
+    assert "reality gate  : pass" in out
+    assert err.startswith("error: charts ") and err.count("\n") == 1
 
 
 def test_sample_deterministic_files(tmp_path):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -18,7 +19,7 @@ from monodromy import (
 )
 from monodromy.samplers import SplitMix64, random_unimodular
 
-from conftest import generic, identity_rep, oword
+from conftest import FAMILIES, generic, identity_rep, oword
 
 
 def test_close_tuple_identity():
@@ -178,8 +179,6 @@ def test_quad_trace_matches_four_trace_reduction():
 def test_quad_trace_every_descending_quadruple(n):
     rep = generic(n, seed=50 + n)
     x = phi(rep)
-    from itertools import combinations
-
     for quad in combinations(range(1, n + 1), 4):
         word = tuple(reversed(quad))
         direct = oword(rep, word)
@@ -198,3 +197,16 @@ def test_coordinate_counts():
 def test_coordinate_distance_layout_mismatch():
     with pytest.raises(ValueError):
         coordinate_distance(phi(generic(3, seed=1)), phi(generic(4, seed=1)))
+
+
+@pytest.mark.parametrize("family", ["generic", "su2", "su11"])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_phi_triples_equal_matrix_product_traces(n, family):
+    rep = FAMILIES[family](n, 500 + n)
+    m = rep.mats
+    x = phi(rep)
+    assert list(x.triples) == list(combinations(range(1, n + 1), 3))
+    for i, j, k in x.triples:
+        assert x.triples[(i, j, k)] == (m[k - 1] @ m[j - 1] @ m[i - 1]).trace
+    for i, j in x.pairs:
+        assert x.pairs[(i, j)] == (m[j - 1] @ m[i - 1]).trace

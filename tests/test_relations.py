@@ -24,6 +24,7 @@ from monodromy import (
     z_entry,
 )
 from conftest import (
+    FAMILIES,
     generic,
     identity_rep,
     oracle_s3,
@@ -31,8 +32,6 @@ from conftest import (
     oracle_type2,
     oracle_z,
     oword,
-    su2,
-    su11,
 )
 
 
@@ -292,18 +291,10 @@ def test_relations_exactly_zero_on_integer_tuples(n):
             assert type3(x) == 0.0
 
 
-_FAMILIES = {
-    "su2": su2,
-    "su11": su11,
-    "generic": generic,
-    "generic16": lambda n, seed: generic(n, seed, entry_bound=16.0),
-}
-
-
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("n", range(3, 10))
 def test_kernel_bit_identical_to_definition(n, family):
-    x = phi(_FAMILIES[family](n, 300 + n))
+    x = phi(FAMILIES[family](n, 300 + n))
     res = membership(x)
     assert res.type1 == tuple(abs(oracle_type1(x, ta, tb)) for ta, tb in type1_pairs(n))
     assert res.type2 == tuple(abs(oracle_type2(x, i, quad)) for i, quad in type2_terms(n))
