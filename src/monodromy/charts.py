@@ -8,9 +8,8 @@ the union of all admissible loci is where explicit matrix representatives
 exist.
 
 Which stored coordinates each chart reads is worked out once per n.
-``classify_charts`` evaluates every chart of a point from those reads and
-memoizes the report on the point, per tolerance; ``chart_psi`` and
-``chart_poly`` evaluate one chart by the same formula.
+``classify_charts`` evaluates every chart of a point from those reads;
+``chart_psi`` and ``chart_poly`` evaluate one chart by the same formula.
 """
 
 from __future__ import annotations
@@ -91,12 +90,13 @@ def _row(chart: ChartId) -> tuple:
     return kj, k, j, i0, (lo, mid, hi), flip
 
 
-def _psi_values(x: TraceCoordinates, rows) -> list[tuple[complex, complex]]:
-    """(x_kj, psi) of each chart row, read straight from the stored coordinates.
+def _chart_values(x: TraceCoordinates, rows) -> list[tuple[complex, complex, complex]]:
+    """(x_kj, psi, chart polynomial) of each chart row, read straight from the
+    stored coordinates.
 
     Base charts use psi(x_kj, a_k, a_j); anchored charts use
     psi(x_{k j i0}, x_kj, a_{i0}), the triple trace taken as
-    ``coords.triple_trace`` takes it.
+    ``coords.triple_trace`` takes it.  The polynomial is (x_kj^2 - 4) psi.
     """
     a = (0.0,) + x.local.a  # 1-based
     pairs = x.pairs
@@ -106,13 +106,19 @@ def _psi_values(x: TraceCoordinates, rows) -> list[tuple[complex, complex]]:
     for kj, k, j, i0, tkey, flip in rows:
         xkj = pairs[kj]
         if i0 == 0:
-            out.append((xkj, psi(xkj, a[k], a[j])))
-            continue
-        t = triples[tkey]
-        if flip is not None:
-            t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
-        out.append((xkj, psi(t, xkj, a[i0])))
+            ps = psi(xkj, a[k], a[j])
+        else:
+            t = triples[tkey]
+            if flip is not None:
+                t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
+            ps = psi(t, xkj, a[i0])
+        out.append((xkj, ps, (xkj * xkj - 4.0) * ps))
     return out
+
+
+def _threshold(xkj: complex, tol: Tolerance) -> float:
+    """Scale-aware zero threshold of a chart polynomial: tol.abs * (1 + |x_kj|^4)."""
+    return tol.abs * (1.0 + abs(xkj) ** 4)
 
 
 def _validate_chart(x: TraceCoordinates, chart: ChartId) -> None:
@@ -131,19 +137,18 @@ def chart_psi(x: TraceCoordinates, chart: ChartId) -> complex:
     as ``triple_trace`` does.
     """
     _validate_chart(x, chart)
-    return _psi_values(x, (_row(chart),))[0][1]
+    return _chart_values(x, (_row(chart),))[0][1]
 
 
 def chart_poly(x: TraceCoordinates, chart: ChartId) -> complex:
     """(x_kj^2 - 4) times the chart's psi factor."""
     _validate_chart(x, chart)
-    ((xkj, ps),) = _psi_values(x, (_row(chart),))
-    return (xkj * xkj - 4.0) * ps
+    return _chart_values(x, (_row(chart),))[0][2]
 
 
 def admissibility_threshold(x: TraceCoordinates, chart: ChartId, tol: Tolerance) -> float:
     """Scale-aware zero threshold: tol.abs * (1 + |x_kj|^4)."""
-    return tol.abs * (1.0 + abs(x.pair(chart.k, chart.j)) ** 4)
+    return _threshold(x.pair(chart.k, chart.j), tol)
 
 
 def require_admissible(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEFAULT_TOL) -> complex:
@@ -158,12 +163,14 @@ def require_admissible(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEF
 
 @dataclass(frozen=True)
 class ChartEval:
-    """One chart at a point: its polynomial value, admissibility and psi factor."""
+    """One chart at a point: its polynomial value, admissibility, psi factor
+    and pair trace x_kj."""
 
     chart: ChartId
     value: complex
     admissible: bool
-    psi: complex | None = None
+    psi: complex
+    xkj: complex
 
 
 @dataclass(frozen=True)
@@ -183,25 +190,15 @@ class ChartReport:
 
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:
-    """Evaluate every chart polynomial at x and pick the best admissible chart.
-
-    The report is built once per point and tolerance and memoized on x.
-    """
-    key = ("charts", tol)
-    report = x._cache.get(key)
-    if report is not None:
-        return report
+    """Evaluate every chart polynomial at x and pick the best admissible chart."""
     charts, rows = _layout(x.n)
     entries = []
     best: ChartId | None = None
     best_mag = 0.0
-    for chart, (xkj, ps) in zip(charts, _psi_values(x, rows)):
-        value = (xkj * xkj - 4.0) * ps
+    for chart, (xkj, ps, value) in zip(charts, _chart_values(x, rows)):
         mag = abs(value)
-        admissible = mag > tol.abs * (1.0 + abs(xkj) ** 4)
-        entries.append(ChartEval(chart, value, admissible, ps))
+        admissible = mag > _threshold(xkj, tol)
+        entries.append(ChartEval(chart, value, admissible, ps, xkj))
         if admissible and mag > best_mag:
             best, best_mag = chart, mag
-    report = ChartReport(tuple(entries), best)
-    x._cache[key] = report
-    return report
+    return ChartReport(tuple(entries), best)

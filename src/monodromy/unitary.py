@@ -88,12 +88,15 @@ def hermitian_form(x: TraceCoordinates, chart: ChartId,
         raise NotReal("coordinates or local traces have imaginary parts beyond tolerance")
     require_admissible(x, chart, tol)
     xkj = complex(x.pair(chart.k, chart.j)).real
-    disc = xkj * xkj - 4.0
+    return _form(xkj * xkj - 4.0, complex(chart_psi(x, chart)).real, tol)
+
+
+def _form(disc: float, ps: float, tol: Tolerance) -> HermitianForm:
+    """The invariant form from disc = x_kj^2 - 4 and the chart's real psi."""
     if abs(disc) <= tol.abs:
         raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
     if disc > 0:
         return HermitianForm(0.0, 0.0, 1j)
-    ps = complex(chart_psi(x, chart)).real
     return HermitianForm(1.0, ps / disc)
 
 
@@ -132,33 +135,32 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
             Signature.NOT_UNITARY,
             "no admissible chart: the point lies outside the big open",
         )
-    best = report.best
-    xkj = complex(x.pair(best.k, best.j)).real
+    # report.best is the chart object of one of its entries
+    best = next(e for e in report.entries if e.chart is report.best)
+    xkj = complex(best.xkj).real
     disc = xkj * xkj - 4.0
-    ps = complex(chart_psi(x, best)).real
+    ps = complex(best.psi).real
     if abs(ps) <= tol.abs:
         raise PsiDegenerate(
-            f"chart {best.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
+            f"chart {best.chart.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
         )
     verdict = _verdict(disc, ps)
-    form = hermitian_form(x, best, tol)
-    if form.is_definite() != (verdict is Signature.DEFINITE):
+    if _form(disc, ps, tol).is_definite() != (verdict is Signature.DEFINITE):
         raise ChartsDisagree(
-            f"sign rule and constructed form disagree on chart {best.label()}"
+            f"sign rule and constructed form disagree on chart {best.chart.label()}"
         )
     # The best chart is in this loop too; it agrees with itself.
     for e in report.entries:
         if not e.admissible:
             continue
-        chart = e.chart
-        other_xkj = complex(x.pair(chart.k, chart.j)).real
+        other_xkj = complex(e.xkj).real
         other_disc = other_xkj * other_xkj - 4.0
         other_ps = complex(e.psi).real
         if abs(other_ps) <= tol.abs or abs(other_disc) <= tol.abs:
             continue  # boundary-adjacent chart: no reliable sign
         if _verdict(other_disc, other_ps) is not verdict:
             raise ChartsDisagree(
-                f"charts {best.label()} and {chart.label()} disagree; "
+                f"charts {best.chart.label()} and {e.chart.label()} disagree; "
                 "the point likely violates the defining relations"
             )
     detail = (
@@ -166,4 +168,4 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         if verdict is Signature.DEFINITE
         else "invariant form has signature (1,1)"
     )
-    return SignatureClass(verdict, detail, best, disc, ps)
+    return SignatureClass(verdict, detail, best.chart, disc, ps)

@@ -182,12 +182,12 @@ def test_chart_table_matches_definition(n, family):
     x = phi(FAMILIES[family](n, 400 + n))
     for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):
         report = classify_charts(x, tol)
-        assert classify_charts(x, tol) is report  # memoized per point and tolerance
         entries, best = oracle_chart_entries(x, tol)
         assert [(e.chart, e.value, e.admissible, e.psi) for e in report.entries] == entries
         assert report.best == best
         for e in report.entries:
             xkj = x.pair(e.chart.k, e.chart.j)
             ps = oracle_chart_psi(x, e.chart)
+            assert e.xkj == xkj
             assert e.psi == ps
             assert e.value == (xkj * xkj - 4.0) * ps

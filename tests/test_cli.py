@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monodromy import ChartsDisagree, TraceCoordinates, classify, classify_charts, phi
+from monodromy import ChartsDisagree, TraceCoordinates, classify, phi
 from monodromy.cli import (
     EXIT_BOUNDARY,
     EXIT_NO_CHART,
@@ -221,7 +221,6 @@ def test_classify_off_variety_exits_3(tmp_path, capsys):
     pairs = dict(x.pairs)
     pairs[(1, 2)] += 1.0
     off = TraceCoordinates(x.local, pairs, x.triples)
-    classify_charts(off)  # the memoized report is what classify cross-checks
     with pytest.raises(ChartsDisagree, match="disagree"):
         classify(off)
     path = tmp_path / "off.json"
