@@ -14,28 +14,25 @@ Which stored coordinates each chart reads is worked out once per n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .coords import TraceCoordinates, opposite_rotation
 from .errors import BadChart, ChartNotAdmissible
 from .relations import psi
-from .sl2 import DEFAULT_TOL, Tolerance
+from .sl2 import DEFAULT_TOL, Tolerance, _record
 
 
-@dataclass(frozen=True, order=True)
-class ChartId:
-    """Chart label (j, k, i0); i0 == 0 is the base chart."""
+class ChartId(_record("ChartId", "j k i0")):
+    """Chart label (j, k, i0); i0 == 0 is the base chart.  Orders as (j, k, i0)."""
 
-    j: int
-    k: int
-    i0: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.j < 1 or self.k < 1 or self.j == self.k:
-            raise BadChart(f"bad chart pair ({self.j}, {self.k})")
-        if self.i0 < 0 or self.i0 in (self.j, self.k):
-            raise BadChart(f"bad anchor index {self.i0} for pair ({self.j}, {self.k})")
+    def __new__(cls, j: int, k: int, i0: int = 0):
+        if j < 1 or k < 1 or j == k:
+            raise BadChart(f"bad chart pair ({j}, {k})")
+        if i0 < 0 or i0 in (j, k):
+            raise BadChart(f"bad anchor index {i0} for pair ({j}, {k})")
+        return tuple.__new__(cls, (j, k, i0))
 
     def label(self) -> str:
         """Human/file form: anchor 0 spelled as 'base'."""
@@ -161,29 +158,23 @@ def require_admissible(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEF
     return value
 
 
-@dataclass(frozen=True)
-class ChartEval:
+class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
     """One chart at a point: its polynomial value, admissibility, psi factor
     and pair trace x_kj."""
 
-    chart: ChartId
-    value: complex
-    admissible: bool
-    psi: complex
-    xkj: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(_record("ChartReport", "entries best")):
     """Chart polynomial values at a point plus the best admissible chart.
 
-    ``best`` is the admissible chart maximizing |p| (lexicographic tie
-    break); ``best is None`` means the point lies outside every chart
-    domain as far as the tolerance can tell.
+    ``entries`` is a tuple of ``ChartEval``.  ``best`` is the admissible
+    chart maximizing |p| (lexicographic tie break); ``best is None`` means
+    the point lies outside every chart domain as far as the tolerance can
+    tell.
     """
 
-    entries: tuple[ChartEval, ...]
-    best: ChartId | None
+    __slots__ = ()
 
     def admissible(self) -> list[ChartId]:
         return [e.chart for e in self.entries if e.admissible]

@@ -21,7 +21,6 @@ the closing trace a_4 and is read from the local data.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -31,6 +30,7 @@ from .sl2 import (
     IDENTITY,
     Mat2,
     Tolerance,
+    _record,
     check_unimodular,
     four_trace_reduction,
     max_entry_diff,
@@ -42,18 +42,18 @@ def _require_finite_scalar(v: complex, what: str) -> None:
         raise ValueError(f"non-finite {what}: {v!r}")
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(_record("LocalData", "a")):
     """Prescribed traces (a_1, ..., a_n, a_{n+1}) of a closed tuple of size n."""
 
-    a: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        if len(self.a) < 4:
+    def __new__(cls, a: tuple[complex, ...]):
+        a = tuple(a)
+        if len(a) < 4:
             raise ValueError("need at least four local traces (n >= 3)")
-        for v in self.a:
+        for v in a:
             _require_finite_scalar(v, "local trace")
+        return tuple.__new__(cls, (a,))
 
     @property
     def n(self) -> int:
@@ -71,19 +71,17 @@ class LocalData:
         return self.a[j - 1]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_record("Representation", "mats last")):
     """A tuple (M_1, ..., M_n) together with the closing matrix M_{n+1}.
 
     The closing matrix is meant to satisfy M_{n+1} M_n ... M_1 = I; use
     ``close_tuple`` to construct one with that invariant checked.
     """
 
-    mats: tuple[Mat2, ...]
-    last: Mat2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mats", tuple(self.mats))
+    def __new__(cls, mats: tuple[Mat2, ...], last: Mat2):
+        return tuple.__new__(cls, (tuple(mats), last))
 
     @property
     def n(self) -> int:
@@ -136,32 +134,55 @@ def closure_residual(rep: Representation) -> float:
     return max_entry_diff(rep.last @ descending_product(rep.mats), IDENTITY)
 
 
-@dataclass(frozen=True)
 class TraceCoordinates:
-    """A coordinate point together with the local data it refers to."""
+    """A coordinate point together with the local data it refers to.
 
-    local: LocalData
-    pairs: dict[tuple[int, int], complex]
-    triples: dict[tuple[int, int, int], complex] = field(default_factory=dict)
-    # Memo slot for derived values (e.g. relation residuals); write-once and
-    # idempotent, so sharing across threads stays safe.
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Immutable and unhashable; equality compares ``local``, ``pairs`` and
+    ``triples``.  ``_cache`` memoizes derived values (e.g. relation
+    residuals), write-once and idempotent, so sharing across threads stays
+    safe; equality, repr and copies ignore it.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", dict(self.pairs))
-        object.__setattr__(self, "triples", dict(self.triples))
-        n = self.local.n
-        object.__setattr__(self, "_n", n)
-        if set(self.pairs) != set(combinations(range(1, n + 1), 2)):
+    __slots__ = ("local", "pairs", "triples", "_cache", "_n")
+    __hash__ = None
+
+    def __init__(self, local: LocalData, pairs: dict[tuple[int, int], complex],
+                 triples: dict[tuple[int, int, int], complex] | None = None) -> None:
+        pairs, triples, n = dict(pairs), dict(triples or {}), local.n
+        init = object.__setattr__
+        init(self, "local", local)
+        init(self, "pairs", pairs)
+        init(self, "triples", triples)
+        init(self, "_cache", {})
+        init(self, "_n", n)
+        if set(pairs) != set(combinations(range(1, n + 1), 2)):
             raise ValueError(f"pair keys must be the {comb(n, 2)} ascending pairs in 1..{n}")
         want = set() if n == 3 else set(combinations(range(1, n + 1), 3))
-        if set(self.triples) != want:
+        if set(triples) != want:
             raise ValueError(
                 "triple keys must be "
                 + ("empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}")
             )
-        for v in list(self.pairs.values()) + list(self.triples.values()):
+        for v in list(pairs.values()) + list(triples.values()):
             _require_finite_scalar(v, "coordinate")
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.local, self.pairs, self.triples) == (other.local, other.pairs, other.triples)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.local, self.pairs, self.triples))
+
+    def __repr__(self) -> str:
+        return (f"TraceCoordinates(local={self.local!r}, pairs={self.pairs!r}, "
+                f"triples={self.triples!r})")
 
     @property
     def n(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass
 
 from .charts import ChartId, require_admissible
 from .coords import (
@@ -35,18 +34,18 @@ from .coords import (
 )
 from .errors import BadChart, DegenerateEigenvalues, OffVarietyWarning
 from .relations import membership, psi
-from .sl2 import DEFAULT_TOL, Mat2, Tolerance
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(_record("BranchChoice", "sign")):
     """Sign applied to the principal square root of x_kj^2 - 4."""
 
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __new__(cls, sign: int = 1):
+        if sign not in (1, -1):
             raise ValueError("branch sign must be +1 or -1")
+        return tuple.__new__(cls, (sign,))
 
 
 PLUS = BranchChoice(1)
@@ -69,31 +68,25 @@ def lambdas(x_kj: complex, branch: BranchChoice = PLUS,
     return r, (x_kj + r) / 2.0, (x_kj - r) / 2.0
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(_record("Diagnostics", "trace det closure round_trip membership_max")):
     """Residuals of one reconstruction.
 
-    ``trace`` and ``det`` run over M_1 .. M_{n+1}; ``round_trip`` and
+    ``trace`` and ``det`` are tuples over M_1 .. M_{n+1}; ``round_trip`` and
     ``membership_max`` are scale-normalized.  No irreducibility flag: the
     chart's psi != 0 already proves the rebuilt tuple irreducible.
     """
 
-    trace: tuple[float, ...]
-    det: tuple[float, ...]
-    closure: float
-    round_trip: float
-    membership_max: float
+    __slots__ = ()
 
     def worst(self) -> float:
         return max(max(self.trace), max(self.det), self.closure, self.round_trip)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    rep: Representation
-    chart: ChartId
-    branch: BranchChoice
-    diagnostics: Diagnostics
+class ReconstructionResult(_record("ReconstructionResult", "rep chart branch diagnostics")):
+    """The rebuilt ``Representation``, the ``ChartId`` and ``BranchChoice``
+    used, and the ``Diagnostics`` of the rebuild."""
+
+    __slots__ = ()
 
 
 def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,

@@ -24,12 +24,12 @@ are checked only where the public evaluators are entered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .coords import TraceCoordinates, triple_trace
+from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
+from .sl2 import _record
 
 
 def psi(s: complex, t: complex, u: complex) -> complex:
@@ -166,7 +166,8 @@ def g_poly(x: TraceCoordinates, indices) -> complex:
     ``indices`` must be strictly descending.  A single index gives the local
     trace, two give the pair trace, three the triple trace; longer words are
     reduced through the four-factor trace identity applied to the lowest
-    three indices, memoized over sub-words.
+    three indices, memoized over sub-words.  After the checks here, every
+    value is read straight from the stored coordinates.
     """
     idx = tuple(indices)
     if not idx:
@@ -175,43 +176,47 @@ def g_poly(x: TraceCoordinates, indices) -> complex:
         raise BadIndex(f"indices {idx} must be strictly descending")
     if idx[-1] < 1 or idx[0] > x.n:
         raise BadIndex(f"indices {idx} out of range 1..{x.n}")
-    return _g(x, idx, {})
+    a = (0.0,) + x.local.a  # 1-based
+    # for n = 3 the single triple trace is the closing trace a_4
+    return _g(idx, a, x.pairs, x.triples or {(1, 2, 3): a[4]}, {})
 
 
-def _g(x: TraceCoordinates, idx: tuple[int, ...], memo: dict) -> complex:
-    if idx in memo:
-        return memo[idx]
-    length = len(idx)
+def _g(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict, memo: dict) -> complex:
+    """Trace of a checked descending word from the 1-based local traces ``a``
+    and the stored ``pairs`` and ``triples``, memoized in ``memo``."""
+    v = memo.get(word)
+    if v is not None:
+        return v
+    length = len(word)
     if length == 1:
-        v = x.local.trace(idx[0])
+        v = a[word[0]]
     elif length == 2:
-        v = x.pair(idx[0], idx[1])
+        v = pairs[(word[1], word[0])]
     elif length == 3:
-        v = triple_trace(x, idx[0], idx[1], idx[2])
+        v = triples[(word[2], word[1], word[0])]
     else:
-        head = idx[:-3]
-        i3, i2, i1 = idx[-3], idx[-2], idx[-1]
-        a = x.local.trace
-        p = x.pair
-
-        def g(word: tuple[int, ...]) -> complex:
-            return _g(x, word, memo)
-
+        head = word[:-3]
+        i3, i2, i1 = word[-3:]
+        a3, a2, a1 = a[i3], a[i2], a[i1]
+        x21, x31, x32 = pairs[(i1, i2)], pairs[(i1, i3)], pairs[(i2, i3)]
+        g = _g(head, a, pairs, triples, memo)
+        g3 = _g(head + (i3,), a, pairs, triples, memo)
+        g1 = _g(head + (i1,), a, pairs, triples, memo)
         v = 0.5 * (
-            g(head) * a(i3) * a(i2) * a(i1)
-            + g(head) * triple_trace(x, i3, i2, i1)
-            + a(i1) * g(head + (i3, i2))
-            + a(i2) * g(head + (i3, i1))
-            + a(i3) * g(head + (i2, i1))
-            + g(head + (i3,)) * p(i2, i1)
-            - g(head + (i2,)) * p(i3, i1)
-            + g(head + (i1,)) * p(i3, i2)
-            - g(head) * a(i3) * p(i2, i1)
-            - g(head) * a(i1) * p(i3, i2)
-            - g(head + (i1,)) * a(i3) * a(i2)
-            - g(head + (i3,)) * a(i2) * a(i1)
+            g * a3 * a2 * a1
+            + g * triples[(i1, i2, i3)]
+            + a1 * _g(head + (i3, i2), a, pairs, triples, memo)
+            + a2 * _g(head + (i3, i1), a, pairs, triples, memo)
+            + a3 * _g(head + (i2, i1), a, pairs, triples, memo)
+            + g3 * x21
+            - _g(head + (i2,), a, pairs, triples, memo) * x31
+            + g1 * x32
+            - g * a3 * x21
+            - g * a1 * x32
+            - g1 * a3 * a2
+            - g3 * a2 * a1
         )
-    memo[idx] = v
+    memo[word] = v
     return v
 
 
@@ -248,21 +253,16 @@ def type2_terms(n: int):
             yield i, quad
 
 
-@dataclass(frozen=True)
-class RelationResiduals:
+class RelationResiduals(_record("RelationResiduals", "type1 type2 type3 max scale normalized")):
     """Magnitudes of every defining relation at a point, grouped by type.
 
-    ``max`` is the raw maximum; ``normalized`` divides it by ``scale``,
-    the cube of (1 + largest input magnitude), matching the dominant degree
-    of the relations.
+    ``type1`` and ``type2`` are tuples in enumeration order, ``type3`` is
+    None for n = 3.  ``max`` is the raw maximum; ``normalized`` divides it
+    by ``scale``, the cube of (1 + largest input magnitude), matching the
+    dominant degree of the relations.
     """
 
-    type1: tuple[float, ...]
-    type2: tuple[float, ...]
-    type3: float | None
-    max: float
-    scale: float
-    normalized: float
+    __slots__ = ()
 
     @property
     def count(self) -> int:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .coords import Representation, close_tuple
 from .errors import TraceOutOfRange
-from .sl2 import Mat2
+from .sl2 import Mat2, _record
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,24 +47,22 @@ class SplitMix64:
         return 1 if self.next_u64() & 1 else -1
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(_record("SamplerConfig", "seed n traces entry_bound")):
     """Seed, tuple size, optional target traces, and conjugator entry cap."""
 
-    seed: int
-    n: int
-    traces: tuple[complex, ...] | None = None
-    entry_bound: float = 4.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __new__(cls, seed: int, n: int, traces: tuple[complex, ...] | None = None,
+                entry_bound: float = 4.0):
+        if n < 3:
             raise ValueError("need n >= 3")
-        if self.entry_bound <= 0:
+        if entry_bound <= 0:
             raise ValueError("entry_bound must be positive")
-        if self.traces is not None:
-            object.__setattr__(self, "traces", tuple(self.traces))
-            if len(self.traces) != self.n:
-                raise ValueError(f"need {self.n} target traces, got {len(self.traces)}")
+        if traces is not None:
+            traces = tuple(traces)
+            if len(traces) != n:
+                raise ValueError(f"need {n} target traces, got {len(traces)}")
+        return tuple.__new__(cls, (seed, n, traces, entry_bound))
 
 
 def random_unimodular(rng: SplitMix64, entry_bound: float = 4.0) -> Mat2:

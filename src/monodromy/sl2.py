@@ -1,7 +1,9 @@
 """Complex 2x2 matrix algebra and the four-factor trace identity.
 
 Scalars are double-precision complex numbers throughout; matrices are
-immutable value objects.  Inverses always go through the adjugate, which is
+immutable value objects.  Every value type of the package but
+``TraceCoordinates`` is a named tuple built on ``_record``, so its ``_make``
+and ``_replace`` go through the constructor and its checks.  Inverses always go through the adjugate, which is
 the exact inverse of a determinant-1 matrix and therefore keeps
 unimodularity residuals tight.
 """
@@ -9,26 +11,32 @@ unimodularity residuals tight.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotUnimodular
 
 
-@dataclass(frozen=True)
-class Tolerance:
+def _record(name: str, fields: str, defaults=None) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, calls the constructor."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Tolerance(_record("Tolerance", "abs rel")):
     """Absolute/relative tolerance pair used by residual checks.
 
     ``bound(scale)`` gives the acceptance threshold ``abs + rel * |scale|``.
     """
 
-    abs: float = 1e-9
-    rel: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0:
+    def __new__(cls, abs: float = 1e-9, rel: float = 1e-9):
+        if abs < 0 or rel < 0:
             raise ValueError("tolerances must be non-negative")
-        if self.abs + self.rel == 0:
+        if abs + rel == 0:
             raise ValueError("abs and rel tolerance cannot both be zero")
+        return tuple.__new__(cls, (abs, rel))
 
     def bound(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * abs(scale)
@@ -37,19 +45,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_record("Mat2", "m11 m12 m21 m22")):
     """Immutable 2x2 complex matrix [[m11, m12], [m21, m22]]."""
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in (self.m11, self.m12, self.m21, self.m22):
+    def __new__(cls, m11: complex, m12: complex, m21: complex, m22: complex):
+        for v in (m11, m12, m21, m22):
             if not cmath.isfinite(v):
                 raise ValueError(f"non-finite matrix entry {v!r}")
+        return tuple.__new__(cls, (m11, m12, m21, m22))
 
     def __matmul__(self, other: Mat2) -> Mat2:
         return Mat2(

@@ -11,12 +11,11 @@ admissible chart is used; ``classify`` cross-checks that.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .charts import ChartId, chart_psi, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
 from .errors import ChartsDisagree, DegenerateEigenvalues, NotReal, PsiDegenerate
-from .sl2 import DEFAULT_TOL, Mat2, Tolerance, max_entry_diff
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
 
 
 class Signature(enum.Enum):
@@ -28,17 +27,15 @@ class Signature(enum.Enum):
     NOT_UNITARY = "not-unitary"
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(_record("HermitianForm", "h11 h22 h12")):
     """2x2 Hermitian matrix [[h11, h12], [conj(h12), h22]]."""
 
-    h11: float
-    h22: float
-    h12: complex = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h11 * self.h22 - abs(self.h12) ** 2 == 0:
+    def __new__(cls, h11: float, h22: float, h12: complex = 0.0):
+        if h11 * h22 - abs(h12) ** 2 == 0:
             raise ValueError("form is degenerate")
+        return tuple.__new__(cls, (h11, h22, h12))
 
     def matrix(self) -> Mat2:
         h12 = complex(self.h12)
@@ -55,15 +52,11 @@ class HermitianForm:
         return hi * lo > 0
 
 
-@dataclass(frozen=True)
-class SignatureClass:
-    """Outcome of ``classify``: the verdict plus the deciding chart data."""
+class SignatureClass(_record("SignatureClass", "kind detail chart disc psi", (None, None, None))):
+    """Outcome of ``classify``: the ``Signature`` verdict and its reason, plus
+    the deciding chart, x_kj^2 - 4 and psi (None when not unitary)."""
 
-    kind: Signature
-    detail: str
-    chart: ChartId | None = None
-    disc: float | None = None
-    psi: float | None = None
+    __slots__ = ()
 
 
 def reality_gate(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -86,6 +86,44 @@ def oracle_type2(x, i, quad):
     return total
 
 
+def oracle_g(x, word, memo):
+    """Trace of a descending word through the coordinate accessors: the
+    four-factor recursion on the lowest three indices, memoized in ``memo``."""
+    if word in memo:
+        return memo[word]
+    if len(word) == 1:
+        v = x.local.trace(word[0])
+    elif len(word) == 2:
+        v = x.pair(word[0], word[1])
+    elif len(word) == 3:
+        v = triple_trace(x, *word)
+    else:
+        head = word[:-3]
+        i3, i2, i1 = word[-3:]
+        a = x.local.trace
+        p = x.pair
+
+        def g(sub):
+            return oracle_g(x, sub, memo)
+
+        v = 0.5 * (
+            g(head) * a(i3) * a(i2) * a(i1)
+            + g(head) * triple_trace(x, i3, i2, i1)
+            + a(i1) * g(head + (i3, i2))
+            + a(i2) * g(head + (i3, i1))
+            + a(i3) * g(head + (i2, i1))
+            + g(head + (i3,)) * p(i2, i1)
+            - g(head + (i2,)) * p(i3, i1)
+            + g(head + (i1,)) * p(i3, i2)
+            - g(head) * a(i3) * p(i2, i1)
+            - g(head) * a(i1) * p(i3, i2)
+            - g(head + (i1,)) * a(i3) * a(i2)
+            - g(head + (i3,)) * a(i2) * a(i1)
+        )
+    memo[word] = v
+    return v
+
+
 # --- from-definition chart oracle -------------------------------------------
 
 def oracle_chart_psi(x, chart):

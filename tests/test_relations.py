@@ -27,6 +27,7 @@ from conftest import (
     FAMILIES,
     generic,
     identity_rep,
+    oracle_g,
     oracle_s3,
     oracle_type1,
     oracle_type2,
@@ -187,6 +188,17 @@ def test_g_poly_every_descending_subword(n):
             word = tuple(reversed(combo))
             direct = oword(rep, word)
             assert abs(g_poly(x, word) - direct) <= 1e-8 * (1.0 + abs(direct))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_g_poly_bit_identical_to_accessor_recursion(n, family):
+    x = phi(FAMILIES[family](n, 500 + n))
+    memo = {}
+    for size in range(1, n + 1):
+        for word in combinations(range(n, 0, -1), size):
+            assert g_poly(x, word) == oracle_g(x, word, memo)
+    assert type3(x) == oracle_g(x, tuple(range(n, 0, -1)), memo) - x.local.trace(n + 1)
 
 
 def test_g_poly_rejects_bad_words():
