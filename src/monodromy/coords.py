@@ -21,7 +21,7 @@ the closing trace a_4 and is read from the local data.
 from __future__ import annotations
 
 import cmath
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import BadIndex
@@ -217,10 +217,7 @@ class TraceCoordinates:
 
     def max_abs(self) -> float:
         """Largest magnitude over local traces and stored coordinates."""
-        return max(
-            max(abs(v) for v in self.local.a),
-            max(abs(v) for _, v in self.items()),
-        )
+        return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
 def phi(rep: Representation) -> TraceCoordinates:
@@ -301,7 +298,8 @@ def coordinate_distance(xa: TraceCoordinates, xb: TraceCoordinates) -> float:
     """
     if xa.n != xb.n:
         raise ValueError(f"coordinate layouts differ: n = {xa.n} vs {xb.n}")
-    worst = 0.0
-    for (key, va), (_, vb) in zip(xa.items(), xb.items()):
-        worst = max(worst, abs(va - vb) / (1.0 + abs(va)))
-    return worst
+    pb, tb = xb.pairs, xb.triples
+    return max(chain(
+        (abs(va - pb[key]) / (1.0 + abs(va)) for key, va in xa.pairs.items()),
+        (abs(va - tb[key]) / (1.0 + abs(va)) for key, va in xa.triples.items()),
+    ))

@@ -19,11 +19,14 @@ Type 1 and type 2 values are read from per-point tables, built once and
 memoized on the point: the symmetric ``z`` matrix and the ``s3`` value of
 every ascending triple.  ``membership`` and the public
 evaluators share these tables and the one formula for each family; indices
-are checked only where the public evaluators are entered.
+are checked only where the public evaluators are entered.  Type 1 reads
+the 2x2 minors of each row pair from a table that ``membership`` builds
+once per call and does not keep.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -98,21 +101,35 @@ def z_entry(x: TraceCoordinates, i: int, j: int) -> complex:
     return _tables(x)[0][i][j]
 
 
-def _type1_row(z, s_a: complex, ta, cols) -> list[complex]:
-    """type 1 values of ``ta`` against each ``(b0, b1, b2, s3(b))`` in ``cols``.
+def _minors(ra, rb, col_pairs) -> list[complex]:
+    """The 2x2 minors ``ra[c] rb[d] - ra[d] rb[c]`` of two ``z`` rows, one per ``(c, d)``."""
+    return [ra[c] * rb[d] - ra[d] * rb[c] for c, d in col_pairs]
 
-    The 3x3 determinant of ``z`` over rows ``ta`` and columns ``b`` is
-    expanded along its first row.
-    """
-    r0, r1, r2 = z[ta[0]], z[ta[1]], z[ta[2]]
+
+def _type1_values(r0, mm, s_a: complex, cols, s_cols) -> list[complex]:
+    """type 1 values of a row triple, ``z`` row ``r0`` first and the minors ``mm``
+    of its other rows, against each ``(b0, b1, b2, k12, k02, k01)`` in ``cols``
+    with ``s3(b)`` in ``s_cols``; ``k12`` is the slot in ``mm`` of columns (b1, b2)."""
     return [
-        s_a * s_b + 2.0 * (
-            r0[b0] * (r1[b1] * r2[b2] - r1[b2] * r2[b1])
-            - r0[b1] * (r1[b0] * r2[b2] - r1[b2] * r2[b0])
-            + r0[b2] * (r1[b0] * r2[b1] - r1[b1] * r2[b0])
-        )
-        for b0, b1, b2, s_b in cols
+        s_a * s_b + 2.0 * (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
+        for (b0, b1, b2, k12, k02, k01), s_b in zip(cols, s_cols)
     ]
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """``(col_pairs, rows)``: the column pairs (c, d) in the slot order of a minor list,
+    and ``(i0, i1, i2, pos, cols)`` per ascending triple, ``cols`` holding the
+    ``_type1_values`` entry of each triple from ``pos`` on."""
+    col_pairs = list(combinations(range(1, n + 1), 2))
+    slot = {pair: k for k, pair in enumerate(col_pairs)}
+    triples = list(combinations(range(1, n + 1), 3))
+    rows = [
+        (*ta, pos, [(b0, b1, b2, slot[(b1, b2)], slot[(b0, b2)], slot[(b0, b1)])
+                    for b0, b1, b2 in triples[pos:]])
+        for pos, ta in enumerate(triples)
+    ]
+    return col_pairs, rows
 
 
 def _type2_row(z_i, terms) -> list[complex]:
@@ -141,9 +158,12 @@ def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
     for t in (ta, tb):
         if len(t) != 3:
             raise BadIndex(f"need an index triple, got {t}")
-        _check_ascending(x, t)
+        if not 1 <= t[0] < t[1] < t[2] <= x.n:  # the full check names the fault
+            _check_ascending(x, t)
     z, s = _tables(x)
-    return _type1_row(z, s[ta], ta, [(*tb, s[tb])])[0]
+    b0, b1, b2 = tb
+    mm = _minors(z[ta[1]], z[ta[2]], ((b1, b2), (b0, b2), (b0, b1)))
+    return _type1_values(z[ta[0]], mm, s[ta], [(b0, b1, b2, 0, 1, 2)], [s[tb]])[0]
 
 
 def type2(x: TraceCoordinates, i: int, quad) -> complex:
@@ -284,11 +304,15 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
         return cached
     n = x.n
     z, s = _tables(x)
-    triples = list(s)
-    cols = [(*t, s[t]) for t in triples]
+    col_pairs, rows = _layout(n)
+    sv = list(s.values())
+    minors = {}  # row pair -> its minor list, for this call only
     r1: list[float] = []
-    for pos, ta in enumerate(triples):
-        r1 += map(abs, _type1_row(z, s[ta], ta, cols[pos:]))
+    for i0, i1, i2, pos, cols in rows:
+        mm = minors.get((i1, i2))
+        if mm is None:
+            mm = minors[(i1, i2)] = _minors(z[i1], z[i2], col_pairs)
+        r1 += map(abs, _type1_values(z[i0], mm, sv[pos], cols, sv[pos:]))
     r2: list[float] = []
     r3 = None
     if n > 3:

@@ -11,6 +11,7 @@ admissible chart is used; ``classify`` cross-checks that.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 
 from .charts import ChartId, chart_psi, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
@@ -65,8 +66,9 @@ def reality_gate(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> bool:
     A necessary condition for unitarity: any matrix preserving a
     non-degenerate Hermitian form has a real trace.
     """
-    values = list(x.local.a) + [v for _, v in x.items()]
-    return all(abs(complex(v).imag) <= tol.abs for v in values)
+    bound = tol.abs
+    values = chain(x.local.a, x.pairs.values(), x.triples.values())
+    return all(abs(complex(v).imag) <= bound for v in values)
 
 
 def hermitian_form(x: TraceCoordinates, chart: ChartId,

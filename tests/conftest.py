@@ -4,7 +4,8 @@ The trace oracle helpers work on plain nested tuples, not on Mat2, so trace
 values asserted in tests come from a second arithmetic path.  The relation
 oracle evaluates each relation from its definition through the coordinate
 accessors, one call per value, in the order of operations the package
-kernel must reproduce bit for bit.
+kernel must reproduce bit for bit.  The coordinate oracles walk the sorted
+``items()``; the package reads the stored dicts directly, in another order.
 """
 
 from __future__ import annotations
@@ -148,6 +149,32 @@ def oracle_chart_entries(x, tol):
         if admissible and abs(value) > best_mag:
             best, best_mag = chart, abs(value)
     return entries, best
+
+
+# --- canonical-walk coordinate oracle ----------------------------------------
+
+def oracle_max_abs(x):
+    """Largest magnitude over the local traces and the canonical ``items()`` walk."""
+    return max(
+        max(abs(v) for v in x.local.a),
+        max(abs(v) for _, v in x.items()),
+    )
+
+
+def oracle_coordinate_distance(xa, xb):
+    """Largest |xa_c - xb_c| / (1 + |xa_c|), pairing both canonical walks by position."""
+    if xa.n != xb.n:
+        raise ValueError(f"coordinate layouts differ: n = {xa.n} vs {xb.n}")
+    worst = 0.0
+    for (key, va), (_, vb) in zip(xa.items(), xb.items()):
+        worst = max(worst, abs(va - vb) / (1.0 + abs(va)))
+    return worst
+
+
+def oracle_reality_gate(x, tol):
+    """Every local trace and canonical-walk coordinate real within tol.abs."""
+    values = list(x.local.a) + [v for _, v in x.items()]
+    return all(abs(complex(v).imag) <= tol.abs for v in values)
 
 
 # --- canonical fixtures -------------------------------------------------------

@@ -254,7 +254,7 @@ def test_membership_rejects_random_point():
 
 
 def test_membership_counts():
-    expected = {3: 1, 4: 15, 5: 81, 6: 301, 7: 876}
+    expected = {3: 1, 4: 15, 5: 81, 6: 301, 7: 876, 8: 2157, 9: 4705}
     for n, count in expected.items():
         assert relation_count(n) == count
         res = membership(phi(generic(n, seed=n)))
