@@ -7,9 +7,10 @@ admissible at a point when its chart polynomial is numerically nonzero;
 the union of all admissible loci is where explicit matrix representatives
 exist.
 
-Which stored coordinates each chart reads is worked out once per n.
-``classify_charts`` evaluates every chart of a point from those reads;
-``chart_psi`` and ``chart_poly`` evaluate one chart by the same formula.
+Which stored coordinates each chart reads is worked out once per n and
+grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
+the admissibility threshold once per pair; ``chart_psi`` and ``chart_poly``
+evaluate one chart by the same formula.
 """
 
 from __future__ import annotations
@@ -55,61 +56,52 @@ def index_set(n: int) -> list[tuple[int, int]]:
 
 def charts_for(n: int) -> list[ChartId]:
     """Every chart for tuples of size n, in lexicographic (j, k, i0) order."""
-    return list(_layout(n)[0])
+    return [chart for group in _layout(n) for chart in group[3]]
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[tuple[ChartId, ...], tuple[tuple, ...]]:
-    """The charts for size n and, in the same order, the row ``_row`` gives each."""
-    charts = []
-    for j, k in index_set(n):
-        charts.append(ChartId(j, k, 0))
-        charts.extend(ChartId(j, k, i0) for i0 in range(1, n + 1) if i0 not in (j, k))
-    return tuple(charts), tuple(_row(c) for c in charts)
+def _layout(n: int) -> tuple[tuple, ...]:
+    """One ``_group`` per chart pair of size n, in lexicographic order."""
+    return tuple(_group(j, k, [0] + [i0 for i0 in range(1, n + 1) if i0 not in (j, k)])
+                 for j, k in index_set(n))
 
 
-def _row(chart: ChartId) -> tuple:
-    """Where the chart's psi reads its data: ``(kj, k, j, i0, tkey, flip)``.
-
-    ``kj`` is the stored key of x_kj.  On an anchored chart ``tkey`` is the
-    stored key of the triple (k, j, i0), and ``flip`` is None when the word
-    M_k M_j M_i0 is a rotation of the stored descending word, else the stored
-    keys of x_{j i0} and x_{k i0} that the reordering identity reads.
-    """
-    j, k, i0 = chart.j, chart.k, chart.i0
-    kj = (min(j, k), max(j, k))
-    if i0 == 0:
-        return kj, k, j, 0, None, None
-    lo, mid, hi = sorted((k, j, i0))
-    flip = None
-    if (k, j, i0) not in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
-        flip = ((min(j, i0), max(j, i0)), (min(k, i0), max(k, i0)))
-    return kj, k, j, i0, (lo, mid, hi), flip
+def _group(j: int, k: int, anchors) -> tuple:
+    """``(kj, k, j, charts, reads)`` for the charts (j, k, i0), i0 in ``anchors``:
+    ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, tkey, flip)`` per
+    chart, ``tkey`` the stored key of the triple (k, j, i0) and ``flip`` those of
+    x_{j i0} and x_{k i0} when M_k M_j M_i0 is no rotation of the stored word."""
+    reads = []
+    for i0 in anchors:
+        tkey = flip = None
+        if i0:
+            lo, mid, hi = tkey = tuple(sorted((k, j, i0)))
+            if (k, j, i0) not in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+                flip = ((min(j, i0), max(j, i0)), (min(k, i0), max(k, i0)))
+        reads.append((i0, tkey, flip))
+    return (min(j, k), max(j, k)), k, j, tuple(ChartId(j, k, i0) for i0 in anchors), tuple(reads)
 
 
-def _chart_values(x: TraceCoordinates, rows) -> list[tuple[complex, complex, complex]]:
-    """(x_kj, psi, chart polynomial) of each chart row, read straight from the
-    stored coordinates.
-
-    Base charts use psi(x_kj, a_k, a_j); anchored charts use
-    psi(x_{k j i0}, x_kj, a_{i0}), the triple trace taken as
-    ``coords.triple_trace`` takes it.  The polynomial is (x_kj^2 - 4) psi.
-    """
+def _chart_values(x: TraceCoordinates, groups) -> list[tuple]:
+    """``(charts, x_kj, x_kj^2 - 4, psis)`` per ``_group``, with the ``chart_psi`` of
+    each of its charts read straight from the stored coordinates."""
     a = (0.0,) + x.local.a  # 1-based
     pairs = x.pairs
     # for n = 3 the single triple trace is the closing trace a_4
     triples = x.triples or {(1, 2, 3): a[4]}
     out = []
-    for kj, k, j, i0, tkey, flip in rows:
+    for kj, k, j, charts, reads in groups:
         xkj = pairs[kj]
-        if i0 == 0:
-            ps = psi(xkj, a[k], a[j])
-        else:
+        psis = []
+        for i0, tkey, flip in reads:
+            if i0 == 0:
+                psis.append(psi(xkj, a[k], a[j]))
+                continue
             t = triples[tkey]
             if flip is not None:
                 t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
-            ps = psi(t, xkj, a[i0])
-        out.append((xkj, ps, (xkj * xkj - 4.0) * ps))
+            psis.append(psi(t, xkj, a[i0]))
+        out.append((charts, xkj, xkj * xkj - 4.0, psis))
     return out
 
 
@@ -134,13 +126,14 @@ def chart_psi(x: TraceCoordinates, chart: ChartId) -> complex:
     as ``triple_trace`` does.
     """
     _validate_chart(x, chart)
-    return _chart_values(x, (_row(chart),))[0][1]
+    return _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),))[0][3][0]
 
 
 def chart_poly(x: TraceCoordinates, chart: ChartId) -> complex:
     """(x_kj^2 - 4) times the chart's psi factor."""
     _validate_chart(x, chart)
-    return _chart_values(x, (_row(chart),))[0][2]
+    _, _, disc, (ps,) = _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),))[0]
+    return disc * ps
 
 
 def admissibility_threshold(x: TraceCoordinates, chart: ChartId, tol: Tolerance) -> float:
@@ -182,14 +175,17 @@ class ChartReport(_record("ChartReport", "entries best")):
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:
     """Evaluate every chart polynomial at x and pick the best admissible chart."""
-    charts, rows = _layout(x.n)
     entries = []
     best: ChartId | None = None
     best_mag = 0.0
-    for chart, (xkj, ps, value) in zip(charts, _chart_values(x, rows)):
-        mag = abs(value)
-        admissible = mag > _threshold(xkj, tol)
-        entries.append(ChartEval(chart, value, admissible, ps, xkj))
-        if admissible and mag > best_mag:
-            best, best_mag = chart, mag
+    new = tuple.__new__  # ChartEval checks nothing, so its Python-level __new__ is skipped
+    for charts, xkj, disc, psis in _chart_values(x, _layout(x.n)):
+        threshold = _threshold(xkj, tol)
+        for chart, ps in zip(charts, psis):
+            value = disc * ps
+            mag = abs(value)
+            admissible = mag > threshold
+            entries.append(new(ChartEval, (chart, value, admissible, ps, xkj)))
+            if admissible and mag > best_mag:
+                best, best_mag = chart, mag
     return ChartReport(tuple(entries), best)

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from itertools import combinations
 
 from .charts import ChartId, classify_charts
 from .coords import (
@@ -236,29 +237,26 @@ def cmd_coords(args, tol: Tolerance) -> int:
 def cmd_relations(args, tol: Tolerance) -> int:
     x = coords_from_obj(read_json(args.input))
     res = membership(x)
-    worst_label = ""
-    worst = -1.0
-
-    def show(label: str, value: float) -> None:
-        nonlocal worst, worst_label
-        print(f"{label:<28s}: {value:.3e}")
+    names = {t: str(t) for t in combinations(range(1, x.n + 1), 3)}
+    labels = [f"type1 {names[ta]}x{names[tb]}" for ta, tb in type1_pairs(x.n)]
+    labels += [f"type2 i={i} {quad}" for i, quad in type2_terms(x.n)]
+    values = res.type1 + res.type2
+    if res.type3 is not None:
+        labels.append("type3")
+        values += (res.type3,)
+    worst, worst_label = -1.0, ""
+    for label, value in zip(labels, values):  # the first label of the largest value
         if value > worst:
             worst, worst_label = value, label
-
-    for (ta, tb), value in zip(type1_pairs(x.n), res.type1):
-        show(f"type1 {ta}x{tb}", value)
-    for (i, quad), value in zip(type2_terms(x.n), res.type2):
-        show(f"type2 i={i} {quad}", value)
-    if res.type3 is not None:
-        show("type3", res.type3)
-    print(f"relations                   : {res.count}")
-    print(f"max residual (raw)          : {res.max:.3e}")
-    print(f"max residual (normalized)   : {res.normalized:.3e}  [scale {res.scale:.3e}]")
-    if res.normalized <= tol.abs:
-        print("PASS")
-        return EXIT_OK
-    print(f"FAIL  worst: {worst_label}")
-    return EXIT_RESIDUAL
+    passed = res.normalized <= tol.abs
+    sys.stdout.write("".join([  # one write: the report runs to 4705 lines at n = 9
+        *(f"{label:<28s}: {value:.3e}\n" for label, value in zip(labels, values)),
+        f"relations                   : {res.count}\n",
+        f"max residual (raw)          : {res.max:.3e}\n",
+        f"max residual (normalized)   : {res.normalized:.3e}  [scale {res.scale:.3e}]\n",
+        "PASS\n" if passed else f"FAIL  worst: {worst_label}\n",
+    ]))
+    return EXIT_OK if passed else EXIT_RESIDUAL
 
 
 def _parse_chart(text: str) -> ChartId:

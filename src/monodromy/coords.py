@@ -21,6 +21,7 @@ the closing trace a_4 and is read from the local data.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
@@ -134,6 +135,13 @@ def closure_residual(rep: Representation) -> float:
     return max_entry_diff(rep.last @ descending_product(rep.mats), IDENTITY)
 
 
+@lru_cache(maxsize=None)
+def _keys(n: int) -> tuple[frozenset, frozenset]:
+    """The stored pair and triple keys for size n (no triples for n = 3)."""
+    triples = combinations(range(1, n + 1), 3) if n > 3 else ()
+    return frozenset(combinations(range(1, n + 1), 2)), frozenset(triples)
+
+
 class TraceCoordinates:
     """A coordinate point together with the local data it refers to.
 
@@ -155,16 +163,14 @@ class TraceCoordinates:
         init(self, "triples", triples)
         init(self, "_cache", {})
         init(self, "_n", n)
-        if set(pairs) != set(combinations(range(1, n + 1), 2)):
+        if pairs.keys() != _keys(n)[0]:
             raise ValueError(f"pair keys must be the {comb(n, 2)} ascending pairs in 1..{n}")
-        want = set() if n == 3 else set(combinations(range(1, n + 1), 3))
-        if set(triples) != want:
-            raise ValueError(
-                "triple keys must be "
-                + ("empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}")
-            )
-        for v in list(pairs.values()) + list(triples.values()):
-            _require_finite_scalar(v, "coordinate")
+        if triples.keys() != _keys(n)[1]:
+            want = "empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}"
+            raise ValueError(f"triple keys must be {want}")
+        if not all(map(cmath.isfinite, chain(pairs.values(), triples.values()))):
+            for v in chain(pairs.values(), triples.values()):  # name the first bad value
+                _require_finite_scalar(v, "coordinate")
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -15,13 +15,13 @@ is the whole story.  Enumeration order is fixed: type 1 over lexicographic
 unordered pairs of triples, type 2 over lexicographic (i, quadruple),
 type 3 last.
 
-Type 1 and type 2 values are read from per-point tables, built once and
-memoized on the point: the symmetric ``z`` matrix and the ``s3`` value of
-every ascending triple.  ``membership`` and the public
-evaluators share these tables and the one formula for each family; indices
-are checked only where the public evaluators are entered.  Type 1 reads
-the 2x2 minors of each row pair from a table that ``membership`` builds
-once per call and does not keep.
+Every decision that depends only on n is made once, in the cached plan
+``_layout(n)`` (``_word_plan`` per word); per point, the kernels read by slot
+from tables memoized on the point, the symmetric ``z`` matrix and every ``s3``.
+Type 1 reads each row pair's 2x2 minors of ``z``, built once per ``membership``
+call, against one column table all row triples share; the determinant's factor
+2 rides on a doubled copy of the first ``z`` row (doubling is exact).  The
+public evaluators use the same plans and formulas, and alone check indices.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def _check_ascending(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
 
 
 def _tables(x: TraceCoordinates) -> tuple:
-    """The per-point tables ``(z, s)``, built once and memoized on x.
+    """The per-point tables ``(z, s, sv)``, built once and memoized on x.
 
     ``z`` is the symmetric (n+1) x (n+1) list of lists of ``z_entry``
     values, row and column 0 padding.  ``s`` maps every ascending triple, in
-    lexicographic order, to its ``s3`` value.
+    lexicographic order, to its ``s3`` value; ``sv`` lists those values.
     """
     tables = x._cache.get("tables")
     if tables is not None:
@@ -83,14 +83,15 @@ def _tables(x: TraceCoordinates) -> tuple:
             - a[i3] * a[i2] * a[i1]
             - 2.0 * stored
         )
-    tables = (z, s)
+    tables = (z, s, list(s.values()))
     x._cache["tables"] = tables
     return tables
 
 
 def s3(x: TraceCoordinates, i1: int, i2: int, i3: int) -> complex:
     """a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1} - a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}."""
-    _check_ascending(x, (i1, i2, i3))
+    if not 1 <= i1 < i2 < i3 <= x.n:
+        _check_ascending(x, (i1, i2, i3))
     return _tables(x)[1][(i1, i2, i3)]
 
 
@@ -107,29 +108,13 @@ def _minors(ra, rb, col_pairs) -> list[complex]:
 
 
 def _type1_values(r0, mm, s_a: complex, cols, s_cols) -> list[complex]:
-    """type 1 values of a row triple, ``z`` row ``r0`` first and the minors ``mm``
-    of its other rows, against each ``(b0, b1, b2, k12, k02, k01)`` in ``cols``
-    with ``s3(b)`` in ``s_cols``; ``k12`` is the slot in ``mm`` of columns (b1, b2)."""
+    """type 1 values of a row triple, ``r0`` its first ``z`` row doubled and ``mm``
+    the minors of its other rows, against each ``(b0, b1, b2, k12, k02, k01)`` in
+    ``cols`` with ``s3(b)`` in ``s_cols``; ``k12`` is the slot in ``mm`` of columns (b1, b2)."""
     return [
-        s_a * s_b + 2.0 * (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
+        s_a * s_b + (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
         for (b0, b1, b2, k12, k02, k01), s_b in zip(cols, s_cols)
     ]
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> tuple:
-    """``(col_pairs, rows)``: the column pairs (c, d) in the slot order of a minor list,
-    and ``(i0, i1, i2, pos, cols)`` per ascending triple, ``cols`` holding the
-    ``_type1_values`` entry of each triple from ``pos`` on."""
-    col_pairs = list(combinations(range(1, n + 1), 2))
-    slot = {pair: k for k, pair in enumerate(col_pairs)}
-    triples = list(combinations(range(1, n + 1), 3))
-    rows = [
-        (*ta, pos, [(b0, b1, b2, slot[(b1, b2)], slot[(b0, b2)], slot[(b0, b1)])
-                    for b0, b1, b2 in triples[pos:]])
-        for pos, ta in enumerate(triples)
-    ]
-    return col_pairs, rows
 
 
 def _type2_row(z_i, terms) -> list[complex]:
@@ -140,12 +125,28 @@ def _type2_row(z_i, terms) -> list[complex]:
     ]
 
 
-def _quad_terms(s, quads) -> list[tuple]:
-    """Each quadruple with the ``s3`` values of its sub-triples, dropping p0, ..., p3 in turn."""
-    return [
-        (p0, p1, p2, p3, s[(p1, p2, p3)], s[(p0, p2, p3)], s[(p0, p1, p3)], s[(p0, p1, p2)])
-        for p0, p1, p2, p3 in quads
-    ]
+def _quad_terms(sv, quads) -> list[tuple]:
+    """Each ``_layout`` quadruple entry with its sub-triples' ``s3`` values from ``sv``."""
+    return [(p0, p1, p2, p3, sv[k0], sv[k1], sv[k2], sv[k3])
+            for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """The per-n plan ``(col_pairs, rows, cols, quads)`` of type 1 and 2: a minor
+    list holds one slot per column pair of ``col_pairs``; ``rows`` holds
+    ``(i0, i1, i2, pos)`` per ascending triple, which reads ``cols[pos:]``, the
+    ``_type1_values`` entries of the triples from ``pos`` on; ``quads`` maps each
+    ascending quadruple q to q + the triple slots of q minus q[0], ..., q[3]."""
+    col_pairs = list(combinations(range(1, n + 1), 2))
+    slot = {pair: k for k, pair in enumerate(col_pairs)}
+    triples = list(combinations(range(1, n + 1), 3))
+    rows = [(*t, pos) for pos, t in enumerate(triples)]
+    cols = [(b0, b1, b2, slot[(b1, b2)], slot[(b0, b2)], slot[(b0, b1)]) for b0, b1, b2 in triples]
+    tslot = {t: k for k, t in enumerate(triples)}
+    quads = {q: q + tuple(tslot[q[:p] + q[p + 1:]] for p in range(4))
+             for q in combinations(range(1, n + 1), 4)}
+    return col_pairs, rows, cols, quads
 
 
 def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
@@ -160,10 +161,12 @@ def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
             raise BadIndex(f"need an index triple, got {t}")
         if not 1 <= t[0] < t[1] < t[2] <= x.n:  # the full check names the fault
             _check_ascending(x, t)
-    z, s = _tables(x)
+    z, s, _ = _tables(x)
     b0, b1, b2 = tb
     mm = _minors(z[ta[1]], z[ta[2]], ((b1, b2), (b0, b2), (b0, b1)))
-    return _type1_values(z[ta[0]], mm, s[ta], [(b0, b1, b2, 0, 1, 2)], [s[tb]])[0]
+    r = z[ta[0]]
+    r0 = (2.0 * r[b0], 2.0 * r[b1], 2.0 * r[b2])  # the three entries read, doubled
+    return _type1_values(r0, mm, s[ta], [(0, 1, 2, 0, 1, 2)], [s[tb]])[0]
 
 
 def type2(x: TraceCoordinates, i: int, quad) -> complex:
@@ -173,11 +176,48 @@ def type2(x: TraceCoordinates, i: int, quad) -> complex:
     quad = tuple(quad)
     if len(quad) != 4:
         raise BadIndex(f"need an index quadruple, got {quad}")
-    _check_ascending(x, quad)
+    if not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= x.n:
+        _check_ascending(x, quad)
     if not 1 <= i <= x.n:
         raise BadIndex(f"index {i} out of range 1..{x.n}")
-    z, s = _tables(x)
-    return _type2_row(z[i], _quad_terms(s, [quad]))[0]
+    z, _, sv = _tables(x)
+    return _type2_row(z[i], _quad_terms(sv, [_layout(x.n)[3][quad]]))[0]
+
+
+@lru_cache(maxsize=1024)
+def _word_plan(word: tuple[int, ...]) -> tuple:
+    """``(a_keys, pair_keys, triple_keys, steps)`` of a checked descending word.  Each
+    sub-word it reaches has a slot, shorter first, so the word has the last; words of
+    length 1, 2, 3 are read at those keys, and each longer one is a step holding the
+    slots of the 14 words its four-factor identity reads, as ``_word_trace`` unpacks them."""
+    need, parts = {word}, {}
+    for size in range(len(word), 3, -1):
+        for w in [w for w in need if len(w) == size]:
+            head, (i3, i2, i1) = w[:-3], w[-3:]
+            parts[w] = (head, head + (i3,), head + (i1,), head + (i3, i2), head + (i3, i1),
+                        head + (i2, i1), head + (i2,), (i3,), (i2,), (i1,), (i2, i1), (i3, i1),
+                        (i3, i2), (i3, i2, i1))
+            need.update(parts[w])
+    order = sorted(need, key=lambda w: (len(w), w))
+    slot = {w: k for k, w in enumerate(order)}
+    return (tuple(w[0] for w in order if len(w) == 1),
+            *(tuple(w[::-1] for w in order if len(w) == size) for size in (2, 3)),
+            tuple(tuple(map(slot.__getitem__, parts[w])) for w in order if len(w) > 3))
+
+
+def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> complex:
+    """Trace of a checked descending word from the 1-based local traces ``a`` and
+    the stored ``pairs`` and ``triples``, in one pass over its ``_word_plan``."""
+    a_keys, pair_keys, triple_keys, steps = _word_plan(word)
+    v = [*map(a.__getitem__, a_keys), *map(pairs.__getitem__, pair_keys),
+         *map(triples.__getitem__, triple_keys)]
+    for kg, kg3, kg1, kg32, kg31, kg21, kg2, k3, k2, k1, k21, k31, k32, kt in steps:
+        g, g3, g1, a3, a2, a1 = v[kg], v[kg3], v[kg1], v[k3], v[k2], v[k1]
+        x21, x31, x32 = v[k21], v[k31], v[k32]
+        v.append(0.5 * (g * a3 * a2 * a1 + g * v[kt] + a1 * v[kg32] + a2 * v[kg31] + a3 * v[kg21]
+                        + g3 * x21 - v[kg2] * x31 + g1 * x32 - g * a3 * x21 - g * a1 * x32
+                        - g1 * a3 * a2 - g3 * a2 * a1))
+    return v[-1]
 
 
 def g_poly(x: TraceCoordinates, indices) -> complex:
@@ -186,8 +226,8 @@ def g_poly(x: TraceCoordinates, indices) -> complex:
     ``indices`` must be strictly descending.  A single index gives the local
     trace, two give the pair trace, three the triple trace; longer words are
     reduced through the four-factor trace identity applied to the lowest
-    three indices, memoized over sub-words.  After the checks here, every
-    value is read straight from the stored coordinates.
+    three indices, each sub-word evaluated once.  After the checks here,
+    every value is read straight from the stored coordinates.
     """
     idx = tuple(indices)
     if not idx:
@@ -198,46 +238,7 @@ def g_poly(x: TraceCoordinates, indices) -> complex:
         raise BadIndex(f"indices {idx} out of range 1..{x.n}")
     a = (0.0,) + x.local.a  # 1-based
     # for n = 3 the single triple trace is the closing trace a_4
-    return _g(idx, a, x.pairs, x.triples or {(1, 2, 3): a[4]}, {})
-
-
-def _g(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict, memo: dict) -> complex:
-    """Trace of a checked descending word from the 1-based local traces ``a``
-    and the stored ``pairs`` and ``triples``, memoized in ``memo``."""
-    v = memo.get(word)
-    if v is not None:
-        return v
-    length = len(word)
-    if length == 1:
-        v = a[word[0]]
-    elif length == 2:
-        v = pairs[(word[1], word[0])]
-    elif length == 3:
-        v = triples[(word[2], word[1], word[0])]
-    else:
-        head = word[:-3]
-        i3, i2, i1 = word[-3:]
-        a3, a2, a1 = a[i3], a[i2], a[i1]
-        x21, x31, x32 = pairs[(i1, i2)], pairs[(i1, i3)], pairs[(i2, i3)]
-        g = _g(head, a, pairs, triples, memo)
-        g3 = _g(head + (i3,), a, pairs, triples, memo)
-        g1 = _g(head + (i1,), a, pairs, triples, memo)
-        v = 0.5 * (
-            g * a3 * a2 * a1
-            + g * triples[(i1, i2, i3)]
-            + a1 * _g(head + (i3, i2), a, pairs, triples, memo)
-            + a2 * _g(head + (i3, i1), a, pairs, triples, memo)
-            + a3 * _g(head + (i2, i1), a, pairs, triples, memo)
-            + g3 * x21
-            - _g(head + (i2,), a, pairs, triples, memo) * x31
-            + g1 * x32
-            - g * a3 * x21
-            - g * a1 * x32
-            - g1 * a3 * a2
-            - g3 * a2 * a1
-        )
-    memo[word] = v
-    return v
+    return _word_trace(idx, a, x.pairs, x.triples or {(1, 2, 3): a[4]})
 
 
 def type3(x: TraceCoordinates) -> complex:
@@ -293,30 +294,27 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     """Evaluate every defining relation at x.
 
     The values come from the per-point tables of ``z`` and ``s3`` values
-    that the public evaluators share, by the same formulas; indices are
-    checked only at those public entry points, never in the loops here.
-    Reports residual magnitudes only and never fails on large values;
-    deciding what counts as "on the variety" is the caller's job.  The
-    result is memoized on the (immutable) coordinate point.
+    that the public evaluators share, by the same formulas and the per-n
+    plan; indices are checked only at those public entry points, never in
+    the loops here.  Reports residual magnitudes only and never fails on
+    large values; deciding what counts as "on the variety" is the caller's
+    job.  The result is memoized on the (immutable) coordinate point.
     """
     cached = x._cache.get("membership")
     if cached is not None:
         return cached
     n = x.n
-    z, s = _tables(x)
-    col_pairs, rows = _layout(n)
-    sv = list(s.values())
-    minors = {}  # row pair -> its minor list, for this call only
+    z, _, sv = _tables(x)
+    col_pairs, rows, cols, quads = _layout(n)
+    z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
+    minors = {p: _minors(z[p[0]], z[p[1]], col_pairs) for p in combinations(range(2, n + 1), 2)}
     r1: list[float] = []
-    for i0, i1, i2, pos, cols in rows:
-        mm = minors.get((i1, i2))
-        if mm is None:
-            mm = minors[(i1, i2)] = _minors(z[i1], z[i2], col_pairs)
-        r1 += map(abs, _type1_values(z[i0], mm, sv[pos], cols, sv[pos:]))
+    for i0, i1, i2, pos in rows:
+        r1 += map(abs, _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:]))
     r2: list[float] = []
     r3 = None
     if n > 3:
-        terms = _quad_terms(s, combinations(range(1, n + 1), 4))
+        terms = _quad_terms(sv, quads.values())
         for i in range(1, n + 1):
             r2 += map(abs, _type2_row(z[i], terms))
         r3 = abs(type3(x))

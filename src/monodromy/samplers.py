@@ -112,7 +112,8 @@ def su2_element(rng: SplitMix64) -> Mat2:
     """Random special unitary matrix [[a, -conj(b)], [b, conj(a)]], |a|^2 + |b|^2 = 1."""
     while True:
         g = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        norm2 = sum(v * v for v in g)
+        # left to right, not sum(): its float rounding changed in CPython 3.12
+        norm2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3]
         if 1e-4 <= norm2 <= 1.0:
             break
     inv = 1.0 / math.sqrt(norm2)

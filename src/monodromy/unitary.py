@@ -145,17 +145,17 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
             f"sign rule and constructed form disagree on chart {best.chart.label()}"
         )
     # The best chart is in this loop too; it agrees with itself.
-    for e in report.entries:
-        if not e.admissible:
+    for chart, _, admissible, entry_psi, entry_xkj in report.entries:
+        if not admissible:
             continue
-        other_xkj = complex(e.xkj).real
+        other_xkj = complex(entry_xkj).real
         other_disc = other_xkj * other_xkj - 4.0
-        other_ps = complex(e.psi).real
+        other_ps = complex(entry_psi).real
         if abs(other_ps) <= tol.abs or abs(other_disc) <= tol.abs:
             continue  # boundary-adjacent chart: no reliable sign
         if _verdict(other_disc, other_ps) is not verdict:
             raise ChartsDisagree(
-                f"charts {best.chart.label()} and {e.chart.label()} disagree; "
+                f"charts {best.chart.label()} and {chart.label()} disagree; "
                 "the point likely violates the defining relations"
             )
     detail = (

@@ -240,6 +240,31 @@ def test_sample_deterministic_files(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# `sample --kind su2 --n 3 --seed 3` as CPython 3.11 writes it.  The same
+# seed must give the same tuple on every supported version, so the samplers
+# must not add floats with sum(), which rounds differently from CPython 3.12 on.
+SU2_N3_SEED3_A = [
+    [-1.4688887001828133, 0.0], [-0.6231977331486809, 0.0],
+    [-0.46221242850493466, 0.0], [1.2600472396505666, 0.0],
+]
+SU2_N3_SEED3_MATRICES = [
+    [[[-0.7344443500914066, 0.41777226372150744], [-0.2866084650759334, 0.4515677358167175]],
+     [[0.2866084650759334, 0.4515677358167175], [-0.7344443500914066, -0.41777226372150744]]],
+    [[[-0.31159886657434044, 0.47373332577143934], [-0.3202653822729774, -0.7588892984623392]],
+     [[0.3202653822729774, -0.7588892984623392], [-0.31159886657434044, -0.47373332577143934]]],
+    [[[-0.23110621425246733, 0.503063261272292], [-0.26559976272329144, -0.7892870447012987]],
+     [[0.26559976272329144, -0.7892870447012987], [-0.23110621425246733, -0.503063261272292]]],
+]
+
+
+def test_sample_su2_same_on_every_python_version(tmp_path):
+    out = tmp_path / "su2.json"
+    assert run("sample", "--kind", "su2", "--n", "3", "--seed", "3", "-o", out) == EXIT_OK
+    obj = json.loads(out.read_text())
+    assert obj["a"] == SU2_N3_SEED3_A
+    assert obj["matrices"] == SU2_N3_SEED3_MATRICES
+
+
 def test_sample_su2_trace_out_of_range(tmp_path):
     assert run("sample", "--kind", "su2", "--n", "3", "--traces", "0,2.5,0",
                "-o", tmp_path / "x.json") == EXIT_RESIDUAL

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,18 @@ def test_fields_are_read_only(name):
         obj.extra = 1  # no instance dict
 
 
+def _keyed(n, pair_value=0.0, triple_value=0.0):
+    """Every pair and triple key of size n, each holding the given value."""
+    pairs = {key: pair_value for key in combinations(range(1, n + 1), 2)}
+    return pairs, {key: triple_value for key in combinations(range(1, n + 1), 3)}
+
+
+def _last_key_moved(keys: dict) -> dict:
+    """``keys`` with its last key replaced by its reverse."""
+    *rest, last = keys
+    return {**dict.fromkeys(rest, 0.0), last[::-1]: 0.0}
+
+
 # (type, args, exception, message) for every check a constructor makes.
 INVALID = [
     (Tolerance, (-1e-9, 1e-9), ValueError, "tolerances must be non-negative"),
@@ -108,6 +121,22 @@ INVALID = [
     (SamplerConfig, (0, 4, [1.0, 1.0]), ValueError, "need 4 target traces, got 2"),
     (HermitianForm, (1.0, 0.0), ValueError, "form is degenerate"),
     (HermitianForm, (1.0, 1.0, 1.0), ValueError, "form is degenerate"),
+    # with a bad pair and a bad triple, the message names the pair
+    (TraceCoordinates, (LocalData((0.0,) * 5), *_keyed(4, float("inf"), NAN)), ValueError,
+     "non-finite coordinate: inf"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), {**_keyed(4)[0], (1, 2): complex(0.0, NAN)},
+                        _keyed(4)[1]), ValueError, "non-finite coordinate: nanj"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), _keyed(4)[0],
+                        {**_keyed(4)[1], (2, 3, 4): -float("inf")}), ValueError,
+     "non-finite coordinate: -inf"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), _keyed(4)[0], {}), ValueError,
+     "triple keys must be the 4 ascending triples in 1..4"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), _keyed(4)[0], _last_key_moved(_keyed(4)[1])),
+     ValueError, "triple keys must be the 4 ascending triples in 1..4"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), _last_key_moved(_keyed(4)[0]), _keyed(4)[1]),
+     ValueError, "pair keys must be the 6 ascending pairs in 1..4"),
+    (TraceCoordinates, (LocalData((0.0,) * 5), {**_keyed(4)[0], (1, 5): 0.0}, _keyed(4)[1]),
+     ValueError, "pair keys must be the 6 ascending pairs in 1..4"),
 ]
 
 
