@@ -1,23 +1,18 @@
 """Trace coordinates of rank-2 monodromy tuples: coordinate maps, defining
-relations, chart-based matrix reconstruction, and unitarity classification."""
+relations, chart-based matrix reconstruction, and unitarity classification.
 
-from .charts import (
-    ChartEval,
-    ChartId,
-    ChartReport,
-    chart_poly,
-    chart_psi,
-    charts_for,
-    classify_charts,
-    index_set,
-    require_admissible,
-)
+The root exports the pipeline (``phi`` -> ``membership`` -> ``classify_charts``
+-> ``reconstruct`` -> ``classify``), the value types, samplers and errors, and
+the per-family relation evaluators; every other name is imported from its
+module.
+"""
+
+from .charts import ChartEval, ChartId, ChartReport, classify_charts
 from .coords import (
     LocalData,
     Representation,
     TraceCoordinates,
     close_tuple,
-    closure_residual,
     coordinate_distance,
     phi,
     quad_trace,
@@ -43,52 +38,25 @@ from .reconstruct import (
     BranchChoice,
     Diagnostics,
     ReconstructionResult,
-    branch_independence_check,
-    lambdas,
     reconstruct,
-    reconstruct_anchored,
-    reconstruct_base,
 )
 from .relations import (
     RelationResiduals,
-    g_poly,
     membership,
-    psi,
-    relation_count,
-    s3,
     type1,
     type1_pairs,
     type2,
     type2_terms,
     type3,
-    z_entry,
 )
-from .samplers import (
-    SamplerConfig,
-    SplitMix64,
-    companion,
-    random_unimodular,
-    sample_generic,
-    sample_su11,
-    sample_su2,
-    su2_element,
-    su11_element,
-)
-from .sl2 import (
-    DEFAULT_TOL,
-    IDENTITY,
-    Mat2,
-    Tolerance,
-    four_trace_reduction,
-    max_entry_diff,
-)
+from .samplers import SamplerConfig, SplitMix64, sample_generic, sample_su11, sample_su2
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance
 from .unitary import (
     HermitianForm,
     Signature,
     SignatureClass,
     classify,
     hermitian_form,
-    reality_gate,
     verify_invariance,
 )
 

@@ -54,11 +54,6 @@ def index_set(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def charts_for(n: int) -> list[ChartId]:
-    """Every chart for tuples of size n, in lexicographic (j, k, i0) order."""
-    return [chart for group in _layout(n) for chart in group[3]]
-
-
 @lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[tuple, ...]:
     """One ``_group`` per chart pair of size n, in lexicographic order."""

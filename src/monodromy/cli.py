@@ -78,6 +78,12 @@ def _c_in(obj, what: str) -> complex:
     )
     if not ok:
         raise ParseError(f"{what}: expected [re, im], got {obj!r}")
+    try:
+        finite = all(map(math.isfinite, obj))  # json reads NaN, Infinity and 1e400 (as inf)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise ParseError(f"{what}: non-finite number in {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -346,10 +352,9 @@ def cmd_sample(args, tol: Tolerance) -> int:
             raise ParseError(f"--traces: {exc}") from exc
     elif args.thetas:
         try:
-            angles = [float(tok) for tok in args.thetas.split(",")]
-        except ValueError as exc:
+            traces = tuple(2.0 * math.cos(math.pi * float(tok)) for tok in args.thetas.split(","))
+        except ValueError as exc:  # a token float() rejects, or math.cos(inf)
             raise ParseError(f"--thetas: {exc}") from exc
-        traces = tuple(2.0 * math.cos(math.pi * th) for th in angles)
     try:
         cfg = SamplerConfig(args.seed, args.n, traces, args.entry_bound)
     except ValueError as exc:

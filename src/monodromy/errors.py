@@ -40,8 +40,8 @@ class PsiDegenerate(MonodromyError):
 
 
 class ChartsDisagree(MonodromyError):
-    """Two admissible charts, or a chart and its constructed form, give
-    different signature verdicts: the point is off the variety."""
+    """Two admissible charts give different signature verdicts: the point is
+    off the variety."""
 
 
 class TraceOutOfRange(MonodromyError):

@@ -32,7 +32,7 @@ from .coords import (
     quad_trace,
     triple_trace,
 )
-from .errors import BadChart, DegenerateEigenvalues, OffVarietyWarning
+from .errors import DegenerateEigenvalues, OffVarietyWarning
 from .relations import membership, psi
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
 
@@ -116,18 +116,14 @@ def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
     return ReconstructionResult(rep, chart, branch, diag)
 
 
-def reconstruct_base(x: TraceCoordinates, chart: ChartId,
-                     branch: BranchChoice = PLUS,
-                     tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
+def _base(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
+          tol: Tolerance) -> ReconstructionResult:
     """Matrix tuple on a base chart (i0 = 0).
 
     M_j gets lower-left entry 1 and upper-right -psi/(x_kj^2 - 4); M_k M_j
     comes out as diag(l+, l-), and every other matrix is solved from its
     local trace, triple trace with (k, j), and pair traces with j and k.
     """
-    if chart.i0 != 0:
-        raise BadChart("base reconstruction requires anchor i0 == 0")
-    require_admissible(x, chart, tol)
     j, k = chart.j, chart.k
     a = x.local.trace
     xkj = x.pair(k, j)
@@ -158,9 +154,8 @@ def reconstruct_base(x: TraceCoordinates, chart: ChartId,
     return _finish(x, chart, branch, tuple(mats), tol)
 
 
-def reconstruct_anchored(x: TraceCoordinates, chart: ChartId,
-                         branch: BranchChoice = PLUS,
-                         tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
+def _anchored(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
+              tol: Tolerance) -> ReconstructionResult:
     """Matrix tuple on an anchored chart (i0 >= 1).
 
     The normalization sits at M_{i0} (lower-left entry 1); the
@@ -168,9 +163,6 @@ def reconstruct_anchored(x: TraceCoordinates, chart: ChartId,
     remaining matrices additionally use the four-factor trace with
     (k, j, i, i0).
     """
-    if chart.i0 == 0:
-        raise BadChart("anchored reconstruction requires anchor i0 >= 1")
-    require_admissible(x, chart, tol)
     j, k, i0 = chart.j, chart.k, chart.i0
     a = x.local.trace
     xkj = x.pair(k, j)
@@ -214,10 +206,17 @@ def reconstruct_anchored(x: TraceCoordinates, chart: ChartId,
 def reconstruct(x: TraceCoordinates, chart: ChartId,
                 branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
-    """Dispatch to the base or anchored builder by the chart's anchor."""
+    """The tuple rebuilt from x on ``chart``, by the base builder when the
+    anchor is 0 and the anchored one otherwise.
+
+    Raises BadChart for a chart that does not exist at x.n,
+    ChartNotAdmissible off the chart and DegenerateEigenvalues at
+    x_kj = +/-2; warns OffVarietyWarning when x violates the relations.
+    """
+    require_admissible(x, chart, tol)
     if chart.i0 == 0:
-        return reconstruct_base(x, chart, branch, tol)
-    return reconstruct_anchored(x, chart, branch, tol)
+        return _base(x, chart, branch, tol)
+    return _anchored(x, chart, branch, tol)
 
 
 def branch_independence_check(x: TraceCoordinates, chart: ChartId,

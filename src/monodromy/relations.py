@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
@@ -246,17 +245,6 @@ def type3(x: TraceCoordinates) -> complex:
     if x.n == 3:
         raise NotApplicable("for n = 3 the single type 1 relation covers closure")
     return g_poly(x, tuple(range(x.n, 0, -1))) - x.local.trace(x.n + 1)
-
-
-def relation_count(n: int) -> int:
-    """Total number of defining relations: 1 for n = 3, else
-    T(T+1)/2 + n C(n,4) + 1 with T = C(n,3)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n == 3:
-        return 1
-    t = comb(n, 3)
-    return (t * t + t) // 2 + n * comb(n, 4) + 1
 
 
 def type1_pairs(n: int):

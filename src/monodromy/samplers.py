@@ -56,12 +56,14 @@ class SamplerConfig(_record("SamplerConfig", "seed n traces entry_bound")):
                 entry_bound: float = 4.0):
         if n < 3:
             raise ValueError("need n >= 3")
-        if entry_bound <= 0:
+        if not entry_bound > 0:  # NaN would never end the rejection loop
             raise ValueError("entry_bound must be positive")
         if traces is not None:
             traces = tuple(traces)
             if len(traces) != n:
                 raise ValueError(f"need {n} target traces, got {len(traces)}")
+            if not all(map(cmath.isfinite, traces)):
+                raise ValueError(f"target traces must be finite, got {traces}")
         return tuple.__new__(cls, (seed, n, traces, entry_bound))
 
 

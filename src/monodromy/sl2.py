@@ -32,7 +32,7 @@ class Tolerance(_record("Tolerance", "abs rel")):
     __slots__ = ()
 
     def __new__(cls, abs: float = 1e-9, rel: float = 1e-9):
-        if abs < 0 or rel < 0:
+        if not (abs >= 0 and rel >= 0):  # also rejects NaN, which fails every gate
             raise ValueError("tolerances must be non-negative")
         if abs + rel == 0:
             raise ValueError("abs and rel tolerance cannot both be zero")

@@ -114,10 +114,11 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
     """Decide unitarity and signature of the tuple parametrized by x.
 
     Coordinates alone drive the decision: the reality gate, then the sign
-    pattern of (x_kj^2 - 4, psi) on the best admissible chart.  The verdict
-    is cross-checked against the eigenvalue signs of the constructed form
-    and against every other admissible chart away from the boundary.
-    Raises PsiDegenerate when the deciding psi is numerically zero.
+    pattern of (x_kj^2 - 4, psi) on the best admissible chart, which is the
+    signature of the invariant form by construction (module docstring),
+    cross-checked against every other admissible chart away from the
+    boundary.  Raises PsiDegenerate when the deciding psi is numerically
+    zero and DegenerateEigenvalues when x_kj^2 - 4 is.
     """
     if not reality_gate(x, tol):
         return SignatureClass(
@@ -139,11 +140,9 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         raise PsiDegenerate(
             f"chart {best.chart.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
         )
+    if abs(disc) <= tol.abs:
+        raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
     verdict = _verdict(disc, ps)
-    if _form(disc, ps, tol).is_definite() != (verdict is Signature.DEFINITE):
-        raise ChartsDisagree(
-            f"sign rule and constructed form disagree on chart {best.chart.label()}"
-        )
     # The best chart is in this loop too; it agrees with itself.
     for chart, _, admissible, entry_psi, entry_xkj in report.entries:
         if not admissible:

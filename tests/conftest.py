@@ -6,16 +6,20 @@ oracle evaluates each relation from its definition through the coordinate
 accessors, one call per value, in the order of operations the package
 kernel must reproduce bit for bit.  The coordinate oracles walk the sorted
 ``items()``; the package reads the stored dicts directly, in another order.
+The chart list and the relation count come from the index set and the closed
+formula, not from the package's per-n tables.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
-from monodromy import Mat2, Representation, SamplerConfig, close_tuple, phi, psi
+from monodromy import ChartId, Mat2, Representation, SamplerConfig, close_tuple, phi
 from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
-from monodromy import chart_poly, chart_psi, charts_for
-from monodromy.charts import admissibility_threshold
+from monodromy.charts import admissibility_threshold, chart_poly, chart_psi, index_set
+from monodromy.relations import psi
 
 
 # --- plain-tuple 2x2 oracle -------------------------------------------------
@@ -49,6 +53,15 @@ def oword(rep: Representation, indices) -> complex:
 
 
 # --- from-definition relation oracle ----------------------------------------
+
+def relation_count(n):
+    """Total number of defining relations: 1 for n = 3, else
+    T(T+1)/2 + n C(n,4) + 1 with T = C(n,3)."""
+    if n == 3:
+        return 1
+    t = comb(n, 3)
+    return (t * t + t) // 2 + n * comb(n, 4) + 1
+
 
 def oracle_s3(x, i1, i2, i3):
     a = x.local.trace
@@ -126,6 +139,17 @@ def oracle_g(x, word, memo):
 
 
 # --- from-definition chart oracle -------------------------------------------
+
+def charts_for(n):
+    """Every chart for tuples of size n, in lexicographic (j, k, i0) order: each
+    chart pair with the base anchor 0, then every index outside the pair."""
+    return [
+        ChartId(j, k, i0)
+        for j, k in index_set(n)
+        for i0 in range(n + 1)
+        if i0 not in (j, k)
+    ]
+
 
 def oracle_chart_psi(x, chart):
     """psi(x_kj, a_k, a_j) on a base chart, psi(x_{k j i0}, x_kj, a_i0) on an

@@ -11,26 +11,25 @@ import pytest
 from monodromy import (
     SamplerConfig,
     Signature,
-    branch_independence_check,
-    chart_psi,
     classify,
     classify_charts,
     coordinate_distance,
-    four_trace_reduction,
-    g_poly,
     hermitian_form,
     membership,
     phi,
     reconstruct,
-    relation_count,
     sample_generic,
     sample_su2,
     sample_su11,
     verify_invariance,
 )
+from monodromy.charts import chart_psi
+from monodromy.reconstruct import branch_independence_check
+from monodromy.relations import g_poly
 from monodromy.samplers import SplitMix64, random_unimodular
+from monodromy.sl2 import four_trace_reduction
 
-from conftest import omat, omul, otr
+from conftest import omat, omul, otr, relation_count
 
 
 @contextmanager
@@ -148,7 +147,7 @@ def test_criterion_06_chart_coherence(roundtrip_corpus):
 
 def test_criterion_07_hermitian_soundness(unitary_corpus):
     with criterion(7, "invariant form soundness on unitary families"):
-        from monodromy import reality_gate
+        from monodromy.unitary import reality_gate
 
         for kind, rep, x in unitary_corpus:
             assert reality_gate(x), kind

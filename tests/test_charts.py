@@ -9,18 +9,16 @@ from monodromy import (
     LocalData,
     Tolerance,
     TraceCoordinates,
-    chart_poly,
-    chart_psi,
-    charts_for,
     classify_charts,
-    index_set,
     phi,
-    psi,
 )
+from monodromy.charts import chart_poly, chart_psi, index_set
+from monodromy.relations import psi
 from monodromy.samplers import SplitMix64, random_unimodular
 
 from conftest import (
     FAMILIES,
+    charts_for,
     generic,
     identity_rep,
     omat,

@@ -118,6 +118,55 @@ def test_relations_tolerance_flag_and_env(tmp_path, capsys, fixture_rep, monkeyp
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_nan_tolerance_exits_two(tmp_path, capsys, monkeypatch, via):
+    # A NaN tolerance fails every <= gate: classify called this definite point
+    # not-unitary (exit 0) and reconstruct found no admissible chart (exit 4).
+    path = coords_path(tmp_path, su2(4, seed=1))
+    assert run("classify", path) == EXIT_OK
+    assert "verdict       : definite" in capsys.readouterr().out
+    flag = ["--tol", "nan"] if via == "flag" else []
+    if via == "env":
+        monkeypatch.setenv("MONODROMY_TOL", "nan")
+    assert run("classify", path, *flag) == EXIT_PARSE
+    assert run("reconstruct", path, *flag, "-o", tmp_path / "o.json") == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: tolerances must be non-negative\n" * 2
+
+
+def test_tuple_file_nan_matrix_entry_exits_two(tmp_path, capsys):
+    obj = rep_to_obj(identity_rep(3))
+    obj["matrices"][1][0][1] = [float("nan"), 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))  # json writes the bare token NaN
+    assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: matrix 2 entry (1,2): non-finite number in [nan, 0.0]\n"
+
+
+def test_tuple_file_nan_declared_trace_exits_two(tmp_path, capsys):
+    # nan > bound is False, so the declared-trace check let this through
+    obj = rep_to_obj(identity_rep(3))
+    obj["a"][2] = [float("nan"), 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_PARSE
+    assert capsys.readouterr().err == "error: a[2]: non-finite number in [nan, 0.0]\n"
+
+
+@pytest.mark.parametrize("command", ["relations", "reconstruct", "classify"])
+def test_coordinate_file_infinite_trace_exits_two(tmp_path, capsys, fixture_rep, command):
+    obj = coords_to_obj(phi(fixture_rep))
+    bad = tmp_path / "bad.json"
+    argv = [command, bad] + (["-o", tmp_path / "o.json"] if command == "reconstruct" else [])
+    for value in (float("inf"), 10 ** 400):  # the integer overflows a float
+        obj["a"][0] = [value, 0.0]
+        bad.write_text(json.dumps(obj))
+        assert run(*argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: a[0]: non-finite number in {[value, 0.0]!r}\n"
+
+
 def test_coords_rejects_n_above_nine(tmp_path, capsys):
     rep_path = tmp_path / "t10.json"
     assert run("sample", "--n", "10", "--seed", "1", "-o", rep_path) == EXIT_OK
@@ -268,6 +317,16 @@ def test_sample_su2_same_on_every_python_version(tmp_path):
 def test_sample_su2_trace_out_of_range(tmp_path):
     assert run("sample", "--kind", "su2", "--n", "3", "--traces", "0,2.5,0",
                "-o", tmp_path / "x.json") == EXIT_RESIDUAL
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--traces", "nan,0,0"), ("--thetas", "nan,0.5,0.5"), ("--thetas", "inf,0.5,0.5"),
+])
+def test_sample_non_finite_traces_exit_two(tmp_path, capsys, flag, values):
+    out = tmp_path / "x.json"
+    assert run("sample", "--kind", "su2", "--n", "3", flag, values, "-o", out) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sample_thetas_conversion(tmp_path):

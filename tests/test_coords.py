@@ -5,19 +5,18 @@ import pytest
 
 from monodromy import (
     BadIndex,
-    IDENTITY,
     LocalData,
     Mat2,
     NotUnimodular,
     close_tuple,
-    closure_residual,
     coordinate_distance,
-    four_trace_reduction,
     phi,
     quad_trace,
     triple_trace,
 )
+from monodromy.coords import closure_residual
 from monodromy.samplers import SplitMix64, random_unimodular
+from monodromy.sl2 import IDENTITY, four_trace_reduction
 
 from conftest import FAMILIES, generic, identity_rep, oword
 

@@ -19,8 +19,9 @@ from conftest import (
     oracle_max_abs,
     oracle_reality_gate,
 )
-from monodromy import DEFAULT_TOL, LocalData, Tolerance, TraceCoordinates, phi, reality_gate
+from monodromy import DEFAULT_TOL, LocalData, Tolerance, TraceCoordinates, phi
 from monodromy import coordinate_distance
+from monodromy.unitary import reality_gate
 
 TOLERANCES = (DEFAULT_TOL, Tolerance(1e-3, 1e-3))
 

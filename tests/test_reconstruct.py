@@ -10,15 +10,12 @@ from monodromy import (
     OffVarietyWarning,
     PLUS,
     TraceCoordinates,
-    branch_independence_check,
     classify_charts,
     coordinate_distance,
-    lambdas,
     phi,
     reconstruct,
-    reconstruct_anchored,
-    reconstruct_base,
 )
+from monodromy.reconstruct import branch_independence_check, lambdas
 from monodromy.samplers import SplitMix64
 
 from conftest import commutator_gap, generic, identity_rep, su2
@@ -68,7 +65,7 @@ def test_lambdas_degenerate():
 
 
 def test_base_fixture_round_trip(fixture_coords):
-    result = reconstruct_base(fixture_coords, ChartId(1, 2, 0))
+    result = reconstruct(fixture_coords, ChartId(1, 2, 0))
     assert result.diagnostics.round_trip <= 1e-9
     assert max(result.diagnostics.trace) <= 1e-10
     assert max(result.diagnostics.det) <= 1e-10
@@ -79,7 +76,7 @@ def test_base_fixture_round_trip(fixture_coords):
 def test_base_pair_product_diagonal(fixture_coords):
     x = fixture_coords
     chart = ChartId(1, 2, 0)
-    result = reconstruct_base(x, chart)
+    result = reconstruct(x, chart)
     mk, mj = result.rep.matrix(chart.k), result.rep.matrix(chart.j)
     prod = mk @ mj
     assert abs(prod.trace - x.pair(chart.k, chart.j)) <= 1e-12
@@ -92,7 +89,7 @@ def test_base_seeded_round_trips():
     for chart in classify_charts(x).admissible():
         if chart.i0 != 0:
             continue
-        result = reconstruct_base(x, chart)
+        result = reconstruct(x, chart)
         assert result.diagnostics.round_trip <= 1e-8
 
 
@@ -102,7 +99,7 @@ def test_anchored_seeded_round_trips():
     anchored = [c for c in classify_charts(x).admissible() if c.i0 >= 1]
     assert anchored
     for chart in anchored:
-        result = reconstruct_anchored(x, chart)
+        result = reconstruct(x, chart)
         assert result.diagnostics.round_trip <= 1e-8
         mk, mj = result.rep.matrix(chart.k), result.rep.matrix(chart.j)
         prod = mk @ mj
@@ -123,12 +120,10 @@ def test_anchored_and_base_agree():
 def test_reconstruct_dispatch():
     rep = generic(4, seed=28)
     x = phi(rep)
-    with pytest.raises(BadChart):
-        reconstruct_base(x, ChartId(1, 2, 3))
-    with pytest.raises(BadChart):
-        reconstruct_anchored(x, ChartId(1, 2, 0))
     assert reconstruct(x, ChartId(1, 2, 0)).chart.i0 == 0
     assert reconstruct(x, ChartId(1, 2, 3)).chart.i0 == 3
+    with pytest.raises(BadChart):
+        reconstruct(x, ChartId(2, 1, 0))  # (2, 1) is not a chart pair
 
 
 def test_closing_trace_matches_local_data():

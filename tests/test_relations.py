@@ -10,19 +10,15 @@ from monodromy import (
     NotApplicable,
     TraceCoordinates,
     close_tuple,
-    g_poly,
     membership,
     phi,
-    psi,
-    relation_count,
-    s3,
     type1,
     type1_pairs,
     type2,
     type2_terms,
     type3,
-    z_entry,
 )
+from monodromy.relations import g_poly, psi, s3, z_entry
 from conftest import (
     FAMILIES,
     generic,
@@ -33,6 +29,7 @@ from conftest import (
     oracle_type2,
     oracle_z,
     oword,
+    relation_count,
 )
 
 

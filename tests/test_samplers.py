@@ -1,22 +1,21 @@
 import pytest
 
 from monodromy import (
-    IDENTITY,
     Mat2,
     SamplerConfig,
     TraceOutOfRange,
     Tolerance,
     close_tuple,
-    closure_residual,
-    max_entry_diff,
     phi,
-    reality_gate,
     sample_generic,
     sample_su11,
     sample_su2,
     verify_invariance,
 )
+from monodromy.coords import closure_residual
 from monodromy.samplers import SplitMix64, companion, random_unimodular, su11_element
+from monodromy.sl2 import IDENTITY, max_entry_diff
+from monodromy.unitary import reality_gate
 
 from conftest import commutator_gap
 

@@ -2,15 +2,12 @@ import pytest
 
 from monodromy import (
     DEFAULT_TOL,
-    IDENTITY,
     Mat2,
     NotUnimodular,
     Tolerance,
-    four_trace_reduction,
-    max_entry_diff,
 )
 from monodromy.samplers import SplitMix64, random_unimodular
-from monodromy.sl2 import check_unimodular
+from monodromy.sl2 import IDENTITY, check_unimodular, four_trace_reduction, max_entry_diff
 
 from conftest import omat, omul, otr
 

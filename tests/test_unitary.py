@@ -13,17 +13,17 @@ from monodromy import (
     PsiDegenerate,
     Signature,
     TraceCoordinates,
-    chart_psi,
     classify,
     classify_charts,
     close_tuple,
     hermitian_form,
     phi,
-    psi,
-    reality_gate,
     reconstruct,
     verify_invariance,
 )
+from monodromy.charts import chart_psi
+from monodromy.relations import psi
+from monodromy.unitary import reality_gate
 from conftest import generic, identity_rep, su2, su11
 
 

@@ -30,7 +30,6 @@ from monodromy import (
     SignatureClass,
     Tolerance,
     TraceCoordinates,
-    charts_for,
     classify_charts,
     close_tuple,
     membership,
@@ -38,7 +37,7 @@ from monodromy import (
     reconstruct,
 )
 
-from conftest import FIXTURE_MATS
+from conftest import FIXTURE_MATS, charts_for
 
 NAN = float("nan")
 
@@ -137,6 +136,12 @@ INVALID = [
      ValueError, "pair keys must be the 6 ascending pairs in 1..4"),
     (TraceCoordinates, (LocalData((0.0,) * 5), {**_keyed(4)[0], (1, 5): 0.0}, _keyed(4)[1]),
      ValueError, "pair keys must be the 6 ascending pairs in 1..4"),
+    # NaN compares false with everything, so a NaN tolerance would fail every gate
+    (Tolerance, (NAN, 1e-9), ValueError, "tolerances must be non-negative"),
+    (Tolerance, (1e-9, NAN), ValueError, "tolerances must be non-negative"),
+    (SamplerConfig, (0, 3, [NAN, 0.0, 1j]), ValueError,
+     "target traces must be finite, got (nan, 0.0, 1j)"),
+    (SamplerConfig, (0, 4, None, NAN), ValueError, "entry_bound must be positive"),
 ]
 
 
