@@ -9,8 +9,9 @@ exist.
 
 Which stored coordinates each chart reads is worked out once per n and
 grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
-the admissibility threshold once per pair; ``chart_psi`` and ``chart_poly``
-evaluate one chart by the same formula.
+the admissibility threshold once per pair.  ``chart_eval`` evaluates one
+chart by the same code, and its ``ChartEval`` (p, psi, x_kj) is what
+``reconstruct`` and ``unitary`` build from.
 """
 
 from __future__ import annotations
@@ -77,80 +78,71 @@ def _group(j: int, k: int, anchors) -> tuple:
     return (min(j, k), max(j, k)), k, j, tuple(ChartId(j, k, i0) for i0 in anchors), tuple(reads)
 
 
-def _chart_values(x: TraceCoordinates, groups) -> list[tuple]:
-    """``(charts, x_kj, x_kj^2 - 4, psis)`` per ``_group``, with the ``chart_psi`` of
-    each of its charts read straight from the stored coordinates."""
-    a = (0.0,) + x.local.a  # 1-based
-    pairs = x.pairs
-    # for n = 3 the single triple trace is the closing trace a_4
-    triples = x.triples or {(1, 2, 3): a[4]}
-    out = []
-    for kj, k, j, charts, reads in groups:
-        xkj = pairs[kj]
-        psis = []
-        for i0, tkey, flip in reads:
-            if i0 == 0:
-                psis.append(psi(xkj, a[k], a[j]))
-                continue
-            t = triples[tkey]
-            if flip is not None:
-                t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
-            psis.append(psi(t, xkj, a[i0]))
-        out.append((charts, xkj, xkj * xkj - 4.0, psis))
-    return out
-
-
-def _threshold(xkj: complex, tol: Tolerance) -> float:
-    """Scale-aware zero threshold of a chart polynomial: tol.abs * (1 + |x_kj|^4)."""
-    return tol.abs * (1.0 + abs(xkj) ** 4)
-
-
-def _validate_chart(x: TraceCoordinates, chart: ChartId) -> None:
-    n = x.n
-    if not _is_chart_pair(n, chart.j, chart.k):
-        raise BadChart(f"pair ({chart.j}, {chart.k}) is not a chart pair for n = {n}")
-    if chart.i0 > n:
-        raise BadChart(f"anchor index {chart.i0} out of range for n = {n}")
-
-
-def chart_psi(x: TraceCoordinates, chart: ChartId) -> complex:
-    """The chart's psi factor, deciding both admissibility and signature.
-
-    Base charts use psi(x_kj, a_k, a_j); anchored charts use
-    psi(x_{k j i0}, x_kj, a_{i0}) with the triple trace canonicalized
-    as ``triple_trace`` does.
-    """
-    _validate_chart(x, chart)
-    return _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),))[0][3][0]
-
-
-def chart_poly(x: TraceCoordinates, chart: ChartId) -> complex:
-    """(x_kj^2 - 4) times the chart's psi factor."""
-    _validate_chart(x, chart)
-    _, _, disc, (ps,) = _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),))[0]
-    return disc * ps
-
-
-def admissibility_threshold(x: TraceCoordinates, chart: ChartId, tol: Tolerance) -> float:
-    """Scale-aware zero threshold: tol.abs * (1 + |x_kj|^4)."""
-    return _threshold(x.pair(chart.k, chart.j), tol)
-
-
-def require_admissible(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """Return the chart polynomial value, raising ChartNotAdmissible at zero."""
-    value = chart_poly(x, chart)
-    if abs(value) <= admissibility_threshold(x, chart, tol):
-        raise ChartNotAdmissible(
-            f"chart {chart.label()}: |p| = {abs(value):.3e} is numerically zero"
-        )
-    return value
-
-
 class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
     """One chart at a point: its polynomial value, admissibility, psi factor
     and pair trace x_kj."""
 
     __slots__ = ()
+
+
+def _chart_values(x: TraceCoordinates, groups,
+                  tol: Tolerance) -> tuple[list[ChartEval], ChartId | None]:
+    """A ``ChartEval`` per chart of each ``_group``, read straight from the stored
+    coordinates, and the first admissible chart of largest |p|.  Base charts use
+    psi(x_kj, a_k, a_j), anchored charts psi(x_{k j i0}, x_kj, a_i0) with the
+    triple trace canonicalized as ``triple_trace`` does; p = (x_kj^2 - 4) psi is
+    admissible when |p| exceeds the scale-aware zero threshold
+    tol.abs * (1 + |x_kj|^4)."""
+    a = (0.0,) + x.local.a  # 1-based
+    pairs = x.pairs
+    # for n = 3 the single triple trace is the closing trace a_4
+    triples = x.triples or {(1, 2, 3): a[4]}
+    new = tuple.__new__  # ChartEval checks nothing, so its Python-level __new__ is skipped
+    out = []
+    best, best_mag = None, 0.0
+    for kj, k, j, charts, reads in groups:
+        xkj = pairs[kj]
+        disc = xkj * xkj - 4.0
+        threshold = tol.abs * (1.0 + abs(xkj) ** 4)
+        for chart, (i0, tkey, flip) in zip(charts, reads):
+            if i0 == 0:
+                ps = psi(xkj, a[k], a[j])
+            else:
+                t = triples[tkey]
+                if flip is not None:
+                    t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
+                ps = psi(t, xkj, a[i0])
+            value = disc * ps
+            mag = abs(value)
+            admissible = mag > threshold
+            out.append(new(ChartEval, (chart, value, admissible, ps, xkj)))
+            if admissible and mag > best_mag:
+                best, best_mag = chart, mag
+    return out, best
+
+
+def chart_eval(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEFAULT_TOL) -> ChartEval:
+    """One chart at x, evaluated as ``classify_charts`` evaluates it.
+
+    Raises BadChart for a chart that does not exist at x.n.
+    """
+    n = x.n
+    if not _is_chart_pair(n, chart.j, chart.k):
+        raise BadChart(f"pair ({chart.j}, {chart.k}) is not a chart pair for n = {n}")
+    if chart.i0 > n:
+        raise BadChart(f"anchor index {chart.i0} out of range for n = {n}")
+    return _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),), tol)[0][0]
+
+
+def require_admissible(x: TraceCoordinates, chart: ChartId,
+                       tol: Tolerance = DEFAULT_TOL) -> ChartEval:
+    """The chart evaluated at x, raising ChartNotAdmissible where p is numerically zero."""
+    e = chart_eval(x, chart, tol)
+    if not e.admissible:
+        raise ChartNotAdmissible(
+            f"chart {chart.label()}: |p| = {abs(e.value):.3e} is numerically zero"
+        )
+    return e
 
 
 class ChartReport(_record("ChartReport", "entries best")):
@@ -170,17 +162,5 @@ class ChartReport(_record("ChartReport", "entries best")):
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:
     """Evaluate every chart polynomial at x and pick the best admissible chart."""
-    entries = []
-    best: ChartId | None = None
-    best_mag = 0.0
-    new = tuple.__new__  # ChartEval checks nothing, so its Python-level __new__ is skipped
-    for charts, xkj, disc, psis in _chart_values(x, _layout(x.n)):
-        threshold = _threshold(xkj, tol)
-        for chart, ps in zip(charts, psis):
-            value = disc * ps
-            mag = abs(value)
-            admissible = mag > threshold
-            entries.append(new(ChartEval, (chart, value, admissible, ps, xkj)))
-            if admissible and mag > best_mag:
-                best, best_mag = chart, mag
+    entries, best = _chart_values(x, _layout(x.n), tol)
     return ChartReport(tuple(entries), best)

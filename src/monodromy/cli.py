@@ -178,7 +178,7 @@ def coords_from_obj(obj) -> TraceCoordinates:
         raise ParseError("coordinate file: 'pairs' and 'triples' must be objects")
     pairs = {}
     for key, val in raw_pairs.items():
-        if len(key) != 2 or not key.isdigit():
+        if len(key) != 2 or not (key.isascii() and key.isdigit()):
             raise ParseError(f"pair key {key!r}: expected two digits 'ji' with j > i")
         j, i = int(key[0]), int(key[1])
         if not 1 <= i < j <= n:
@@ -186,7 +186,7 @@ def coords_from_obj(obj) -> TraceCoordinates:
         pairs[(i, j)] = _c_in(val, f"pair {key}")
     triples = {}
     for key, val in raw_triples.items():
-        if len(key) != 3 or not key.isdigit():
+        if len(key) != 3 or not (key.isascii() and key.isdigit()):
             raise ParseError(f"triple key {key!r}: expected three digits 'kji' with k > j > i")
         k, j, i = int(key[0]), int(key[1]), int(key[2])
         if not 1 <= i < j < k <= n:
@@ -204,7 +204,7 @@ def read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

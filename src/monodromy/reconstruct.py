@@ -1,11 +1,15 @@
 """Explicit matrix tuples from coordinates on an admissible chart.
 
 On the chart (j, k, i0) the pair product M_k M_j is put into the diagonal
-form diag(l+, l-) with l +/- the roots of t^2 - x_kj t + 1; the remaining
-entries are solved from the stored pair/triple traces.  Base charts
-(i0 = 0) normalize the lower-left entry of M_j to 1, anchored charts do the
-same at M_{i0} and recover the remaining anti-diagonals through the
-four-factor trace identity.
+form diag(l+, l-) with l +/- the roots of t^2 - x_kj t + 1, which fixes the
+diagonals of M_j, M_k and, through the triple traces with (k, j), of every
+other matrix.  Only the anti-diagonals depend on the chart kind.  Base
+charts (i0 = 0) give M_j lower-left entry 1 and upper-right
+-psi/(x_kj^2 - 4) and solve the rest from the pair traces with j and k.
+Anchored charts put that normalization at M_{i0}, take the anti-diagonals
+of M_j, M_k from the pair traces with i0, and those of the remaining
+matrices from the four-factor traces with (k, j, i0).  psi is the chart's
+own factor, as ``charts.require_admissible`` evaluates it.
 
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
 its conjugacy class, so coordinates of the output never depend on it;
@@ -33,7 +37,7 @@ from .coords import (
     triple_trace,
 )
 from .errors import DegenerateEigenvalues, OffVarietyWarning
-from .relations import membership, psi
+from .relations import membership
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
 
 
@@ -116,107 +120,55 @@ def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
     return ReconstructionResult(rep, chart, branch, diag)
 
 
-def _base(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
-          tol: Tolerance) -> ReconstructionResult:
-    """Matrix tuple on a base chart (i0 = 0).
-
-    M_j gets lower-left entry 1 and upper-right -psi/(x_kj^2 - 4); M_k M_j
-    comes out as diag(l+, l-), and every other matrix is solved from its
-    local trace, triple trace with (k, j), and pair traces with j and k.
-    """
-    j, k = chart.j, chart.k
-    a = x.local.trace
-    xkj = x.pair(k, j)
-    r, lp, lm = lambdas(xkj, branch, tol)
-    disc = xkj * xkj - 4.0
-    ps = psi(xkj, a(k), a(j))
-    mat_j = Mat2(
-        -(a(k) - lp * a(j)) / r, -ps / disc,
-        1.0, (a(k) - lm * a(j)) / r,
-    )
-    mat_k = Mat2(
-        -(a(j) - lp * a(k)) / r, lp * ps / disc,
-        -lm, (a(j) - lm * a(k)) / r,
-    )
-    mats = []
-    for i in range(1, x.n + 1):
-        if i == j:
-            mats.append(mat_j)
-        elif i == k:
-            mats.append(mat_k)
-        else:
-            xkji = triple_trace(x, k, j, i)
-            u11 = (xkji - lm * a(i)) / r
-            u22 = -(xkji - lp * a(i)) / r
-            u12 = (x.pair(k, i) - a(k) * u22 + lp * (x.pair(j, i) - a(j) * u11)) / r
-            u21 = r * (x.pair(k, i) - a(k) * u11 + lm * (x.pair(j, i) - a(j) * u22)) / ps
-            mats.append(Mat2(u11, u12, u21, u22))
-    return _finish(x, chart, branch, tuple(mats), tol)
-
-
-def _anchored(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
-              tol: Tolerance) -> ReconstructionResult:
-    """Matrix tuple on an anchored chart (i0 >= 1).
-
-    The normalization sits at M_{i0} (lower-left entry 1); the
-    anti-diagonals of M_j, M_k follow from the pair traces with i0, and the
-    remaining matrices additionally use the four-factor trace with
-    (k, j, i, i0).
-    """
-    j, k, i0 = chart.j, chart.k, chart.i0
-    a = x.local.trace
-    xkj = x.pair(k, j)
-    r, lp, lm = lambdas(xkj, branch, tol)
-    disc = xkj * xkj - 4.0
-    ps = psi(triple_trace(x, k, j, i0), xkj, a(i0))
-
-    def diag_entries(i: int) -> tuple[complex, complex]:
-        xkji = triple_trace(x, k, j, i)
-        return (xkji - lm * a(i)) / r, -(xkji - lp * a(i)) / r
-
-    u11_0, u22_0 = diag_entries(i0)
-    mat_i0 = Mat2(u11_0, -ps / disc, 1.0, u22_0)
-    u12_j = -(x.pair(k, i0) - a(k) * u11_0 + lm * (x.pair(j, i0) - a(j) * u22_0)) / r
-    u21_j = -r * (x.pair(k, i0) - a(k) * u22_0 + lp * (x.pair(j, i0) - a(j) * u11_0)) / ps
-    mat_j = Mat2(
-        -(a(k) - lp * a(j)) / r, u12_j,
-        u21_j, (a(k) - lm * a(j)) / r,
-    )
-    mat_k = Mat2(
-        -(a(j) - lp * a(k)) / r, -lp * u12_j,
-        -lm * u21_j, (a(j) - lm * a(k)) / r,
-    )
-    mats = []
-    for i in range(1, x.n + 1):
-        if i == j:
-            mats.append(mat_j)
-        elif i == k:
-            mats.append(mat_k)
-        elif i == i0:
-            mats.append(mat_i0)
-        else:
-            u11, u22 = diag_entries(i)
-            q = quad_trace(x, k, j, i, i0)
-            u12 = -(lm * x.pair(i, i0) + r * u11 * u11_0 - q) / r
-            u21 = -r * (lp * x.pair(i, i0) - r * u22 * u22_0 - q) / ps
-            mats.append(Mat2(u11, u12, u21, u22))
-    return _finish(x, chart, branch, tuple(mats), tol)
-
-
 def reconstruct(x: TraceCoordinates, chart: ChartId,
                 branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
-    """The tuple rebuilt from x on ``chart``, by the base builder when the
-    anchor is 0 and the anchored one otherwise.
+    """The tuple rebuilt from x on ``chart`` by the normal form of its kind
+    (module docstring).
 
     Raises BadChart for a chart that does not exist at x.n,
     ChartNotAdmissible off the chart and DegenerateEigenvalues at
     x_kj = +/-2; warns OffVarietyWarning when x violates the relations.
     """
-    require_admissible(x, chart, tol)
-    if chart.i0 == 0:
-        return _base(x, chart, branch, tol)
-    return _anchored(x, chart, branch, tol)
+    ps = require_admissible(x, chart, tol).psi
+    j, k, i0 = chart
+    a = x.local.trace
+    xkj = x.pair(k, j)
+    r, lp, lm = lambdas(xkj, branch, tol)
+    disc = xkj * xkj - 4.0
+
+    def diag_entries(i: int) -> tuple[complex, complex]:
+        xkji = triple_trace(x, k, j, i)
+        return (xkji - lm * a(i)) / r, -(xkji - lp * a(i)) / r
+
+    if i0 == 0:
+        u12_j, u21_j = -ps / disc, 1.0
+        u12_k, u21_k = lp * ps / disc, -lm
+    else:
+        u11_0, u22_0 = diag_entries(i0)
+        u12_j = -(x.pair(k, i0) - a(k) * u11_0 + lm * (x.pair(j, i0) - a(j) * u22_0)) / r
+        u21_j = -r * (x.pair(k, i0) - a(k) * u22_0 + lp * (x.pair(j, i0) - a(j) * u11_0)) / ps
+        u12_k, u21_k = -lp * u12_j, -lm * u21_j
+    mats = []
+    for i in range(1, x.n + 1):
+        if i == j:
+            mats.append(Mat2(-(a(k) - lp * a(j)) / r, u12_j, u21_j, (a(k) - lm * a(j)) / r))
+            continue
+        if i == k:
+            mats.append(Mat2(-(a(j) - lp * a(k)) / r, u12_k, u21_k, (a(j) - lm * a(k)) / r))
+            continue
+        u11, u22 = diag_entries(i)
+        if i0 == 0:
+            u12 = (x.pair(k, i) - a(k) * u22 + lp * (x.pair(j, i) - a(j) * u11)) / r
+            u21 = r * (x.pair(k, i) - a(k) * u11 + lm * (x.pair(j, i) - a(j) * u22)) / ps
+        elif i == i0:
+            u12, u21 = -ps / disc, 1.0
+        else:
+            q = quad_trace(x, k, j, i, i0)
+            u12 = -(lm * x.pair(i, i0) + r * u11 * u11_0 - q) / r
+            u21 = -r * (lp * x.pair(i, i0) - r * u22 * u22_0 - q) / ps
+        mats.append(Mat2(u11, u12, u21, u22))
+    return _finish(x, chart, branch, tuple(mats), tol)
 
 
 def branch_independence_check(x: TraceCoordinates, chart: ChartId,

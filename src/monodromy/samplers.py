@@ -58,6 +58,10 @@ class SamplerConfig(_record("SamplerConfig", "seed n traces entry_bound")):
             raise ValueError("need n >= 3")
         if not entry_bound > 0:  # NaN would never end the rejection loop
             raise ValueError("entry_bound must be positive")
+        # unit-square draws have |det| <= 4, so below 2 the rejection loop
+        # (nearly) never draws |det| >= 8 / entry_bound^2
+        if not 2.0 <= entry_bound < math.inf:
+            raise ValueError(f"entry_bound must be finite and at least 2, got {entry_bound}")
         if traces is not None:
             traces = tuple(traces)
             if len(traces) != n:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from itertools import chain
 
-from .charts import ChartId, chart_psi, classify_charts, require_admissible
+from .charts import ChartEval, ChartId, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
 from .errors import ChartsDisagree, DegenerateEigenvalues, NotReal, PsiDegenerate
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
@@ -81,18 +81,19 @@ def hermitian_form(x: TraceCoordinates, chart: ChartId,
     """
     if not reality_gate(x, tol):
         raise NotReal("coordinates or local traces have imaginary parts beyond tolerance")
-    require_admissible(x, chart, tol)
-    xkj = complex(x.pair(chart.k, chart.j)).real
-    return _form(xkj * xkj - 4.0, complex(chart_psi(x, chart)).real, tol)
-
-
-def _form(disc: float, ps: float, tol: Tolerance) -> HermitianForm:
-    """The invariant form from disc = x_kj^2 - 4 and the chart's real psi."""
+    disc, ps = _disc_psi(require_admissible(x, chart, tol))
     if abs(disc) <= tol.abs:
         raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
     if disc > 0:
         return HermitianForm(0.0, 0.0, 1j)
     return HermitianForm(1.0, ps / disc)
+
+
+def _disc_psi(e: ChartEval) -> tuple[float, float]:
+    """(x_kj^2 - 4, psi) of a chart at a real point: the pair whose signs
+    decide the signature."""
+    xkj = complex(e.xkj).real
+    return xkj * xkj - 4.0, complex(e.psi).real
 
 
 def verify_invariance(rep: Representation, form: HermitianForm | Mat2) -> float:
@@ -133,9 +134,7 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         )
     # report.best is the chart object of one of its entries
     best = next(e for e in report.entries if e.chart is report.best)
-    xkj = complex(best.xkj).real
-    disc = xkj * xkj - 4.0
-    ps = complex(best.psi).real
+    disc, ps = _disc_psi(best)
     if abs(ps) <= tol.abs:
         raise PsiDegenerate(
             f"chart {best.chart.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
@@ -144,17 +143,15 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
     verdict = _verdict(disc, ps)
     # The best chart is in this loop too; it agrees with itself.
-    for chart, _, admissible, entry_psi, entry_xkj in report.entries:
-        if not admissible:
+    for e in report.entries:
+        if not e.admissible:
             continue
-        other_xkj = complex(entry_xkj).real
-        other_disc = other_xkj * other_xkj - 4.0
-        other_ps = complex(entry_psi).real
+        other_disc, other_ps = _disc_psi(e)
         if abs(other_ps) <= tol.abs or abs(other_disc) <= tol.abs:
             continue  # boundary-adjacent chart: no reliable sign
         if _verdict(other_disc, other_ps) is not verdict:
             raise ChartsDisagree(
-                f"charts {best.chart.label()} and {chart.label()} disagree; "
+                f"charts {best.chart.label()} and {e.chart.label()} disagree; "
                 "the point likely violates the defining relations"
             )
     detail = (

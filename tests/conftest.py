@@ -18,7 +18,7 @@ import pytest
 
 from monodromy import ChartId, Mat2, Representation, SamplerConfig, close_tuple, phi
 from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
-from monodromy.charts import admissibility_threshold, chart_poly, chart_psi, index_set
+from monodromy.charts import chart_eval, index_set
 from monodromy.relations import psi
 
 
@@ -163,13 +163,15 @@ def oracle_chart_psi(x, chart):
 
 def oracle_chart_entries(x, tol):
     """(chart, value, admissible, psi) per chart and the best admissible chart,
-    one public single-chart call per value."""
+    one public single-chart call per chart; admissible means |p| above the
+    zero threshold tol.abs * (1 + |x_kj|^4)."""
     entries = []
     best, best_mag = None, 0.0
     for chart in charts_for(x.n):
-        value = chart_poly(x, chart)
-        admissible = abs(value) > admissibility_threshold(x, chart, tol)
-        entries.append((chart, value, admissible, chart_psi(x, chart)))
+        e = chart_eval(x, chart)
+        value = e.value
+        admissible = abs(value) > tol.abs * (1.0 + abs(x.pair(chart.k, chart.j)) ** 4)
+        entries.append((chart, value, admissible, e.psi))
         if admissible and abs(value) > best_mag:
             best, best_mag = chart, abs(value)
     return entries, best

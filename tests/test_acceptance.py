@@ -23,7 +23,7 @@ from monodromy import (
     sample_su11,
     verify_invariance,
 )
-from monodromy.charts import chart_psi
+from monodromy.charts import chart_eval
 from monodromy.reconstruct import branch_independence_check
 from monodromy.relations import g_poly
 from monodromy.samplers import SplitMix64, random_unimodular
@@ -167,7 +167,7 @@ def test_criterion_08_signature_rule_consistency(unitary_corpus):
             for chart in classify_charts(x).admissible():
                 xkj = complex(x.pair(chart.k, chart.j)).real
                 disc = xkj * xkj - 4.0
-                ps = complex(chart_psi(x, chart)).real
+                ps = complex(chart_eval(x, chart).psi).real
                 if abs(ps) <= tol_abs or abs(disc) <= tol_abs:
                     continue
                 rule_definite = disc < 0 and ps < 0
@@ -188,7 +188,7 @@ def test_criterion_09_symmetry_of_entries(unitary_corpus):
                 disc = xkj * xkj - 4.0
                 if disc >= 0:
                     continue
-                ps = complex(chart_psi(x, chart)).real
+                ps = complex(chart_eval(x, chart).psi).real
                 if abs(ps) <= tol_abs:
                     continue
                 rec = reconstruct(x, chart)

@@ -12,7 +12,7 @@ from monodromy import (
     classify_charts,
     phi,
 )
-from monodromy.charts import chart_poly, chart_psi, index_set
+from monodromy.charts import chart_eval, index_set, require_admissible
 from monodromy.relations import psi
 from monodromy.samplers import SplitMix64, random_unimodular
 
@@ -73,14 +73,14 @@ def test_chart_id_validation():
 
 
 def test_chart_poly_fixture(fixture_coords):
-    value = chart_poly(fixture_coords, ChartId(1, 2, 0))
+    value = chart_eval(fixture_coords, ChartId(1, 2, 0)).value
     assert abs(value - 81.0 / 16.0) <= 1e-14
 
 
 def test_chart_poly_vanishes_at_pair_trace_two():
     pairs = {key: 2.0 for key in combinations(range(1, 4), 2)}
     x = TraceCoordinates(LocalData((0.5, 0.5, 0.5, 0.5)), pairs)
-    assert chart_poly(x, ChartId(1, 2, 0)) == 0.0
+    assert chart_eval(x, ChartId(1, 2, 0)).value == 0.0
 
 
 def test_chart_poly_wraparound_pair_canonicalization():
@@ -89,7 +89,7 @@ def test_chart_poly_wraparound_pair_canonicalization():
     rep = generic(4, seed=17)
     x = phi(rep)
     for i0 in (2, 3):
-        got = chart_poly(x, ChartId(4, 1, i0))
+        got = chart_eval(x, ChartId(4, 1, i0)).value
         x14 = oword(rep, (1, 4))
         trip = oword(rep, (1, 4, i0))
         expect = (x14 * x14 - 4.0) * psi(trip, x14, rep.matrix(i0).trace)
@@ -100,7 +100,7 @@ def test_chart_poly_anchored_between_canonicalization():
     # anchor strictly between j and k exercises the reordering identity
     rep = generic(4, seed=18)
     x = phi(rep)
-    got = chart_poly(x, ChartId(2, 4, 3))
+    got = chart_eval(x, ChartId(2, 4, 3)).value
     x42 = oword(rep, (4, 2))
     trip = oword(rep, (4, 2, 3))
     expect = (x42 * x42 - 4.0) * psi(trip, x42, rep.matrix(3).trace)
@@ -120,18 +120,18 @@ def test_chart_poly_full_sweep_against_oracle():
         else:
             trip = oword(rep, (chart.k, chart.j, chart.i0))
             expect = (xkj * xkj - 4.0) * psi(trip, xkj, oword(rep, (chart.i0,)))
-        got = chart_poly(x, chart)
+        got = chart_eval(x, chart).value
         assert abs(got - expect) <= 1e-9 * (1.0 + abs(expect))
 
 
 def test_chart_poly_rejects_bad_chart():
     x = phi(generic(4, seed=2))
     with pytest.raises(BadChart):
-        chart_poly(x, ChartId(2, 1, 0))  # (2, 1) is not a chart pair
+        chart_eval(x, ChartId(2, 1, 0))  # (2, 1) is not a chart pair
     with pytest.raises(BadChart):
-        chart_poly(x, ChartId(1, 4, 0))  # j = 1 requires k < n
+        chart_eval(x, ChartId(1, 4, 0))  # j = 1 requires k < n
     with pytest.raises(BadChart):
-        chart_poly(x, ChartId(1, 2, 5))  # anchor beyond n
+        chart_eval(x, ChartId(1, 2, 5))  # anchor beyond n
 
 
 def test_classify_charts_fixture(fixture_coords):
@@ -170,7 +170,7 @@ def test_chart_psi_matches_commutator_interpretation():
     a, b = omat(rep.matrix(2)), omat(rep.matrix(1))
     ainv, binv = omat(rep.matrix(2).adjugate()), omat(rep.matrix(1).adjugate())
     comm = otr(omul(omul(a, b), omul(ainv, binv)))
-    got = chart_psi(x, ChartId(1, 2, 0))
+    got = chart_eval(x, ChartId(1, 2, 0)).psi
     assert abs(got - (comm - 2.0)) <= 1e-10 * (1.0 + abs(comm))
 
 
@@ -184,6 +184,9 @@ def test_chart_table_matches_definition(n, family):
         assert [(e.chart, e.value, e.admissible, e.psi) for e in report.entries] == entries
         assert report.best == best
         for e in report.entries:
+            assert chart_eval(x, e.chart, tol) == e
+            if e.admissible:
+                assert require_admissible(x, e.chart, tol) == e
             xkj = x.pair(e.chart.k, e.chart.j)
             ps = oracle_chart_psi(x, e.chart)
             assert e.xkj == xkj

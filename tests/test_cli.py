@@ -167,6 +167,33 @@ def test_coordinate_file_infinite_trace_exits_two(tmp_path, capsys, fixture_rep,
         assert out == "" and err == f"error: a[0]: non-finite number in {[value, 0.0]!r}\n"
 
 
+def test_coordinate_file_integer_past_digit_limit_exits_two(tmp_path, capsys, fixture_rep):
+    # json.loads raises ValueError past the int-digit limit; without the limit
+    # the integer parses and then overflows a float.
+    text = json.dumps(coords_to_obj(phi(fixture_rep)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"a": [[', '"a": [[' + "9" * 5000 + ", 0.0], [", 1))
+    assert run("relations", bad) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("table, key, bad_key", [
+    ("pairs", "21", "\u00b2\u00b9"),  # superscript digits: isdigit() but not int()
+    ("pairs", "21", "\u0662\u0661"),  # Arabic-Indic digits: int() reads them as 21
+    ("triples", "321", "\u00b3\u00b2\u00b9"),
+    ("triples", "321", "\u0663\u0662\u0661"),
+])
+def test_coordinate_file_non_ascii_digit_key_exits_two(tmp_path, capsys, table, key, bad_key):
+    obj = coords_to_obj(phi(su2(4, seed=2)))
+    obj[table][bad_key] = obj[table].pop(key)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run("relations", bad) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_coords_rejects_n_above_nine(tmp_path, capsys):
     rep_path = tmp_path / "t10.json"
     assert run("sample", "--n", "10", "--seed", "1", "-o", rep_path) == EXIT_OK
@@ -326,6 +353,18 @@ def test_sample_non_finite_traces_exit_two(tmp_path, capsys, flag, values):
     out = tmp_path / "x.json"
     assert run("sample", "--kind", "su2", "--n", "3", flag, values, "-o", out) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["1e-300", "inf"])
+def test_sample_entry_bound_out_of_range_exits_two(tmp_path, capsys, bound):
+    # 1e-300 divided by zero in the rejection threshold; inf wrote a non-JSON
+    # Infinity into the provenance
+    out = tmp_path / "x.json"
+    assert run("sample", "--n", "3", "--entry-bound", bound, "-o", out) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: entry_bound must be finite and at least 2, got {float(bound)}\n"
+    )
     assert not out.exists()
 
 

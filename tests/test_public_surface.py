@@ -53,3 +53,38 @@ def test_readme_quickstart_runs():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_no_unused_imports_or_private_functions():
+    # No linter runs in CI, so deletions are checked for the debris they leave:
+    # an import no longer used in its module, or a private module-level
+    # function nothing in the package references.  The root module's imports
+    # are its exports, pinned above.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "src" / "monodromy").glob("*.py"))
+    }
+
+    def names(tree, kinds=(ast.Name,)):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, kinds)
+        }
+
+    referenced = set().union(*(names(t, (ast.Name, ast.Attribute)) for t in trees.values()))
+    debris = []
+    for module, tree in trees.items():
+        used = names(tree)
+        for node in ast.walk(tree):
+            if module != "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        debris.append(f"{module}: unused import {bound}")
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__") and node.name not in referenced):
+                debris.append(f"{module}: unreferenced private function {node.name}")
+    assert debris == []

@@ -21,7 +21,7 @@ from monodromy import (
     reconstruct,
     verify_invariance,
 )
-from monodromy.charts import chart_psi
+from monodromy.charts import chart_eval
 from monodromy.relations import psi
 from monodromy.unitary import reality_gate
 from conftest import generic, identity_rep, su2, su11
@@ -191,7 +191,7 @@ def test_classify_chart_independent():
         tol_abs = 1e-9
         for chart in classify_charts(x).admissible():
             disc = complex(x.pair(chart.k, chart.j)).real ** 2 - 4.0
-            ps = complex(chart_psi(x, chart)).real
+            ps = complex(chart_eval(x, chart).psi).real
             if abs(ps) <= tol_abs or abs(disc) <= tol_abs:
                 continue
             expected = (
@@ -211,7 +211,7 @@ def test_symmetry_of_reconstructed_entries():
             disc = xkj * xkj - 4.0
             if disc >= 0:
                 continue
-            ps = complex(chart_psi(x, chart)).real
+            ps = complex(chart_eval(x, chart).psi).real
             rec = reconstruct(x, chart)
             for m in rec.rep.mats:
                 assert abs(complex(m.m11).conjugate() - m.m22) <= 1e-9

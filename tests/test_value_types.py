@@ -142,6 +142,13 @@ INVALID = [
     (SamplerConfig, (0, 3, [NAN, 0.0, 1j]), ValueError,
      "target traces must be finite, got (nan, 0.0, 1j)"),
     (SamplerConfig, (0, 4, None, NAN), ValueError, "entry_bound must be positive"),
+    # below 2 the sampler's rejection loop (nearly) never accepts a draw
+    (SamplerConfig, (0, 3, None, 1.0), ValueError,
+     "entry_bound must be finite and at least 2, got 1.0"),
+    (SamplerConfig, (0, 3, None, 1e-300), ValueError,
+     "entry_bound must be finite and at least 2, got 1e-300"),
+    (SamplerConfig, (0, 3, None, float("inf")), ValueError,
+     "entry_bound must be finite and at least 2, got inf"),
 ]
 
 
