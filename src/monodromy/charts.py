@@ -20,8 +20,16 @@ from functools import lru_cache
 
 from .coords import TraceCoordinates, opposite_rotation
 from .errors import BadChart, ChartNotAdmissible
-from .relations import psi
 from .sl2 import DEFAULT_TOL, Tolerance, _record
+
+
+def psi(s: complex, t: complex, u: complex) -> complex:
+    """s^2 + t^2 + u^2 - s t u - 4.
+
+    At (tr(AB), tr(A), tr(B)) this equals tr(A B A^-1 B^-1) - 2, so it
+    vanishes exactly when the pair generates a reducible group.
+    """
+    return s * s + t * t + u * u - s * t * u - 4.0
 
 
 class ChartId(_record("ChartId", "j k i0")):

@@ -1,8 +1,8 @@
 """Command-line front end: JSON I/O for tuples and coordinates, subcommands
 wiring the library, and human-readable residual reports.
 
-Exit codes: 0 success, 2 parse/flag error, 3 residual or invariant failure,
-4 no usable chart, 5 signature boundary.
+Exit codes: 0 success, 2 parse/flag error, 3 residual or invariant failure
+(arithmetic overflow included), 4 no usable chart, 5 signature boundary.
 
 File formats are UTF-8 JSON with every complex number written as an
 ``[re, im]`` pair.  A tuple file carries ``n``, the n+1 local traces ``a``
@@ -43,7 +43,7 @@ from .errors import (
 from .reconstruct import MINUS, PLUS, reconstruct
 from .relations import membership, type1_pairs, type2_terms
 from .samplers import SamplerConfig, sample_generic, sample_su2, sample_su11
-from .sl2 import Mat2, Tolerance
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance
 from .unitary import Signature, classify, hermitian_form, reality_gate, verify_invariance
 
 EXIT_OK = 0
@@ -102,19 +102,32 @@ def rep_to_obj(rep: Representation, provenance: dict | None = None) -> dict:
     return obj
 
 
-def rep_from_obj(obj, tol: Tolerance) -> Representation:
+def _header(obj, what: str, body: tuple[str, ...], max_n: float, n_range: str) -> list:
+    """[n, a, *body] of a tuple or coordinate file, after the checks both share."""
     if not isinstance(obj, dict):
-        raise ParseError("tuple file: top level must be a JSON object")
+        raise ParseError(f"{what}: top level must be a JSON object")
     try:
-        n = obj["n"]
-        raw_a = obj["a"]
-        raw_mats = obj["matrices"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"tuple file: missing field {exc}") from exc
-    if not isinstance(n, int) or n < 3:
-        raise ParseError(f"tuple file: n must be an integer >= 3, got {n!r}")
+        fields = [obj[name] for name in ("n", "a", *body)]
+    except KeyError as exc:
+        raise ParseError(f"{what}: missing field {exc}") from exc
+    n, raw_a = fields[:2]
+    if not isinstance(n, int) or not 3 <= n <= max_n:
+        raise ParseError(f"{what}: n must be an integer {n_range}, got {n!r}")
     if not isinstance(raw_a, list) or len(raw_a) != n + 1:
-        raise ParseError(f"tuple file: 'a' must list {n + 1} traces")
+        raise ParseError(f"{what}: 'a' must list {n + 1} traces")
+    return fields
+
+
+def _computed(build, *args):
+    """build(*args) on checked input, where a ValueError means a value overflowed."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise DataError(f"arithmetic overflow: {exc}") from exc
+
+
+def rep_from_obj(obj, tol: Tolerance) -> Representation:
+    n, raw_a, raw_mats = _header(obj, "tuple file", ("matrices",), math.inf, ">= 3")
     if not isinstance(raw_mats, list) or len(raw_mats) != n:
         raise ParseError(f"tuple file: 'matrices' must list {n} matrices")
     declared = [_c_in(v, f"a[{idx}]") for idx, v in enumerate(raw_a)]
@@ -132,7 +145,7 @@ def rep_from_obj(obj, tol: Tolerance) -> Representation:
             _c_in(grid[1][0], f"matrix {s} entry (2,1)"),
             _c_in(grid[1][1], f"matrix {s} entry (2,2)"),
         ))
-    rep = close_tuple(mats, tol)
+    rep = _computed(close_tuple, mats, tol)
     actual = rep.local()
     for idx in range(1, n + 2):
         err = abs(actual.trace(idx) - declared[idx - 1])
@@ -160,19 +173,8 @@ def coords_to_obj(x: TraceCoordinates) -> dict:
 
 
 def coords_from_obj(obj) -> TraceCoordinates:
-    if not isinstance(obj, dict):
-        raise ParseError("coordinate file: top level must be a JSON object")
-    try:
-        n = obj["n"]
-        raw_a = obj["a"]
-        raw_pairs = obj["pairs"]
-        raw_triples = obj["triples"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"coordinate file: missing field {exc}") from exc
-    if not isinstance(n, int) or not 3 <= n <= 9:
-        raise ParseError(f"coordinate file: n must be an integer in 3..9, got {n!r}")
-    if not isinstance(raw_a, list) or len(raw_a) != n + 1:
-        raise ParseError(f"coordinate file: 'a' must list {n + 1} traces")
+    n, raw_a, raw_pairs, raw_triples = _header(
+        obj, "coordinate file", ("pairs", "triples"), 9, "in 3..9")
     local = LocalData(tuple(_c_in(v, f"a[{idx}]") for idx, v in enumerate(raw_a)))
     if not isinstance(raw_pairs, dict) or not isinstance(raw_triples, dict):
         raise ParseError("coordinate file: 'pairs' and 'triples' must be objects")
@@ -230,7 +232,7 @@ def _fmt_c(z: complex) -> str:
 
 def cmd_coords(args, tol: Tolerance) -> int:
     rep = rep_from_obj(read_json(args.input), tol)
-    obj = coords_to_obj(phi(rep))
+    obj = coords_to_obj(_computed(phi, rep))
     print(f"n                : {rep.n}")
     print(f"closure residual : {closure_residual(rep):.3e}")
     print(f"closing trace    : {_fmt_c(rep.last.trace)}")
@@ -289,7 +291,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
         chart = _parse_chart(args.chart)
     branch = PLUS if args.branch == "+" else MINUS
     try:
-        result = reconstruct(x, chart, branch, tol)
+        result = _computed(reconstruct, x, chart, branch, tol)
     except (ChartNotAdmissible, DegenerateEigenvalues) as exc:
         print(f"chart {chart.label()} unusable: {exc}", file=sys.stderr)
         return EXIT_NO_CHART
@@ -302,9 +304,10 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
             f"M_{s:<2d}  |tr-a| = {diag.trace[s - 1]:.3e}   "
             f"|det-1| = {diag.det[s - 1]:.3e}"
         )
-    print(f"closure residual    : {diag.closure:.3e}")
+    # M_{n+1} = adj(M_n ... M_1), so |M_{n+1} M_n ... M_1 - I| is |det M_{n+1} - 1|
+    print(f"closure residual    : {diag.det[-1]:.3e}")
     print(f"round-trip residual : {diag.round_trip:.3e}")
-    print(f"input membership    : {diag.membership_max:.3e} (normalized)")
+    print(f"input membership    : {membership(x).normalized:.3e} (normalized)")
     write_json(args.output, rep_to_obj(result.rep))
     if args.output != "-":
         print(f"wrote {args.output}")
@@ -335,7 +338,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     h = form.matrix()
     print(f"H             : [[{_fmt_c(h.m11)}, {_fmt_c(h.m12)}], "
           f"[{_fmt_c(h.m21)}, {_fmt_c(h.m22)}]]")
-    rec = reconstruct(x, sig.chart, tol=tol)
+    rec = _computed(reconstruct, x, sig.chart, PLUS, tol)
     print(f"invariance    : {verify_invariance(rec.rep, form):.3e}")
     print(f"verdict       : {sig.kind.value}")
     return EXIT_OK
@@ -442,18 +445,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     tol_value = args.tol
-    if tol_value is None:
-        env = os.environ.get("MONODROMY_TOL")
-        if env is not None:
-            try:
-                tol_value = float(env)
-            except ValueError:
-                print(f"error: MONODROMY_TOL={env!r} is not a number", file=sys.stderr)
-                return EXIT_PARSE
-    if tol_value is None:
-        tol_value = 1e-9
+    env = os.environ.get("MONODROMY_TOL")
+    if tol_value is None and env is not None:
+        try:
+            tol_value = float(env)
+        except ValueError:
+            print(f"error: MONODROMY_TOL={env!r} is not a number", file=sys.stderr)
+            return EXIT_PARSE
     try:
-        tol = Tolerance(tol_value, tol_value)
+        tol = DEFAULT_TOL if tol_value is None else Tolerance(tol_value, tol_value)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DataError, MonodromyError) as exc:
+    except (DataError, MonodromyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
 

@@ -24,6 +24,7 @@ import cmath
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
+from types import MappingProxyType
 
 from .errors import BadIndex
 from .sl2 import (
@@ -145,10 +146,10 @@ def _keys(n: int) -> tuple[frozenset, frozenset]:
 class TraceCoordinates:
     """A coordinate point together with the local data it refers to.
 
-    Immutable and unhashable; equality compares ``local``, ``pairs`` and
-    ``triples``.  ``_cache`` memoizes derived values (e.g. relation
-    residuals), write-once and idempotent, so sharing across threads stays
-    safe; equality, repr and copies ignore it.
+    Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
+    equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
+    derived values (e.g. relation residuals), write-once and idempotent, so
+    sharing across threads stays safe; equality, repr and copies ignore it.
     """
 
     __slots__ = ("local", "pairs", "triples", "_cache", "_n")
@@ -159,8 +160,8 @@ class TraceCoordinates:
         pairs, triples, n = dict(pairs), dict(triples or {}), local.n
         init = object.__setattr__
         init(self, "local", local)
-        init(self, "pairs", pairs)
-        init(self, "triples", triples)
+        init(self, "pairs", MappingProxyType(pairs))
+        init(self, "triples", MappingProxyType(triples))
         init(self, "_cache", {})
         init(self, "_n", n)
         if pairs.keys() != _keys(n)[0]:
@@ -183,8 +184,8 @@ class TraceCoordinates:
         return (self.local, self.pairs, self.triples) == (other.local, other.pairs, other.triples)
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.local, self.pairs, self.triples))
+        # rebuilt through __init__ (__setattr__ refuses) from dicts (a mappingproxy won't pickle)
+        return (self.__class__, (self.local, dict(self.pairs), dict(self.triples)))
 
     def __repr__(self) -> str:
         return (f"TraceCoordinates(local={self.local!r}, pairs={self.pairs!r}, "

@@ -30,7 +30,6 @@ from .coords import (
     Representation,
     TraceCoordinates,
     coordinate_distance,
-    closure_residual,
     descending_product,
     phi,
     quad_trace,
@@ -72,52 +71,24 @@ def lambdas(x_kj: complex, branch: BranchChoice = PLUS,
     return r, (x_kj + r) / 2.0, (x_kj - r) / 2.0
 
 
-class Diagnostics(_record("Diagnostics", "trace det closure round_trip membership_max")):
+class Diagnostics(_record("Diagnostics", "trace det round_trip")):
     """Residuals of one reconstruction.
 
-    ``trace`` and ``det`` are tuples over M_1 .. M_{n+1}; ``round_trip`` and
-    ``membership_max`` are scale-normalized.  No irreducibility flag: the
-    chart's psi != 0 already proves the rebuilt tuple irreducible.
+    ``trace`` and ``det`` run over M_1 .. M_{n+1}; ``det[-1]`` is also the
+    closure residual, M_{n+1} being adj(M_n ... M_1).  ``round_trip`` is
+    scale-normalized.  No irreducibility flag: psi != 0 on the chart proves it.
     """
 
     __slots__ = ()
 
     def worst(self) -> float:
-        return max(max(self.trace), max(self.det), self.closure, self.round_trip)
+        return max(max(self.trace), max(self.det), self.round_trip)
 
 
-class ReconstructionResult(_record("ReconstructionResult", "rep chart branch diagnostics")):
-    """The rebuilt ``Representation``, the ``ChartId`` and ``BranchChoice``
-    used, and the ``Diagnostics`` of the rebuild."""
+class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
+    """The rebuilt ``Representation`` and the ``Diagnostics`` of the rebuild."""
 
     __slots__ = ()
-
-
-def _finish(x: TraceCoordinates, chart: ChartId, branch: BranchChoice,
-            mats: tuple[Mat2, ...], tol: Tolerance) -> ReconstructionResult:
-    rep = Representation(mats, descending_product(mats).adjugate())
-    a = x.local
-    trace_res = tuple(
-        abs(rep.matrix(s).trace - a.trace(s)) for s in range(1, rep.n + 2)
-    )
-    det_res = tuple(abs(rep.matrix(s).det - 1.0) for s in range(1, rep.n + 2))
-    round_trip = coordinate_distance(x, phi(rep))
-    mem = membership(x).normalized
-    if mem > tol.abs:
-        warnings.warn(
-            f"input point violates the defining relations "
-            f"(normalized residual {mem:.3e}); reconstructing anyway",
-            OffVarietyWarning,
-            stacklevel=3,
-        )
-    diag = Diagnostics(
-        trace=trace_res,
-        det=det_res,
-        closure=closure_residual(rep),
-        round_trip=round_trip,
-        membership_max=mem,
-    )
-    return ReconstructionResult(rep, chart, branch, diag)
 
 
 def reconstruct(x: TraceCoordinates, chart: ChartId,
@@ -168,7 +139,22 @@ def reconstruct(x: TraceCoordinates, chart: ChartId,
             u12 = -(lm * x.pair(i, i0) + r * u11 * u11_0 - q) / r
             u21 = -r * (lp * x.pair(i, i0) - r * u22 * u22_0 - q) / ps
         mats.append(Mat2(u11, u12, u21, u22))
-    return _finish(x, chart, branch, tuple(mats), tol)
+    rep = Representation(mats, descending_product(mats).adjugate())
+    closed = rep.mats + (rep.last,)
+    diag = Diagnostics(
+        trace=tuple(abs(m.trace - v) for m, v in zip(closed, x.local.a)),
+        det=tuple(abs(m.det - 1.0) for m in closed),
+        round_trip=coordinate_distance(x, phi(rep)),
+    )
+    mem = membership(x).normalized
+    if mem > tol.abs:
+        warnings.warn(
+            f"input point violates the defining relations "
+            f"(normalized residual {mem:.3e}); reconstructing anyway",
+            OffVarietyWarning,
+            stacklevel=2,
+        )
+    return ReconstructionResult(rep, diag)
 
 
 def branch_independence_check(x: TraceCoordinates, chart: ChartId,

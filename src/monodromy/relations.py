@@ -34,15 +34,6 @@ from .errors import BadIndex, NotApplicable
 from .sl2 import _record
 
 
-def psi(s: complex, t: complex, u: complex) -> complex:
-    """s^2 + t^2 + u^2 - s t u - 4.
-
-    At (tr(AB), tr(A), tr(B)) this equals tr(A B A^-1 B^-1) - 2, so it
-    vanishes exactly when the pair generates a reducible group.
-    """
-    return s * s + t * t + u * u - s * t * u - 4.0
-
-
 def _check_ascending(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
     if list(indices) != sorted(set(indices)):
         raise BadIndex(f"indices {indices} must be strictly ascending")

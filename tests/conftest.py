@@ -18,8 +18,7 @@ import pytest
 
 from monodromy import ChartId, Mat2, Representation, SamplerConfig, close_tuple, phi
 from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
-from monodromy.charts import chart_eval, index_set
-from monodromy.relations import psi
+from monodromy.charts import chart_eval, index_set, psi
 
 
 # --- plain-tuple 2x2 oracle -------------------------------------------------

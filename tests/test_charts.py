@@ -12,8 +12,7 @@ from monodromy import (
     classify_charts,
     phi,
 )
-from monodromy.charts import chart_eval, index_set, require_admissible
-from monodromy.relations import psi
+from monodromy.charts import chart_eval, index_set, psi, require_admissible
 from monodromy.samplers import SplitMix64, random_unimodular
 
 from conftest import (

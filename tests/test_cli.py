@@ -307,6 +307,38 @@ def test_classify_off_variety_exits_3(tmp_path, capsys):
     assert err.startswith("error: charts ") and err.count("\n") == 1
 
 
+def _coords_with(table, key, value):
+    """The su2 n = 4 seed 1 coordinate file with one stored value replaced."""
+    obj = coords_to_obj(phi(su2(4, seed=1)))
+    obj[table][key] = [value, 0.0]
+    return obj
+
+
+def _diagonal_tuple(scales, closing_trace):
+    """A tuple file of the unimodular matrices diag(s, 1/s), one per scale."""
+    mats = [[[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / s, 0.0]]] for s in scales]
+    a = [[s + 1.0 / s, 0.0] for s in scales] + [[closing_trace, 0.0]]
+    return {"n": len(scales), "a": a, "matrices": mats}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("relations", _coords_with("pairs", "21", 1e103)),  # the relation scale (1 + max|x|)^3
+    ("reconstruct", _coords_with("pairs", "21", 1e78)),  # the admissibility threshold
+    ("classify", _coords_with("pairs", "21", 1e78)),
+    ("reconstruct", _coords_with("triples", "321", 1e160)),  # a rebuilt matrix entry
+    ("coords", _diagonal_tuple([1e100] * 4, 2.0)),  # closing the tuple
+    ("coords", _diagonal_tuple([1e200, 1e-200, 1e200], 1e200)),  # the pair trace x_31
+], ids=["relations", "reconstruct", "classify", "reconstruct-entry", "coords", "coords-pair"])
+def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
+    # finite input whose arithmetic overflows is a data failure, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    output = [] if command in ("relations", "classify") else ["-o", tmp_path / "out.json"]
+    assert run(command, path, *output) == EXIT_RESIDUAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sample_deterministic_files(tmp_path):
     for kind in ("generic", "su2", "su11"):
         p1 = tmp_path / f"{kind}1.json"

@@ -12,13 +12,15 @@ from monodromy import (
     TraceCoordinates,
     classify_charts,
     coordinate_distance,
+    membership,
     phi,
     reconstruct,
 )
+from monodromy.coords import closure_residual
 from monodromy.reconstruct import branch_independence_check, lambdas
 from monodromy.samplers import SplitMix64
 
-from conftest import commutator_gap, generic, identity_rep, su2
+from conftest import FAMILIES, commutator_gap, generic, identity_rep, su2
 
 
 def test_branch_choice_validation():
@@ -69,7 +71,7 @@ def test_base_fixture_round_trip(fixture_coords):
     assert result.diagnostics.round_trip <= 1e-9
     assert max(result.diagnostics.trace) <= 1e-10
     assert max(result.diagnostics.det) <= 1e-10
-    assert result.diagnostics.closure <= 1e-10
+    assert closure_residual(result.rep) <= 1e-10
     assert commutator_gap(result.rep.matrix(1), result.rep.matrix(2)) > 1e-6
 
 
@@ -120,8 +122,11 @@ def test_anchored_and_base_agree():
 def test_reconstruct_dispatch():
     rep = generic(4, seed=28)
     x = phi(rep)
-    assert reconstruct(x, ChartId(1, 2, 0)).chart.i0 == 0
-    assert reconstruct(x, ChartId(1, 2, 3)).chart.i0 == 3
+    # a base chart gives M_j lower-left entry 1, an anchored one gives it to M_{i0}
+    base = reconstruct(x, ChartId(1, 2, 0)).rep
+    anchored = reconstruct(x, ChartId(1, 2, 3)).rep
+    assert base.matrix(1).m21 == 1.0 and base.matrix(3).m21 != 1.0
+    assert anchored.matrix(3).m21 == 1.0 and anchored.matrix(1).m21 != 1.0
     with pytest.raises(BadChart):
         reconstruct(x, ChartId(2, 1, 0))  # (2, 1) is not a chart pair
 
@@ -184,6 +189,19 @@ def test_off_variety_warning():
     moved = TraceCoordinates(x.local, pairs, x.triples)
     chart = classify_charts(moved).best
     assert chart is not None
-    with pytest.warns(OffVarietyWarning):
-        result = reconstruct(moved, chart)
-    assert result.diagnostics.membership_max > 1e-6
+    with pytest.warns(OffVarietyWarning) as caught:
+        reconstruct(moved, chart)
+    assert caught[0].filename == __file__  # attributed to the caller of reconstruct
+    assert membership(moved).normalized > 1e-6
+
+
+def test_closure_residual_is_last_det_residual():
+    # M_{n+1} is the adjugate of M_n ... M_1, so the closure residual the CLI
+    # prints as det[-1] is exactly what closure_residual measures
+    for n in range(3, 10):
+        for family in FAMILIES.values():
+            for seed in range(4):
+                x = phi(family(n, seed))
+                for branch in (PLUS, MINUS):
+                    result = reconstruct(x, classify_charts(x).best, branch)
+                    assert closure_residual(result.rep) == result.diagnostics.det[-1]

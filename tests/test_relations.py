@@ -18,7 +18,8 @@ from monodromy import (
     type2_terms,
     type3,
 )
-from monodromy.relations import g_poly, psi, s3, z_entry
+from monodromy.charts import psi
+from monodromy.relations import g_poly, s3, z_entry
 from conftest import (
     FAMILIES,
     generic,

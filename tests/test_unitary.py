@@ -21,8 +21,7 @@ from monodromy import (
     reconstruct,
     verify_invariance,
 )
-from monodromy.charts import chart_eval
-from monodromy.relations import psi
+from monodromy.charts import chart_eval, psi
 from monodromy.unitary import reality_gate
 from conftest import generic, identity_rep, su2, su11
 

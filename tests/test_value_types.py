@@ -37,7 +37,7 @@ from monodromy import (
     reconstruct,
 )
 
-from conftest import FIXTURE_MATS, charts_for
+from conftest import FIXTURE_MATS, charts_for, su2
 
 NAN = float("nan")
 
@@ -80,6 +80,15 @@ def test_fields_are_read_only(name):
             setattr(obj, field, getattr(obj, field))
     with pytest.raises(AttributeError):
         obj.extra = 1  # no instance dict
+
+
+def test_trace_coordinate_maps_are_read_only():
+    # a write through x.pairs would leave the residuals memoized on x stale
+    x = phi(su2(5, seed=1))
+    with pytest.raises(TypeError):
+        x.pairs[(1, 2)] += 0.5
+    with pytest.raises(TypeError):
+        x.triples[(1, 2, 3)] = 0.0
 
 
 def _keyed(n, pair_value=0.0, triple_value=0.0):
