@@ -9,9 +9,10 @@ exist.
 
 Which stored coordinates each chart reads is worked out once per n and
 grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
-the admissibility threshold once per pair.  ``chart_eval`` evaluates one
-chart by the same code, and its ``ChartEval`` (p, psi, x_kj) is what
-``reconstruct`` and ``unitary`` build from.
+the admissibility threshold once per pair.  Its report is memoized on the
+point per tolerance, so ``classify`` reuses the table a caller already built.
+``chart_eval`` evaluates one chart by the same code, and its ``ChartEval``
+(p, psi, x_kj) is what ``reconstruct`` and ``unitary`` build from.
 """
 
 from __future__ import annotations
@@ -169,6 +170,13 @@ class ChartReport(_record("ChartReport", "entries best")):
 
 
 def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartReport:
-    """Evaluate every chart polynomial at x and pick the best admissible chart."""
-    entries, best = _chart_values(x, _layout(x.n), tol)
-    return ChartReport(tuple(entries), best)
+    """Evaluate every chart polynomial at x and pick the best admissible chart.
+
+    The report is memoized on the (immutable) point, one per tolerance.
+    """
+    key = ("charts", tol)
+    report = x._cache.get(key)
+    if report is None:
+        entries, best = _chart_values(x, _layout(x.n), tol)
+        report = x._cache[key] = ChartReport(tuple(entries), best)
+    return report

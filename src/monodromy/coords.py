@@ -148,8 +148,10 @@ class TraceCoordinates:
 
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
-    derived values (e.g. relation residuals), write-once and idempotent, so
-    sharing across threads stays safe; equality, repr and copies ignore it.
+    derived values: the relation residuals, the real view and ``z``/``s3``
+    tables of the relation kernel, and one chart report per tolerance.  Each
+    entry is write-once and idempotent, so sharing across threads stays safe;
+    equality, repr and copies ignore it.
     """
 
     __slots__ = ("local", "pairs", "triples", "_cache", "_n")

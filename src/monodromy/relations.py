@@ -22,12 +22,22 @@ Type 1 reads each row pair's 2x2 minors of ``z``, built once per ``membership``
 call, against one column table all row triples share; the determinant's factor
 2 rides on a doubled copy of the first ``z`` row (doubling is exact).  The
 public evaluators use the same plans and formulas, and alone check indices.
+
+A point whose every stored value and local trace has imaginary part exactly 0
+(the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
+the tables and type 3 read ``_real_view``, the real parts.  With zero imaginary
+parts complex ``+``, ``-`` and ``*`` compute the float result in the real part
+(the cross terms are +/-0) and ``abs`` is ``hypot(re, 0) = |re|``, so residuals
+are identical; only the sign of an exact-zero table entry may differ.  Past an
+overflow they can differ: complex arithmetic turns a product with an infinite
+factor into nan (inf * 0 in a cross term) where float keeps +/-inf, and type 3,
+which multiplies such products again, can then read inf instead of nan.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
@@ -41,8 +51,25 @@ def _check_ascending(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
         raise BadIndex(f"indices {indices} out of range 1..{x.n}")
 
 
+def _real_view(x: TraceCoordinates) -> tuple:
+    """``(a, pairs, triples)``: the 1-based local traces and the stored maps, as
+    their real parts when every imaginary part is exactly 0, else as stored.
+    Memoized on x."""
+    view = x._cache.get("real")
+    if view is not None:
+        return view
+    a, pairs, triples = (0.0,) + x.local.a, x.pairs, x.triples
+    if all(v.imag == 0 for v in chain(a, pairs.values(), triples.values())):
+        a = tuple(v.real for v in a)
+        pairs = {k: v.real for k, v in pairs.items()}
+        triples = {k: v.real for k, v in triples.items()}
+    view = x._cache["real"] = (a, pairs, triples)
+    return view
+
+
 def _tables(x: TraceCoordinates) -> tuple:
-    """The per-point tables ``(z, s, sv)``, built once and memoized on x.
+    """The per-point tables ``(z, s, sv)``, built once from ``_real_view`` and
+    memoized on x.
 
     ``z`` is the symmetric (n+1) x (n+1) list of lists of ``z_entry``
     values, row and column 0 padding.  ``s`` maps every ascending triple, in
@@ -52,8 +79,7 @@ def _tables(x: TraceCoordinates) -> tuple:
     if tables is not None:
         return tables
     n = x.n
-    a = (0.0,) + x.local.a  # 1-based
-    pairs = x.pairs
+    a, pairs, triples = _real_view(x)
     # Both halves of z are computed, each entry as z_entry defines it, so the
     # kernel reproduces the from-definition values bit for bit.
     z = [[0.0] * (n + 1)]
@@ -67,7 +93,7 @@ def _tables(x: TraceCoordinates) -> tuple:
     for t in combinations(range(1, n + 1), 3):
         i1, i2, i3 = t
         # the triple trace tr(M_i3 M_i2 M_i1); for n = 3 it is the closing trace
-        stored = a[4] if n == 3 else x.triples[t]
+        stored = a[4] if n == 3 else triples[t]
         s[t] = (
             a[i1] * pairs[(i2, i3)] + a[i2] * pairs[(i1, i3)] + a[i3] * pairs[(i1, i2)]
             - a[i3] * a[i2] * a[i1]
@@ -274,10 +300,11 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
 
     The values come from the per-point tables of ``z`` and ``s3`` values
     that the public evaluators share, by the same formulas and the per-n
-    plan; indices are checked only at those public entry points, never in
-    the loops here.  Reports residual magnitudes only and never fails on
-    large values; deciding what counts as "on the variety" is the caller's
-    job.  The result is memoized on the (immutable) coordinate point.
+    plan, and type 3 from its word plan on the same ``_real_view``; indices
+    are checked only at the public entry points, never in the loops here.
+    Reports residual magnitudes only and never fails on large values;
+    deciding what counts as "on the variety" is the caller's job.  The
+    result is memoized on the (immutable) coordinate point.
     """
     cached = x._cache.get("membership")
     if cached is not None:
@@ -296,7 +323,8 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
         terms = _quad_terms(sv, quads.values())
         for i in range(1, n + 1):
             r2 += map(abs, _type2_row(z[i], terms))
-        r3 = abs(type3(x))
+        a, pairs, triples = _real_view(x)
+        r3 = abs(_word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1])
     worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
     result = RelationResiduals(tuple(r1), tuple(r2), r3, worst, scale, worst / scale)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,7 @@ from monodromy import (
     LocalData,
     Tolerance,
     TraceCoordinates,
+    classify,
     classify_charts,
     phi,
 )
@@ -191,3 +194,27 @@ def test_chart_table_matches_definition(n, family):
             assert e.xkj == xkj
             assert e.psi == ps
             assert e.value == (xkj * xkj - 4.0) * ps
+
+
+def test_classify_charts_memoized_per_tolerance():
+    rep = FAMILIES["su2"](6, 3)
+    x = phi(rep)
+    report = classify_charts(x)
+    assert classify_charts(x) is report and classify_charts(x, DEFAULT_TOL) is report
+    loose = Tolerance(1e-3, 1e-3)
+    other = classify_charts(x, loose)
+    assert other is not report and classify_charts(x, loose) is other
+    assert other == classify_charts(phi(rep), loose)
+    assert report == classify_charts(phi(rep))
+    for copied in (copy.copy(x), pickle.loads(pickle.dumps(x))):  # copies start without the memo
+        assert copied._cache == {}
+        assert classify_charts(copied) == report and classify_charts(copied) is not report
+
+
+@pytest.mark.parametrize("family", ["su2", "su11", "generic"])
+def test_classify_after_classify_charts_matches_fresh_point(family):
+    rep = FAMILIES[family](7, 2)
+    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):
+        x = phi(rep)
+        classify_charts(x, tol)
+        assert classify(x, tol) == classify(phi(rep), tol)

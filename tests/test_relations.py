@@ -18,6 +18,7 @@ from monodromy import (
     type2_terms,
     type3,
 )
+from monodromy import relations
 from monodromy.charts import psi
 from monodromy.relations import g_poly, s3, z_entry
 from conftest import (
@@ -327,3 +328,55 @@ def test_type1_rejects_malformed_triples():
         type1(x, (1, 2, 3), (3, 2, 1))
     with pytest.raises(BadIndex):
         type1(x, (1, 2, 3), (4, 5, 6))
+
+
+def _stored_view(x):
+    """``relations._real_view`` with the float view switched off."""
+    return (0.0,) + x.local.a, x.pairs, x.triples
+
+
+def _membership_outcome(x):
+    """repr of ``membership`` on a fresh copy of x, or the exception's name."""
+    try:
+        return repr(membership(TraceCoordinates(x.local, dict(x.pairs), dict(x.triples))))
+    except OverflowError as exc:  # the scale (1 + max|x|)^3 beyond the float range
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_real_view_bit_identical_to_complex_kernel(n, monkeypatch):
+    points = []
+    for family in sorted(FAMILIES):
+        for seed in (0, 1):
+            x = phi(FAMILIES[family](n, 700 + seed))
+            points.append(x)
+            for factor in (1e60, 1e90, 1e101):  # up to inf/nan residuals
+                for start in sorted({0, n // 2 - 1, n - 2}):
+                    a = list(x.local.a)
+                    a[start:start + 3] = [v * factor for v in a[start:start + 3]]
+                    points.append(TraceCoordinates(LocalData(a), dict(x.pairs), dict(x.triples)))
+    outcomes = []
+    for x in points:
+        got = _membership_outcome(x)
+        with monkeypatch.context() as m:
+            m.setattr(relations, "_real_view", _stored_view)
+            want = _membership_outcome(x)
+        assert got == want
+        outcomes.append(got)
+    assert any("nan" in o or "inf" in o for o in outcomes)
+
+
+def test_real_view_only_on_exactly_real_points():
+    x = phi(FAMILIES["su2"](5, 11))
+    z, s, _ = relations._tables(x)
+    assert {type(v) for row in z for v in row} == {type(v) for v in s.values()} == {float}
+    assert type(s3(x, 1, 2, 3)) is type(z_entry(x, 2, 4)) is type(type2(x, 1, (2, 3, 4, 5))) is float
+    assert type(type1(x, (1, 2, 3), (2, 3, 4))) is float
+    pairs = dict(x.pairs)
+    pairs[(2, 4)] += 1e-30j  # one imaginary part off zero keeps every table complex
+    y = TraceCoordinates(x.local, pairs, dict(x.triples))
+    assert relations._real_view(y) == ((0.0,) + y.local.a, y.pairs, y.triples)
+    z, s, _ = relations._tables(y)
+    assert type(z[2][4]) is type(z[1][1]) is complex
+    assert {type(v) for v in s.values()} == {complex}
+    assert membership(y).max > 0.0
