@@ -22,12 +22,12 @@ from .errors import (
     BadChart,
     BadIndex,
     ChartNotAdmissible,
-    ChartsDisagree,
     DegenerateEigenvalues,
     MonodromyError,
     NotApplicable,
     NotReal,
     NotUnimodular,
+    OffVariety,
     OffVarietyWarning,
     PsiDegenerate,
     TraceOutOfRange,

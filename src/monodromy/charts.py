@@ -67,11 +67,12 @@ def index_set(n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[tuple, ...]:
     """One ``_group`` per chart pair of size n, in lexicographic order."""
-    return tuple(_group(j, k, [0] + [i0 for i0 in range(1, n + 1) if i0 not in (j, k)])
+    return tuple(_group(j, k, (0, *(i0 for i0 in range(1, n + 1) if i0 not in (j, k))))
                  for j, k in index_set(n))
 
 
-def _group(j: int, k: int, anchors) -> tuple:
+@lru_cache(maxsize=None)
+def _group(j: int, k: int, anchors: tuple[int, ...]) -> tuple:
     """``(kj, k, j, charts, reads)`` for the charts (j, k, i0), i0 in ``anchors``:
     ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, tkey, flip)`` per
     chart, ``tkey`` the stored key of the triple (k, j, i0) and ``flip`` those of

@@ -2,7 +2,8 @@
 wiring the library, and human-readable residual reports.
 
 Exit codes: 0 success, 2 parse/flag error, 3 residual or invariant failure
-(arithmetic overflow included), 4 no usable chart, 5 signature boundary.
+(off-variety points and arithmetic overflow included), 4 no usable chart,
+5 signature boundary.
 
 File formats are UTF-8 JSON with every complex number written as an
 ``[re, im]`` pair.  A tuple file carries ``n``, the n+1 local traces ``a``
@@ -311,7 +312,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
     write_json(args.output, rep_to_obj(result.rep))
     if args.output != "-":
         print(f"wrote {args.output}")
-    if diag.worst() > tol.abs:
+    if not diag.passes(tol):
         print(f"FAIL  worst residual {diag.worst():.3e} exceeds {tol.abs:.1e}")
         return EXIT_RESIDUAL
     print("PASS")
@@ -322,7 +323,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     x = coords_from_obj(read_json(args.input))
     print(f"reality gate  : {'pass' if reality_gate(x, tol) else 'fail'}")
     try:
-        sig = classify(x, tol)
+        sig = _computed(classify, x, tol)
     except (PsiDegenerate, DegenerateEigenvalues) as exc:
         print("verdict       : boundary")
         print(f"reason        : {exc}")
@@ -338,7 +339,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     h = form.matrix()
     print(f"H             : [[{_fmt_c(h.m11)}, {_fmt_c(h.m12)}], "
           f"[{_fmt_c(h.m21)}, {_fmt_c(h.m22)}]]")
-    rec = _computed(reconstruct, x, sig.chart, PLUS, tol)
+    rec = reconstruct(x, sig.chart, PLUS, tol)  # the rebuild classify gated on
     print(f"invariance    : {verify_invariance(rec.rep, form):.3e}")
     print(f"verdict       : {sig.kind.value}")
     return EXIT_OK

@@ -61,11 +61,6 @@ class LocalData(_record("LocalData", "a")):
     def n(self) -> int:
         return len(self.a) - 1
 
-    @property
-    def strict(self) -> bool:
-        """True when no local trace equals +/-2 (every class diagonalizable)."""
-        return all(v != 2 and v != -2 for v in self.a)
-
     def trace(self, j: int) -> complex:
         """a_j for 1 <= j <= n+1."""
         if not 1 <= j <= len(self.a):
@@ -88,14 +83,6 @@ class Representation(_record("Representation", "mats last")):
     @property
     def n(self) -> int:
         return len(self.mats)
-
-    def matrix(self, j: int) -> Mat2:
-        """M_j for 1 <= j <= n+1 (j = n+1 gives the closing matrix)."""
-        if 1 <= j <= self.n:
-            return self.mats[j - 1]
-        if j == self.n + 1:
-            return self.last
-        raise BadIndex(f"matrix index {j} out of range 1..{self.n + 1}")
 
     def local(self) -> LocalData:
         return LocalData(tuple(m.trace for m in self.mats) + (self.last.trace,))
@@ -149,7 +136,9 @@ class TraceCoordinates:
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
     derived values: the relation residuals, the real view and ``z``/``s3``
-    tables of the relation kernel, and one chart report per tolerance.  Each
+    tables of the relation kernel, one chart report per tolerance, and one
+    rebuild per (chart, branch, tolerance), which ``reconstruct`` and
+    ``classify`` share.  Each
     entry is write-once and idempotent, so sharing across threads stays safe;
     equality, repr and copies ignore it.
     """
@@ -197,12 +186,6 @@ class TraceCoordinates:
     def n(self) -> int:
         return self._n
 
-    @property
-    def m(self) -> int:
-        """Dimension of the ambient coordinate space."""
-        n = self.n
-        return 3 if n == 3 else comb(n, 3) + comb(n, 2)
-
     def pair(self, j: int, i: int) -> complex:
         """Pair trace tr(M_j M_i) = tr(M_i M_j); symmetric lookup."""
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -219,10 +202,6 @@ class TraceCoordinates:
             yield (j, i), self.pairs[(i, j)]
         for i, j, k in sorted(self.triples, key=lambda key: (key[2], key[1], key[0])):
             yield (k, j, i), self.triples[(i, j, k)]
-
-    def vector(self) -> tuple[complex, ...]:
-        """The coordinate values in canonical order."""
-        return tuple(v for _, v in self.items())
 
     def max_abs(self) -> float:
         """Largest magnitude over local traces and stored coordinates."""

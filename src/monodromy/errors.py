@@ -39,9 +39,9 @@ class PsiDegenerate(MonodromyError):
     the boundary between the definite and indefinite regions."""
 
 
-class ChartsDisagree(MonodromyError):
-    """Two admissible charts give different signature verdicts: the point is
-    off the variety."""
+class OffVariety(MonodromyError):
+    """The point is off the variety: the tuple rebuilt on the deciding chart
+    misses it by more than the tolerance, so no verdict holds there."""
 
 
 class TraceOutOfRange(MonodromyError):
@@ -49,5 +49,5 @@ class TraceOutOfRange(MonodromyError):
 
 
 class OffVarietyWarning(UserWarning):
-    """Input coordinates do not satisfy the defining relations within
-    tolerance; reconstruction proceeds pointwise anyway."""
+    """``reconstruct`` was asked for a point its rebuild misses by more than
+    the tolerance; the rebuilt tuple is returned anyway."""

@@ -12,8 +12,13 @@ matrices from the four-factor traces with (k, j, i0).  psi is the chart's
 own factor, as ``charts.require_admissible`` evaluates it.
 
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
-its conjugacy class, so coordinates of the output never depend on it;
-``branch_independence_check`` verifies that numerically.
+its conjugacy class, so coordinates of the output never depend on it.
+
+The rebuild is the package's variety test: its trace residuals compare every
+a_s, closing trace included, and its round trip every stored coordinate with
+those of an actual tuple, so they all vanish exactly when x lies on the
+variety.  ``Diagnostics.passes`` is that one gate; ``rebuild`` memoizes the
+result on the point for ``reconstruct`` and ``unitary.classify``.
 
 Every reconstruction is irreducible, so nothing tests that numerically:
 psi != 0 on an admissible chart, and psi vanishes exactly when (M_j, M_k),
@@ -36,7 +41,6 @@ from .coords import (
     triple_trace,
 )
 from .errors import DegenerateEigenvalues, OffVarietyWarning
-from .relations import membership
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
 
 
@@ -82,7 +86,14 @@ class Diagnostics(_record("Diagnostics", "trace det round_trip")):
     __slots__ = ()
 
     def worst(self) -> float:
-        return max(max(self.trace), max(self.det), self.round_trip)
+        """The largest residual, NaN when any residual is NaN."""
+        values = (*self.trace, *self.det, self.round_trip)
+        total = sum(values)  # of non-negative terms: NaN exactly when one is NaN
+        return total if total != total else max(values)
+
+    def passes(self, tol: Tolerance) -> bool:
+        """The variety gate: every residual within tol.abs (NaN fails it)."""
+        return self.worst() <= tol.abs
 
 
 class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
@@ -95,12 +106,31 @@ def reconstruct(x: TraceCoordinates, chart: ChartId,
                 branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
     """The tuple rebuilt from x on ``chart`` by the normal form of its kind
-    (module docstring).
+    (module docstring), memoized on x per (chart, branch, tol).
 
     Raises BadChart for a chart that does not exist at x.n,
     ChartNotAdmissible off the chart and DegenerateEigenvalues at
-    x_kj = +/-2; warns OffVarietyWarning when x violates the relations.
+    x_kj = +/-2; warns OffVarietyWarning on every call whose rebuild fails
+    ``Diagnostics.passes``, i.e. when x is off the variety.
     """
+    result = rebuild(x, chart, branch, tol)
+    if not result.diagnostics.passes(tol):
+        warnings.warn(
+            f"chart {chart.label()}: the rebuilt tuple misses the point by "
+            f"{result.diagnostics.worst():.1e} > {tol.abs:g}; returning it anyway",
+            OffVarietyWarning,
+            stacklevel=2,
+        )
+    return result
+
+
+def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
+            tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
+    """``reconstruct`` without the warning; the result is memoized on the point."""
+    key = ("rebuild", chart, branch, tol)
+    result = x._cache.get(key)
+    if result is not None:
+        return result
     ps = require_admissible(x, chart, tol).psi
     j, k, i0 = chart
     a = x.local.trace
@@ -146,24 +176,5 @@ def reconstruct(x: TraceCoordinates, chart: ChartId,
         det=tuple(abs(m.det - 1.0) for m in closed),
         round_trip=coordinate_distance(x, phi(rep)),
     )
-    mem = membership(x).normalized
-    if mem > tol.abs:
-        warnings.warn(
-            f"input point violates the defining relations "
-            f"(normalized residual {mem:.3e}); reconstructing anyway",
-            OffVarietyWarning,
-            stacklevel=2,
-        )
-    return ReconstructionResult(rep, diag)
-
-
-def branch_independence_check(x: TraceCoordinates, chart: ChartId,
-                              tol: Tolerance = DEFAULT_TOL) -> float:
-    """Reconstruct on both square-root branches and compare coordinates.
-
-    Returns the scale-normalized coordinate distance between the two
-    outputs, which must vanish since the tuples are conjugate.
-    """
-    plus = reconstruct(x, chart, PLUS, tol)
-    minus = reconstruct(x, chart, MINUS, tol)
-    return coordinate_distance(phi(plus.rep), phi(minus.rep))
+    result = x._cache[key] = ReconstructionResult(rep, diag)
+    return result

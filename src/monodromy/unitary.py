@@ -5,7 +5,8 @@ a non-degenerate Hermitian form.  When x_kj^2 - 4 > 0 the form is the
 anti-diagonal [[0, i], [-i, 0]] (always indefinite); when x_kj^2 - 4 < 0 it
 is diag(1, psi / (x_kj^2 - 4)) with psi the chart's factor, so the sign of
 psi decides definite versus indefinite.  The verdict never depends on which
-admissible chart is used; ``classify`` cross-checks that.
+admissible chart is used, provided the point lies on the variety; ``classify``
+checks that on its chart's memoized rebuild, by the gate ``reconstruct`` uses.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import enum
 from itertools import chain
 
-from .charts import ChartEval, ChartId, classify_charts, require_admissible
+from .charts import ChartEval, ChartId, chart_eval, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
-from .errors import ChartsDisagree, DegenerateEigenvalues, NotReal, PsiDegenerate
+from .errors import DegenerateEigenvalues, NotReal, OffVariety, PsiDegenerate
+from .reconstruct import PLUS, rebuild
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
 
 
@@ -41,16 +43,6 @@ class HermitianForm(_record("HermitianForm", "h11 h22 h12")):
     def matrix(self) -> Mat2:
         h12 = complex(self.h12)
         return Mat2(self.h11, h12, h12.conjugate(), self.h22)
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Real eigenvalues, larger first."""
-        mean = 0.5 * (self.h11 + self.h22)
-        radius = (0.25 * (self.h11 - self.h22) ** 2 + abs(self.h12) ** 2) ** 0.5
-        return mean + radius, mean - radius
-
-    def is_definite(self) -> bool:
-        hi, lo = self.eigenvalues()
-        return hi * lo > 0
 
 
 class SignatureClass(_record("SignatureClass", "kind detail chart disc psi", (None, None, None))):
@@ -105,21 +97,15 @@ def verify_invariance(rep: Representation, form: HermitianForm | Mat2) -> float:
     return worst
 
 
-def _verdict(disc: float, ps: float) -> Signature:
-    if disc > 0 or ps > 0:
-        return Signature.INDEFINITE
-    return Signature.DEFINITE
-
-
 def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClass:
     """Decide unitarity and signature of the tuple parametrized by x.
 
     Coordinates alone drive the decision: the reality gate, then the sign
     pattern of (x_kj^2 - 4, psi) on the best admissible chart, which is the
-    signature of the invariant form by construction (module docstring),
-    cross-checked against every other admissible chart away from the
-    boundary.  Raises PsiDegenerate when the deciding psi is numerically
-    zero and DegenerateEigenvalues when x_kj^2 - 4 is.
+    signature of the invariant form by construction (module docstring).
+    Raises PsiDegenerate when the deciding psi is numerically zero,
+    DegenerateEigenvalues when x_kj^2 - 4 is, and OffVariety when the
+    rebuild on that chart fails the gate of ``reconstruct``.
     """
     if not reality_gate(x, tol):
         return SignatureClass(
@@ -132,8 +118,7 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
             Signature.NOT_UNITARY,
             "no admissible chart: the point lies outside the big open",
         )
-    # report.best is the chart object of one of its entries
-    best = next(e for e in report.entries if e.chart is report.best)
+    best = chart_eval(x, report.best, tol)  # == the report's entry for that chart
     disc, ps = _disc_psi(best)
     if abs(ps) <= tol.abs:
         raise PsiDegenerate(
@@ -141,22 +126,14 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         )
     if abs(disc) <= tol.abs:
         raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
-    verdict = _verdict(disc, ps)
-    # The best chart is in this loop too; it agrees with itself.
-    for e in report.entries:
-        if not e.admissible:
-            continue
-        other_disc, other_ps = _disc_psi(e)
-        if abs(other_ps) <= tol.abs or abs(other_disc) <= tol.abs:
-            continue  # boundary-adjacent chart: no reliable sign
-        if _verdict(other_disc, other_ps) is not verdict:
-            raise ChartsDisagree(
-                f"charts {best.chart.label()} and {e.chart.label()} disagree; "
-                "the point likely violates the defining relations"
-            )
-    detail = (
-        "eigenvalues of the invariant form share a sign"
-        if verdict is Signature.DEFINITE
-        else "invariant form has signature (1,1)"
-    )
-    return SignatureClass(verdict, detail, best.chart, disc, ps)
+    diag = rebuild(x, best.chart, PLUS, tol).diagnostics
+    if not diag.passes(tol):
+        raise OffVariety(
+            f"chart {best.chart.label()}: the rebuilt tuple misses the point by "
+            f"{diag.worst():.1e} > {tol.abs:g}"
+        )
+    if disc > 0 or ps > 0:
+        return SignatureClass(Signature.INDEFINITE, "invariant form has signature (1,1)",
+                              best.chart, disc, ps)
+    return SignatureClass(Signature.DEFINITE, "eigenvalues of the invariant form share a sign",
+                          best.chart, disc, ps)

@@ -7,7 +7,8 @@ accessors, one call per value, in the order of operations the package
 kernel must reproduce bit for bit.  The coordinate oracles walk the sorted
 ``items()``; the package reads the stored dicts directly, in another order.
 The chart list and the relation count come from the index set and the closed
-formula, not from the package's per-n tables.
+formula, not from the package's per-n tables.  The eigenvalues of an invariant
+form come from the closed 2x2 formula, not from the package's sign rule.
 """
 
 from __future__ import annotations
@@ -16,8 +17,22 @@ from math import comb
 
 import pytest
 
-from monodromy import ChartId, Mat2, Representation, SamplerConfig, close_tuple, phi
-from monodromy import sample_generic, sample_su2, sample_su11, triple_trace
+from monodromy import (
+    MINUS,
+    PLUS,
+    ChartId,
+    Mat2,
+    Representation,
+    SamplerConfig,
+    close_tuple,
+    coordinate_distance,
+    phi,
+    reconstruct,
+    sample_generic,
+    sample_su2,
+    sample_su11,
+    triple_trace,
+)
 from monodromy.charts import chart_eval, index_set, psi
 
 
@@ -45,9 +60,9 @@ def commutator_gap(a: Mat2, b: Mat2) -> float:
 
 def oword(rep: Representation, indices) -> complex:
     """Trace of M_{i1} M_{i2} ... (1-based indices, written left to right)."""
-    prod = omat(rep.matrix(indices[0]))
+    prod = omat(rep.mats[indices[0] - 1])
     for idx in indices[1:]:
-        prod = omul(prod, omat(rep.matrix(idx)))
+        prod = omul(prod, omat(rep.mats[idx - 1]))
     return otr(prod)
 
 
@@ -174,6 +189,24 @@ def oracle_chart_entries(x, tol):
         if admissible and abs(value) > best_mag:
             best, best_mag = chart, abs(value)
     return entries, best
+
+
+# --- references for rebuilt tuples and their forms --------------------------
+
+def branch_gap(x, chart):
+    """Coordinate distance between the tuples rebuilt on the two square-root
+    branches of ``chart``; they are conjugate, so it must vanish."""
+    plus = reconstruct(x, chart, PLUS).rep
+    minus = reconstruct(x, chart, MINUS).rep
+    return coordinate_distance(phi(plus), phi(minus))
+
+
+def form_eigenvalues(form) -> tuple[float, float]:
+    """Real eigenvalues of a ``HermitianForm`` [[h11, h12], [conj(h12), h22]],
+    larger first, from the closed formula for a 2x2 Hermitian matrix."""
+    mean = 0.5 * (form.h11 + form.h22)
+    radius = (0.25 * (form.h11 - form.h22) ** 2 + abs(form.h12) ** 2) ** 0.5
+    return mean + radius, mean - radius
 
 
 # --- canonical-walk coordinate oracle ----------------------------------------

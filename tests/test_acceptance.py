@@ -24,12 +24,11 @@ from monodromy import (
     verify_invariance,
 )
 from monodromy.charts import chart_eval
-from monodromy.reconstruct import branch_independence_check
 from monodromy.relations import g_poly
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import four_trace_reduction
 
-from conftest import omat, omul, otr, relation_count
+from conftest import branch_gap, form_eigenvalues, omat, omul, otr, relation_count
 
 
 @contextmanager
@@ -91,9 +90,9 @@ def test_criterion_02_full_word_trace_oracle():
             for seed in range(100):
                 rep = sample_generic(SamplerConfig(seed=2_000 + seed, n=n))
                 x = phi(rep)
-                prod = omat(rep.matrix(n))
+                prod = omat(rep.mats[n - 1])
                 for s in range(n - 1, 0, -1):
-                    prod = omul(prod, omat(rep.matrix(s)))
+                    prod = omul(prod, omat(rep.mats[s - 1]))
                 direct = otr(prod)
                 value = g_poly(x, tuple(range(n, 0, -1)))
                 assert abs(value - direct) <= 1e-8 * (1.0 + abs(direct)), (n, seed)
@@ -123,8 +122,9 @@ def test_criterion_04_round_trip(roundtrip_corpus):
             local = x.local
             for chart, result, x_back in entries:
                 assert coordinate_distance(x, x_back) <= 1e-8, (n, seed, chart)
+                closed = result.rep.mats + (result.rep.last,)
                 for s in range(1, n + 2):
-                    err = abs(result.rep.matrix(s).trace - local.trace(s))
+                    err = abs(closed[s - 1].trace - local.trace(s))
                     assert err <= 1e-8 * (1.0 + abs(local.trace(s))), (n, seed, chart, s)
 
 
@@ -132,7 +132,7 @@ def test_criterion_05_branch_independence(roundtrip_corpus):
     with criterion(5, "square-root branch independence"):
         for n, seed, x, entries in roundtrip_corpus:
             for chart, _, _ in entries:
-                assert branch_independence_check(x, chart) <= 1e-9, (n, seed, chart)
+                assert branch_gap(x, chart) <= 1e-9, (n, seed, chart)
 
 
 def test_criterion_06_chart_coherence(roundtrip_corpus):
@@ -171,7 +171,7 @@ def test_criterion_08_signature_rule_consistency(unitary_corpus):
                 if abs(ps) <= tol_abs or abs(disc) <= tol_abs:
                     continue
                 rule_definite = disc < 0 and ps < 0
-                hi, lo = hermitian_form(x, chart).eigenvalues()
+                hi, lo = form_eigenvalues(hermitian_form(x, chart))
                 assert (hi > 0 > lo) == (not rule_definite), (kind, chart)
                 assert (hi * lo > 0) == rule_definite, (kind, chart)
                 verdicts.add(rule_definite)

@@ -94,7 +94,7 @@ def test_chart_poly_wraparound_pair_canonicalization():
         got = chart_eval(x, ChartId(4, 1, i0)).value
         x14 = oword(rep, (1, 4))
         trip = oword(rep, (1, 4, i0))
-        expect = (x14 * x14 - 4.0) * psi(trip, x14, rep.matrix(i0).trace)
+        expect = (x14 * x14 - 4.0) * psi(trip, x14, rep.mats[i0 - 1].trace)
         assert abs(got - expect) <= 1e-9 * (1.0 + abs(expect))
 
 
@@ -105,7 +105,7 @@ def test_chart_poly_anchored_between_canonicalization():
     got = chart_eval(x, ChartId(2, 4, 3)).value
     x42 = oword(rep, (4, 2))
     trip = oword(rep, (4, 2, 3))
-    expect = (x42 * x42 - 4.0) * psi(trip, x42, rep.matrix(3).trace)
+    expect = (x42 * x42 - 4.0) * psi(trip, x42, rep.mats[2].trace)
     assert abs(got - expect) <= 1e-9 * (1.0 + abs(expect))
 
 
@@ -169,8 +169,8 @@ def test_chart_psi_matches_commutator_interpretation():
     # psi at (tr(AB), tr A, tr B) equals tr(A B A^-1 B^-1) - 2
     rep = generic(3, seed=55)
     x = phi(rep)
-    a, b = omat(rep.matrix(2)), omat(rep.matrix(1))
-    ainv, binv = omat(rep.matrix(2).adjugate()), omat(rep.matrix(1).adjugate())
+    a, b = omat(rep.mats[1]), omat(rep.mats[0])
+    ainv, binv = omat(rep.mats[1].adjugate()), omat(rep.mats[0].adjugate())
     comm = otr(omul(omul(a, b), omul(ainv, binv)))
     got = chart_eval(x, ChartId(1, 2, 0)).psi
     assert abs(got - (comm - 2.0)) <= 1e-10 * (1.0 + abs(comm))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monodromy import ChartsDisagree, TraceCoordinates, classify, phi
+from monodromy import OffVariety, TraceCoordinates, classify, phi
 from monodromy.cli import (
     EXIT_BOUNDARY,
     EXIT_NO_CHART,
@@ -292,24 +292,39 @@ def test_classify_boundary_exit(tmp_path, capsys):
 
 def test_classify_off_variety_exits_3(tmp_path, capsys):
     # a real su2 point with x_21 moved off the variety: the reality gate passes,
-    # then two admissible charts give different verdicts
+    # then the tuple rebuilt on the best chart misses the point
     x = phi(su2(4, seed=0))
     pairs = dict(x.pairs)
     pairs[(1, 2)] += 1.0
     off = TraceCoordinates(x.local, pairs, x.triples)
-    with pytest.raises(ChartsDisagree, match="disagree"):
+    with pytest.raises(OffVariety, match=r"^chart \(\d,\d,(\d|base)\): the rebuilt tuple "
+                                         r"misses the point by \d\.\de[+-]\d\d > 1e-09$"):
         classify(off)
     path = tmp_path / "off.json"
     path.write_text(json.dumps(coords_to_obj(off)))
     assert run("classify", path) == EXIT_RESIDUAL
     out, err = capsys.readouterr()
     assert "reality gate  : pass" in out
-    assert err.startswith("error: charts ") and err.count("\n") == 1
+    assert err.startswith("error: chart (") and err.count("\n") == 1
 
 
-def _coords_with(table, key, value):
-    """The su2 n = 4 seed 1 coordinate file with one stored value replaced."""
+@pytest.mark.parametrize("closing", [-1.422, 1e3], ids=["shifted", "huge"])
+def test_classify_wrong_closing_trace_exits_3(tmp_path, capsys, closing):
+    # no chart reads a_{n+1} for n >= 4; the rebuild's closing trace does
     obj = coords_to_obj(phi(su2(4, seed=1)))
+    assert round(obj["a"][4][0], 3) == -1.722
+    obj["a"][4] = [closing, 0.0]
+    path = tmp_path / "closing.json"
+    path.write_text(json.dumps(obj))
+    assert run("classify", path) == EXIT_RESIDUAL
+    out, err = capsys.readouterr()
+    assert "verdict" not in out
+    assert err.startswith("error: chart (") and err.count("\n") == 1
+
+
+def _coords_with(table, key, value, n=4):
+    """The su2 seed 1 coordinate file of size n with one stored value replaced."""
+    obj = coords_to_obj(phi(su2(n, seed=1)))
     obj[table][key] = [value, 0.0]
     return obj
 
@@ -326,9 +341,11 @@ def _diagonal_tuple(scales, closing_trace):
     ("reconstruct", _coords_with("pairs", "21", 1e78)),  # the admissibility threshold
     ("classify", _coords_with("pairs", "21", 1e78)),
     ("reconstruct", _coords_with("triples", "321", 1e160)),  # a rebuilt matrix entry
+    ("classify", _coords_with("triples", "543", 1e160, n=5)),  # the rebuild classify gates on
     ("coords", _diagonal_tuple([1e100] * 4, 2.0)),  # closing the tuple
     ("coords", _diagonal_tuple([1e200, 1e-200, 1e200], 1e200)),  # the pair trace x_31
-], ids=["relations", "reconstruct", "classify", "reconstruct-entry", "coords", "coords-pair"])
+], ids=["relations", "reconstruct", "classify", "reconstruct-entry", "classify-entry", "coords",
+        "coords-pair"])
 def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
     # finite input whose arithmetic overflows is a data failure, not a traceback
     path = tmp_path / "huge.json"

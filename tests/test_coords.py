@@ -55,9 +55,7 @@ def test_local_data_invariants():
     with pytest.raises(ValueError):
         LocalData((1.0, 2.0, 3.0))
     loc = LocalData((0.0, 0.5, 3.0, -4.5))
-    assert loc.n == 3 and loc.strict is True  # no entry equals +/-2
-    assert LocalData((2.0, 0.0, 0.0, 0.0)).strict is False
-    assert LocalData((0.0, -2.0, 0.0, 0.0)).strict is False
+    assert loc.n == 3
     with pytest.raises(BadIndex):
         loc.trace(0)
     with pytest.raises(BadIndex):
@@ -70,12 +68,12 @@ def test_phi_fixture_values(fixture_coords):
     assert x.pair(3, 1) == 0.0
     assert x.pair(3, 2) == 1.5
     assert x.local.trace(4) == -4.5
-    assert x.m == 3 and x.triples == {}
+    assert x.triples == {}
 
 
 def test_phi_identity():
     x = phi(identity_rep(5))
-    assert all(v == 2.0 for v in x.vector())
+    assert all(v == 2.0 for _, v in x.items())
     assert len(x.pairs) == comb(5, 2)
     assert len(x.triples) == comb(5, 3)
 
@@ -190,7 +188,6 @@ def test_coordinate_counts():
         x = phi(generic(n, seed=n))
         assert len(x.pairs) == comb(n, 2)
         assert len(x.triples) == (0 if n == 3 else comb(n, 3))
-        assert x.m == (3 if n == 3 else comb(n, 3) + comb(n, 2))
 
 
 def test_coordinate_distance_layout_mismatch():

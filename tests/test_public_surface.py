@@ -27,7 +27,7 @@ ROOT_NAMES = sorted([
     # errors
     "MonodromyError", "NotUnimodular", "BadIndex", "NotApplicable", "BadChart",
     "ChartNotAdmissible", "DegenerateEigenvalues", "NotReal", "PsiDegenerate",
-    "ChartsDisagree", "TraceOutOfRange", "OffVarietyWarning",
+    "OffVariety", "TraceOutOfRange", "OffVarietyWarning",
     # read by perfbench/run.py beyond the above
     "coordinate_distance", "type1", "type1_pairs", "type2", "type2_terms", "type3",
 ])

@@ -70,7 +70,7 @@ def test_generic_prescribed_traces():
     traces = (0.3, -1.2 + 0.5j, 2.5, 0.0)
     rep = sample_generic(SamplerConfig(seed=5, n=4, traces=traces))
     for s, want in enumerate(traces, start=1):
-        assert abs(rep.matrix(s).trace - want) <= 1e-12
+        assert abs(rep.mats[s - 1].trace - want) <= 1e-12
 
 
 def test_generic_irreducible_and_closed():
@@ -79,7 +79,7 @@ def test_generic_irreducible_and_closed():
         rep = sample_generic(SamplerConfig(seed=seed, n=3 + seed % 4))
         close_tuple(rep.mats, tight)  # unimodularity at 1e-11
         assert closure_residual(rep) <= 1e-11
-        assert commutator_gap(rep.matrix(1), rep.matrix(2)) > 1e-6
+        assert commutator_gap(rep.mats[0], rep.mats[1]) > 1e-6
 
 
 def test_su2_unitarity():
@@ -93,7 +93,7 @@ def test_su2_unitarity():
 def test_su2_phi_real():
     for seed in range(20):
         x = phi(sample_su2(SamplerConfig(seed=100 + seed, n=4)))
-        vals = list(x.local.a) + list(x.vector())
+        vals = list(x.local.a) + [v for _, v in x.items()]
         assert max(abs(complex(v).imag) for v in vals) <= 1e-10
         assert reality_gate(x)
 
@@ -126,7 +126,7 @@ def test_su11_preserves_indefinite_form():
 def test_su11_phi_real():
     for seed in range(20):
         x = phi(sample_su11(SamplerConfig(seed=200 + seed, n=5)))
-        vals = list(x.local.a) + list(x.vector())
+        vals = list(x.local.a) + [v for _, v in x.items()]
         assert max(abs(complex(v).imag) for v in vals) <= 1e-10
         assert reality_gate(x)
 
@@ -135,7 +135,7 @@ def test_su11_prescribed_traces_any_magnitude():
     traces = (0.7, -2.5, 3.0, 1.9)
     rep = sample_su11(SamplerConfig(seed=8, n=4, traces=traces))
     for s, want in enumerate(traces, start=1):
-        assert abs(rep.matrix(s).trace - want) <= 1e-12
+        assert abs(rep.mats[s - 1].trace - want) <= 1e-12
 
 
 def test_all_samplers_deterministic_and_closed():

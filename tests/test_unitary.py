@@ -10,6 +10,7 @@ from monodromy import (
     LocalData,
     Mat2,
     NotReal,
+    OffVariety,
     PsiDegenerate,
     Signature,
     TraceCoordinates,
@@ -23,7 +24,7 @@ from monodromy import (
 )
 from monodromy.charts import chart_eval, psi
 from monodromy.unitary import reality_gate
-from conftest import generic, identity_rep, su2, su11
+from conftest import form_eigenvalues, generic, identity_rep, su2, su11
 
 
 def coords_n3(a, x21, x31, x32):
@@ -35,12 +36,9 @@ def coords_n3(a, x21, x31, x32):
 def test_hermitian_form_type_invariants():
     with pytest.raises(ValueError):
         HermitianForm(1.0, 0.0)  # degenerate
-    form = HermitianForm(1.0, -2.0)
-    hi, lo = form.eigenvalues()
-    assert (hi, lo) == (1.0, -2.0)
-    assert not form.is_definite()
+    assert form_eigenvalues(HermitianForm(1.0, -2.0)) == (1.0, -2.0)
     anti = HermitianForm(0.0, 0.0, 1j)
-    assert anti.eigenvalues() == (1.0, -1.0)
+    assert form_eigenvalues(anti) == (1.0, -1.0)
     m = anti.matrix()
     assert m.m12 == 1j and m.m21 == -1j
 
@@ -60,7 +58,7 @@ def test_reality_gate_generic_complex_tuples():
     hits = 0
     for seed in range(200):
         x = phi(generic(3 + seed % 3, seed=700 + seed))
-        vals = list(x.local.a) + list(x.vector())
+        vals = list(x.local.a) + [v for _, v in x.items()]
         if max(abs(complex(v).imag) for v in vals) > 1e-3:
             hits += 1
             assert not reality_gate(x)
@@ -72,14 +70,14 @@ def test_hermitian_form_negative_disc_case():
     x = coords_n3((0.0, 0.0, 1.0, -1.0), 0.0, 0.5, 0.5)
     form = hermitian_form(x, ChartId(1, 2, 0))
     assert form.h11 == 1.0 and form.h22 == 1.0 and form.h12 == 0.0
-    assert form.is_definite()
+    assert form_eigenvalues(form) == (1.0, 1.0)
 
 
 def test_hermitian_form_positive_disc_case():
     x = coords_n3((0.5, 0.5, 1.0, -1.0), 3.0, 0.5, 0.5)
     form = hermitian_form(x, ChartId(1, 2, 0))
     assert form.h11 == 0.0 and form.h22 == 0.0 and form.h12 == 1j
-    assert not form.is_definite()
+    assert form_eigenvalues(form) == (1.0, -1.0)
 
 
 def test_hermitian_form_anchored_chart():
@@ -134,8 +132,9 @@ def test_classify_fixture_indefinite(fixture_coords):
 
 
 def test_classify_definite_rule():
-    # best chart is (1,2,base) with |p| = 16: disc = -4 < 0 and psi = -4 < 0
-    x = coords_n3((0.0, 0.0, 1.0, -1.0), 0.0, 0.5, 0.5)
+    # best chart is (1,2,base) with |p| = 16: disc = -4 < 0 and psi = -4 < 0;
+    # a_4 = -sqrt(5/2) puts the point on the n = 3 cubic
+    x = coords_n3((0.0, 0.0, 1.0, -2.5 ** 0.5), 0.0, 0.5, 0.5)
     sig = classify(x)
     assert sig.chart == ChartId(1, 2, 0)
     assert sig.disc == -4.0 and sig.psi == -4.0
@@ -181,6 +180,35 @@ def test_classify_boundary_psi():
     assert report.best == ChartId(1, 2, 0)
     with pytest.raises(PsiDegenerate):
         classify(x)
+
+
+def _moved(x, seed, delta):
+    """x with a_{n+1}, then one stored pair, then one stored triple (n >= 4)
+    moved by delta * (1 + |v|), one at a time; the stored key depends on seed."""
+    a = list(x.local.a)
+    a[-1] += delta * (1.0 + abs(a[-1]))
+    yield TraceCoordinates(LocalData(tuple(a)), x.pairs, x.triples)
+    for table in ("pairs", "triples"):
+        values = dict(getattr(x, table))
+        if values:
+            key = sorted(values)[seed % len(values)]
+            values[key] += delta * (1.0 + abs(values[key]))
+            fields = {"pairs": x.pairs, "triples": x.triples, table: values}
+            yield TraceCoordinates(x.local, fields["pairs"], fields["triples"])
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1])
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("family", ["su2", "su11"])
+def test_classify_refuses_moved_points(family, n, delta):
+    # genuine real points moved off the variety: the rebuild on the deciding
+    # chart misses them, however small the move and whichever value moved
+    seed = 300 + n
+    x = phi({"su2": su2, "su11": su11}[family](n, seed=seed))
+    assert classify(x).kind is not Signature.NOT_UNITARY
+    for moved in _moved(x, seed, delta):
+        with pytest.raises(OffVariety, match="the rebuilt tuple misses the point"):
+            classify(moved)
 
 
 def test_classify_chart_independent():
