@@ -12,14 +12,17 @@ grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
 the admissibility threshold once per pair.  Its report is memoized on the
 point per tolerance, so ``classify`` reuses the table a caller already built.
 ``chart_eval`` evaluates one chart by the same code, and its ``ChartEval``
-(p, psi, x_kj) is what ``reconstruct`` and ``unitary`` build from.
+(p, psi, x_kj) is what ``reconstruct`` and ``unitary`` build from.  Indices
+are checked at ``chart_eval`` and ``ChartId`` only: the table reads the
+stored coordinates by the keys of its layout, with ``psi`` and
+``opposite_rotation`` written out term for term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coords import TraceCoordinates, opposite_rotation
+from .coords import TraceCoordinates
 from .errors import BadChart, ChartNotAdmissible
 from .sl2 import DEFAULT_TOL, Tolerance, _record
 
@@ -112,16 +115,19 @@ def _chart_values(x: TraceCoordinates, groups,
     best, best_mag = None, 0.0
     for kj, k, j, charts, reads in groups:
         xkj = pairs[kj]
-        disc = xkj * xkj - 4.0
+        xkj2 = xkj * xkj
+        disc = xkj2 - 4.0
         threshold = tol.abs * (1.0 + abs(xkj) ** 4)
+        ak, aj = a[k], a[j]
+        # psi and opposite_rotation inlined, term for term
         for chart, (i0, tkey, flip) in zip(charts, reads):
             if i0 == 0:
-                ps = psi(xkj, a[k], a[j])
+                ps = xkj2 + ak * ak + aj * aj - xkj * ak * aj - 4.0
             else:
-                t = triples[tkey]
+                t, ai = triples[tkey], a[i0]
                 if flip is not None:
-                    t = opposite_rotation(a[k], a[j], a[i0], pairs[flip[0]], pairs[flip[1]], xkj, t)
-                ps = psi(t, xkj, a[i0])
+                    t = ak * pairs[flip[0]] + aj * pairs[flip[1]] + ai * xkj - ak * aj * ai - t
+                ps = t * t + xkj2 + ai * ai - t * xkj * ai - 4.0
             value = disc * ps
             mag = abs(value)
             admissible = mag > threshold

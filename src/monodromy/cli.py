@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from itertools import combinations
 
 from .charts import ChartId, classify_charts
@@ -439,6 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A printed warning as one ``warning: <message>`` line, like the ``error:`` lines."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -458,6 +464,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         return args.func(args, tol)
     except ParseError as exc:
@@ -466,6 +474,8 @@ def main(argv=None) -> int:
     except (DataError, MonodromyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -16,6 +16,10 @@ and the opposite rotation class follows from the linear reordering identity
 
 For n = 3 the triple map is empty: the single triple trace always equals
 the closing trace a_4 and is read from the local data.
+
+Indices are checked at the public accessors only: ``pair``, ``triple_trace``
+and ``quad_trace`` check, then call the cores ``_pair``, ``_triple`` and
+``_quad``, which the rebuild calls directly.
 """
 
 from __future__ import annotations
@@ -190,7 +194,7 @@ class TraceCoordinates:
         """Pair trace tr(M_j M_i) = tr(M_i M_j); symmetric lookup."""
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             raise BadIndex(f"bad pair index ({j}, {i}) for n = {self.n}")
-        return self.pairs[(i, j) if i < j else (j, i)]
+        return _pair(self.pairs, j, i)
 
     def items(self):
         """Yield ((j, i), x_ji) then ((k, j, i), x_kji) in canonical order.
@@ -208,21 +212,42 @@ class TraceCoordinates:
         return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
+@lru_cache(maxsize=None)
+def _phi_plan(n: int) -> tuple[tuple, tuple]:
+    """The pair keys of size n in ``combinations`` order, and per ascending
+    triple (i, j, k) its key, the slot of (j, k) among the pairs and i - 1."""
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    slot = {key: s for s, key in enumerate(pairs)}
+    triples = combinations(range(1, n + 1), 3) if n > 3 else ()
+    return pairs, tuple((t, slot[t[1:]], t[0] - 1) for t in triples)
+
+
 def phi(rep: Representation) -> TraceCoordinates:
     """Trace coordinates of a tuple: x_ji = tr(M_j M_i), x_kji = tr(M_k M_j M_i).
 
-    Conjugation-invariant up to roundoff, since traces are.
+    Conjugation-invariant up to roundoff, since traces are.  Each pair product
+    is a plain 4-tuple of the entries ``Mat2.__matmul__`` computes, checked
+    finite in one pass with the error ``Mat2`` raises for its first bad entry.
     """
-    mats = (None,) + rep.mats  # 1-based
-    n = rep.n
-    prods = {(i, j): mats[j] @ mats[i] for i, j in combinations(range(1, n + 1), 2)}
-    pairs = {key: p.trace for key, p in prods.items()}
+    mats = rep.mats
+    pair_keys, triple_reads = _phi_plan(rep.n)
+    prods = []
+    for i, j in pair_keys:
+        a11, a12, a21, a22 = mats[j - 1]
+        b11, b12, b21, b22 = mats[i - 1]
+        prods.append((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                      a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
+    if not all(map(cmath.isfinite, chain.from_iterable(prods))):
+        for v in chain.from_iterable(prods):  # name the first bad entry
+            if not cmath.isfinite(v):
+                raise ValueError(f"non-finite matrix entry {v!r}")
+    pairs = {key: p[0] + p[3] for key, p in zip(pair_keys, prods)}
     triples = {}
-    if n >= 4:
+    for key, s, i in triple_reads:
         # tr((M_k M_j) M_i) from entries, rounded as (M_k @ M_j @ M_i).trace rounds it
-        for i, j, k in combinations(range(1, n + 1), 3):
-            p, q = prods[(j, k)], mats[i]
-            triples[(i, j, k)] = (p.m11 * q.m11 + p.m12 * q.m21) + (p.m21 * q.m12 + p.m22 * q.m22)
+        p11, p12, p21, p22 = prods[s]
+        q11, q12, q21, q22 = mats[i]
+        triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
     return TraceCoordinates(rep.local(), pairs, triples)
 
 
@@ -234,6 +259,11 @@ def _check_distinct(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
             raise BadIndex(f"index {v} out of range 1..{x.n}")
 
 
+def _pair(pairs, u: int, v: int) -> complex:
+    """x_uv = x_vu read from the stored ``pairs`` map, on checked indices."""
+    return pairs[(u, v) if u < v else (v, u)]
+
+
 def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     """tr(M_k M_j M_i) for any ordering of three distinct indices.
 
@@ -243,16 +273,19 @@ def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     closing trace a_4.
     """
     _check_distinct(x, (k, j, i))
+    return _triple(x, k, j, i)
+
+
+def _triple(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
+    """``triple_trace`` on indices the caller has checked."""
     lo, mid, hi = sorted((k, j, i))
-    if x.n == 3:
-        stored = x.local.trace(4)
-    else:
-        stored = x.triples[(lo, mid, hi)]
+    stored = x.triples[(lo, mid, hi)] if x._n > 3 else x.local.a[3]
     if (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
         return stored
-    a = x.local.trace
+    a, pairs = x.local.a, x.pairs
     return opposite_rotation(
-        a(k), a(j), a(i), x.pair(j, i), x.pair(k, i), x.pair(k, j), stored
+        a[k - 1], a[j - 1], a[i - 1],
+        _pair(pairs, j, i), _pair(pairs, k, i), _pair(pairs, k, j), stored
     )
 
 
@@ -265,17 +298,21 @@ def quad_trace(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:
     """tr(M_k M_j M_i M_{i0}) for four distinct indices, reduced to stored data.
 
     Evaluates ``four_trace_reduction`` with (A, B, C, D) = (M_k, M_j, M_i,
-    M_{i0}) on the pair and triple accessors; agrees with the directly
+    M_{i0}) on the stored pair and triple traces; agrees with the directly
     computed trace whenever the coordinates come from an actual tuple.
     """
     _check_distinct(x, (k, j, i, i0))
-    a = x.local.trace
-    p = x.pair
+    return _quad(x, k, j, i, i0)
+
+
+def _quad(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:
+    """``quad_trace`` on indices the caller has checked."""
+    a, p = x.local.a, x.pairs
     return four_trace_reduction(
-        a(k), a(j), a(i), a(i0),
-        p(k, j), p(k, i), p(k, i0), p(j, i), p(j, i0), p(i, i0),
-        triple_trace(x, k, j, i), triple_trace(x, k, j, i0),
-        triple_trace(x, k, i, i0), triple_trace(x, j, i, i0),
+        a[k - 1], a[j - 1], a[i - 1], a[i0 - 1],
+        _pair(p, k, j), _pair(p, k, i), _pair(p, k, i0),
+        _pair(p, j, i), _pair(p, j, i0), _pair(p, i, i0),
+        _triple(x, k, j, i), _triple(x, k, j, i0), _triple(x, k, i, i0), _triple(x, j, i, i0),
     )
 
 

@@ -14,6 +14,11 @@ own factor, as ``charts.require_admissible`` evaluates it.
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
 its conjugacy class, so coordinates of the output never depend on it.
 
+The chart is checked once, by ``require_admissible``; after that the rebuild
+reads the local traces and stored pairs by key and the triple and
+four-factor traces through ``coords._triple`` and ``coords._quad``, the
+unchecked cores of the public accessors.
+
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
 those of an actual tuple, so they all vanish exactly when x lies on the
@@ -34,11 +39,12 @@ from .charts import ChartId, require_admissible
 from .coords import (
     Representation,
     TraceCoordinates,
+    _pair,
+    _quad,
+    _triple,
     coordinate_distance,
     descending_product,
     phi,
-    quad_trace,
-    triple_trace,
 )
 from .errors import DegenerateEigenvalues, OffVarietyWarning
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
@@ -133,41 +139,44 @@ def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
         return result
     ps = require_admissible(x, chart, tol).psi
     j, k, i0 = chart
-    a = x.local.trace
-    xkj = x.pair(k, j)
+    a = (None,) + x.local.a  # 1-based
+    pairs = x.pairs
+    xkj = _pair(pairs, k, j)
     r, lp, lm = lambdas(xkj, branch, tol)
     disc = xkj * xkj - 4.0
 
     def diag_entries(i: int) -> tuple[complex, complex]:
-        xkji = triple_trace(x, k, j, i)
-        return (xkji - lm * a(i)) / r, -(xkji - lp * a(i)) / r
+        xkji = _triple(x, k, j, i)
+        return (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
 
     if i0 == 0:
         u12_j, u21_j = -ps / disc, 1.0
         u12_k, u21_k = lp * ps / disc, -lm
     else:
         u11_0, u22_0 = diag_entries(i0)
-        u12_j = -(x.pair(k, i0) - a(k) * u11_0 + lm * (x.pair(j, i0) - a(j) * u22_0)) / r
-        u21_j = -r * (x.pair(k, i0) - a(k) * u22_0 + lp * (x.pair(j, i0) - a(j) * u11_0)) / ps
+        xki0, xji0 = _pair(pairs, k, i0), _pair(pairs, j, i0)
+        u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
+        u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
         u12_k, u21_k = -lp * u12_j, -lm * u21_j
     mats = []
     for i in range(1, x.n + 1):
         if i == j:
-            mats.append(Mat2(-(a(k) - lp * a(j)) / r, u12_j, u21_j, (a(k) - lm * a(j)) / r))
+            mats.append(Mat2(-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
             continue
         if i == k:
-            mats.append(Mat2(-(a(j) - lp * a(k)) / r, u12_k, u21_k, (a(j) - lm * a(k)) / r))
+            mats.append(Mat2(-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
             continue
         u11, u22 = diag_entries(i)
         if i0 == 0:
-            u12 = (x.pair(k, i) - a(k) * u22 + lp * (x.pair(j, i) - a(j) * u11)) / r
-            u21 = r * (x.pair(k, i) - a(k) * u11 + lm * (x.pair(j, i) - a(j) * u22)) / ps
+            xki, xji = _pair(pairs, k, i), _pair(pairs, j, i)
+            u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
+            u21 = r * (xki - a[k] * u11 + lm * (xji - a[j] * u22)) / ps
         elif i == i0:
             u12, u21 = -ps / disc, 1.0
         else:
-            q = quad_trace(x, k, j, i, i0)
-            u12 = -(lm * x.pair(i, i0) + r * u11 * u11_0 - q) / r
-            u21 = -r * (lp * x.pair(i, i0) - r * u22 * u22_0 - q) / ps
+            q = _quad(x, k, j, i, i0)
+            u12 = -(lm * _pair(pairs, i, i0) + r * u11 * u11_0 - q) / r
+            u21 = -r * (lp * _pair(pairs, i, i0) - r * u22 * u22_0 - q) / ps
         mats.append(Mat2(u11, u12, u21, u22))
     rep = Representation(mats, descending_product(mats).adjugate())
     closed = rep.mats + (rep.last,)

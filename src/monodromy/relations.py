@@ -36,8 +36,10 @@ which multiplies such products again, can then read inf instead of nan.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 from itertools import chain, combinations
+from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
@@ -295,6 +297,16 @@ class RelationResiduals(_record("RelationResiduals", "type1 type2 type3 max scal
         return len(self.type1) + len(self.type2) + (0 if self.type3 is None else 1)
 
 
+def _magnitudes(values: list) -> tuple[float, ...]:
+    """``abs`` of each value.  CPython's complex ``abs`` of a nan raises
+    ``OverflowError`` when an earlier overflow left ``ERANGE`` behind; only
+    then are the magnitudes retaken, nan as nan, and a real overflow raises."""
+    try:
+        return tuple(map(abs, values))
+    except OverflowError:
+        return tuple(nan if cmath.isnan(v) and not cmath.isinf(v) else abs(v) for v in values)
+
+
 def membership(x: TraceCoordinates) -> RelationResiduals:
     """Evaluate every defining relation at x.
 
@@ -314,19 +326,21 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     col_pairs, rows, cols, quads = _layout(n)
     z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
     minors = {p: _minors(z[p[0]], z[p[1]], col_pairs) for p in combinations(range(2, n + 1), 2)}
-    r1: list[float] = []
+    v1: list = []
     for i0, i1, i2, pos in rows:
-        r1 += map(abs, _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:]))
-    r2: list[float] = []
+        v1 += _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:])
+    r1 = _magnitudes(v1)
+    v2: list = []
     r3 = None
     if n > 3:
         terms = _quad_terms(sv, quads.values())
         for i in range(1, n + 1):
-            r2 += map(abs, _type2_row(z[i], terms))
+            v2 += _type2_row(z[i], terms)
         a, pairs, triples = _real_view(x)
-        r3 = abs(_word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1])
+        (r3,) = _magnitudes([_word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]])
+    r2 = _magnitudes(v2)
     worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
-    result = RelationResiduals(tuple(r1), tuple(r2), r3, worst, scale, worst / scale)
+    result = RelationResiduals(r1, r2, r3, worst, scale, worst / scale)
     x._cache["membership"] = result
     return result

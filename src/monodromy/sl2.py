@@ -57,11 +57,13 @@ class Mat2(_record("Mat2", "m11 m12 m21 m22")):
         return tuple.__new__(cls, (m11, m12, m21, m22))
 
     def __matmul__(self, other: Mat2) -> Mat2:
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = other
         return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
         )
 
     @property

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -179,8 +179,10 @@ def test_chart_psi_matches_commutator_interpretation():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("n", range(3, 10))
 def test_chart_table_matches_definition(n, family):
-    x = phi(FAMILIES[family](n, 400 + n))
-    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):
+    # the table writes psi and opposite_rotation out; every ChartEval must be ==
+    # a recomputation with psi and triple_trace
+    for seed, tol in product((400 + n, 0, 1, 2), (DEFAULT_TOL, Tolerance(1e-3, 1e-3))):
+        x = phi(FAMILIES[family](n, seed))
         report = classify_charts(x, tol)
         entries, best = oracle_chart_entries(x, tol)
         assert [(e.chart, e.value, e.admissible, e.psi) for e in report.entries] == entries

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import monodromy
 from monodromy import OffVariety, TraceCoordinates, classify, phi
 from monodromy.cli import (
     EXIT_BOUNDARY,
@@ -462,3 +468,31 @@ def test_unknown_flag_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == EXIT_OK
     capsys.readouterr()
+
+
+def test_off_variety_warning_is_one_stderr_line(tmp_path):
+    # the library warning reaches a terminal as one "warning:" line, not as
+    # "<path>/cli.py:<line>: OffVarietyWarning: ..." plus a source line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(monodromy.__file__).parents[1])
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "monodromy", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+
+    assert cli("sample", "--kind", "su2", "--n", "4", "--seed", "1", "-o", "t.json").returncode == 0
+    assert cli("coords", "t.json", "-o", "c.json").returncode == 0
+    obj = json.loads((tmp_path / "c.json").read_text())
+    obj["a"][4][0] += 0.3
+    (tmp_path / "c.json").write_text(json.dumps(obj))
+    proc = cli("reconstruct", "c.json", "-o", "r.json")
+    assert proc.returncode == EXIT_RESIDUAL
+    assert proc.stderr.startswith("warning: chart (") and proc.stderr.count("\n") == 1
+    assert "cli.py" not in proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("FAIL")
+
+
+def test_main_restores_the_warning_formatter(tmp_path, capsys, fixture_rep_file):
+    before = warnings.formatwarning
+    assert run("coords", fixture_rep_file, "-o", tmp_path / "c.json") == EXIT_OK
+    assert warnings.formatwarning is before

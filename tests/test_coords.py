@@ -8,6 +8,7 @@ from monodromy import (
     LocalData,
     Mat2,
     NotUnimodular,
+    Representation,
     close_tuple,
     coordinate_distance,
     phi,
@@ -195,14 +196,37 @@ def test_coordinate_distance_layout_mismatch():
         coordinate_distance(phi(generic(3, seed=1)), phi(generic(4, seed=1)))
 
 
-@pytest.mark.parametrize("family", ["generic", "su2", "su11"])
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_phi_triples_equal_matrix_product_traces(n, family):
-    rep = FAMILIES[family](n, 500 + n)
-    m = rep.mats
-    x = phi(rep)
-    assert list(x.triples) == list(combinations(range(1, n + 1), 3))
-    for i, j, k in x.triples:
-        assert x.triples[(i, j, k)] == (m[k - 1] @ m[j - 1] @ m[i - 1]).trace
-    for i, j in x.pairs:
-        assert x.pairs[(i, j)] == (m[j - 1] @ m[i - 1]).trace
+    # phi multiplies plain entry tuples; every value must be == the Mat2 product's
+    for seed in (500 + n, 0, 1, 2, 3):
+        rep = FAMILIES[family](n, seed)
+        m = rep.mats
+        x = phi(rep)
+        assert list(x.pairs) == list(combinations(range(1, n + 1), 2))
+        assert list(x.triples) == list(combinations(range(1, n + 1), 3) if n > 3 else [])
+        for i, j, k in x.triples:
+            assert x.triples[(i, j, k)] == (m[k - 1] @ m[j - 1] @ m[i - 1]).trace
+        for i, j in x.pairs:
+            assert x.pairs[(i, j)] == (m[j - 1] @ m[i - 1]).trace
+
+
+def _shears(t, n=4):
+    """Alternating upper and lower shears [[1, t], [0, 1]], [[1, 0], [t, 1]]."""
+    upper, lower = Mat2(1.0, t, 0.0, 1.0), Mat2(1.0, 0.0, t, 1.0)
+    return Representation(tuple(upper if s % 2 else lower for s in range(1, n + 1)), IDENTITY)
+
+
+@pytest.mark.parametrize("t, message", [
+    (1e160, "non-finite matrix entry inf"),
+    (complex(1e160, 1e160), "non-finite matrix entry (nan+infj)"),
+])
+def test_phi_overflow_names_the_first_bad_entry_as_mat2_does(t, message):
+    rep = _shears(t)
+    with pytest.raises(ValueError) as direct:  # the first pair product M_2 M_1 overflows
+        rep.mats[1] @ rep.mats[0]
+    assert str(direct.value) == message
+    with pytest.raises(ValueError) as flat:
+        phi(rep)
+    assert str(flat.value) == message

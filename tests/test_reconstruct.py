@@ -2,6 +2,7 @@ import copy
 import pickle
 import warnings
 from importlib import import_module
+from itertools import permutations
 
 import pytest
 
@@ -23,11 +24,14 @@ from monodromy import (
     coordinate_distance,
     membership,
     phi,
+    quad_trace,
     reconstruct,
+    triple_trace,
 )
-from monodromy.coords import closure_residual
+from monodromy.coords import _pair, _quad, _triple, closure_residual, opposite_rotation
 from monodromy.reconstruct import lambdas
 from monodromy.samplers import SplitMix64
+from monodromy.sl2 import four_trace_reduction
 
 from conftest import FAMILIES, branch_gap, commutator_gap, generic, identity_rep, su2
 
@@ -276,3 +280,34 @@ def test_off_variety_warning_on_every_call():
         assert reconstruct(x, chart) is first  # the memo hit warns too
     assert len(caught) == 2
     assert all(w.filename == __file__ for w in caught)
+
+
+def _public_triple(x, k, j, i):
+    """tr(M_k M_j M_i) from the public accessors: the stored word or its reordering."""
+    a = x.local.trace
+    lo, mid, hi = sorted((k, j, i))
+    stored = a(4) if x.n == 3 else x.triples[(lo, mid, hi)]
+    if (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+        return stored
+    return opposite_rotation(a(k), a(j), a(i), x.pair(j, i), x.pair(k, i), x.pair(k, j), stored)
+
+
+@pytest.mark.parametrize("family", ["su2", "generic16"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rebuild_reads_equal_public_accessors(n, family):
+    # the rebuild reads through the unchecked cores; each must be == the public path
+    x = phi(FAMILIES[family](n, 7))
+    a = x.local.trace
+    for u, v in permutations(range(1, n + 1), 2):
+        assert _pair(x.pairs, u, v) == x.pair(u, v)
+    for k, j, i in permutations(range(1, n + 1), 3):
+        got = _triple(x, k, j, i)
+        assert got == triple_trace(x, k, j, i) == _public_triple(x, k, j, i)
+    for k, j, i, i0 in permutations(range(1, n + 1), 4):
+        got = _quad(x, k, j, i, i0)
+        assert got == quad_trace(x, k, j, i, i0) == four_trace_reduction(
+            a(k), a(j), a(i), a(i0),
+            x.pair(k, j), x.pair(k, i), x.pair(k, i0), x.pair(j, i), x.pair(j, i0), x.pair(i, i0),
+            triple_trace(x, k, j, i), triple_trace(x, k, j, i0),
+            triple_trace(x, k, i, i0), triple_trace(x, j, i, i0),
+        )

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -380,3 +381,38 @@ def test_real_view_only_on_exactly_real_points():
     assert type(z[2][4]) is type(z[1][1]) is complex
     assert {type(v) for v in s.values()} == {complex}
     assert membership(y).max > 0.0
+
+
+def _nan_point():
+    """The generic n = 5 seed 0 point with a_1..a_3 scaled by 1e60: its type 1
+    values overflow to nan (inf - inf), so every residual reads nan."""
+    x = phi(generic(5, seed=0))
+    a = tuple(v * 1e60 if s < 3 else v for s, v in enumerate(x.local.a))
+    return TraceCoordinates(LocalData(a), x.pairs, x.triples)
+
+
+def _after_caught_overflow(fn, *args):
+    """fn(*args) right after an OverflowError was raised and caught in this thread."""
+    try:
+        (1e200) ** 3
+    except OverflowError:
+        pass
+    return fn(*args)
+
+
+def test_membership_same_whatever_ran_before():
+    # complex abs of a nan reports a stale ERANGE from an earlier overflow
+    alone = membership(_nan_point())
+    assert math.isnan(alone.max) and math.isnan(alone.normalized)
+    after = _after_caught_overflow(membership, _nan_point())
+    assert repr(after) == repr(alone)
+    assert repr(membership(_nan_point())) == repr(alone)  # and in the other order again
+
+
+def test_magnitudes_keep_a_genuine_overflow():
+    nan, inf = float("nan"), float("inf")
+    got = _after_caught_overflow(relations._magnitudes, [complex(nan, 0.0), complex(inf, nan), 3j])
+    assert math.isnan(got[0]) and got[1:] == (inf, 3.0)
+    for run in (relations._magnitudes, lambda v: _after_caught_overflow(relations._magnitudes, v)):
+        with pytest.raises(OverflowError):
+            run([complex(nan, 0.0), complex(1.5e308, 1.5e308)])
