@@ -9,13 +9,14 @@ exist.
 
 Which stored coordinates each chart reads is worked out once per n and
 grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
-the admissibility threshold once per pair.  Its report is memoized on the
-point per tolerance, so ``classify`` reuses the table a caller already built.
-``chart_eval`` evaluates one chart by the same code, and its ``ChartEval``
-(p, psi, x_kj) is what ``reconstruct`` and ``unitary`` build from.  Indices
-are checked at ``chart_eval`` and ``ChartId`` only: the table reads the
-stored coordinates by the keys of its layout, with ``psi`` and
-``opposite_rotation`` written out term for term.
+the admissibility threshold once per pair.  Its report, memoized on the
+point per tolerance, is the only evaluation: ``chart_eval`` checks the chart
+and returns the report's entry, so ``require_admissible``, ``reconstruct``
+and ``unitary`` all read its ``ChartEval`` (p, psi, x_kj) and a point's
+charts are evaluated once per tolerance.  Indices are checked at
+``chart_eval`` and ``ChartId`` only: the table reads the stored coordinates
+by the keys of its layout, with ``psi`` and ``opposite_rotation`` written
+out term for term.
 """
 
 from __future__ import annotations
@@ -68,18 +69,19 @@ def index_set(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[tuple, ...]:
-    """One ``_group`` per chart pair of size n, in lexicographic order."""
-    return tuple(_group(j, k, (0, *(i0 for i0 in range(1, n + 1) if i0 not in (j, k))))
-                 for j, k in index_set(n))
+def _layout(n: int) -> tuple[tuple, dict]:
+    """One ``_group`` per chart pair of size n, in lexicographic order, and
+    ``{chart: slot}`` in that table order."""
+    groups = tuple(_group(j, k, n) for j, k in index_set(n))
+    return groups, {chart: slot for slot, chart in enumerate(c for g in groups for c in g[3])}
 
 
-@lru_cache(maxsize=None)
-def _group(j: int, k: int, anchors: tuple[int, ...]) -> tuple:
-    """``(kj, k, j, charts, reads)`` for the charts (j, k, i0), i0 in ``anchors``:
-    ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, tkey, flip)`` per
-    chart, ``tkey`` the stored key of the triple (k, j, i0) and ``flip`` those of
+def _group(j: int, k: int, n: int) -> tuple:
+    """``(kj, k, j, charts, reads)`` for the charts (j, k, i0) of size n, base chart
+    first: ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, tkey, flip)``
+    per chart, ``tkey`` the stored key of the triple (k, j, i0) and ``flip`` those of
     x_{j i0} and x_{k i0} when M_k M_j M_i0 is no rotation of the stored word."""
+    anchors = (0, *(i0 for i0 in range(1, n + 1) if i0 not in (j, k)))
     reads = []
     for i0 in anchors:
         tkey = flip = None
@@ -98,9 +100,8 @@ class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
     __slots__ = ()
 
 
-def _chart_values(x: TraceCoordinates, groups,
-                  tol: Tolerance) -> tuple[list[ChartEval], ChartId | None]:
-    """A ``ChartEval`` per chart of each ``_group``, read straight from the stored
+def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval], ChartId | None]:
+    """A ``ChartEval`` per chart of x's ``_layout``, read straight from the stored
     coordinates, and the first admissible chart of largest |p|.  Base charts use
     psi(x_kj, a_k, a_j), anchored charts psi(x_{k j i0}, x_kj, a_i0) with the
     triple trace canonicalized as ``triple_trace`` does; p = (x_kj^2 - 4) psi is
@@ -113,7 +114,7 @@ def _chart_values(x: TraceCoordinates, groups,
     new = tuple.__new__  # ChartEval checks nothing, so its Python-level __new__ is skipped
     out = []
     best, best_mag = None, 0.0
-    for kj, k, j, charts, reads in groups:
+    for kj, k, j, charts, reads in _layout(x.n)[0]:
         xkj = pairs[kj]
         xkj2 = xkj * xkj
         disc = xkj2 - 4.0
@@ -138,7 +139,7 @@ def _chart_values(x: TraceCoordinates, groups,
 
 
 def chart_eval(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEFAULT_TOL) -> ChartEval:
-    """One chart at x, evaluated as ``classify_charts`` evaluates it.
+    """One chart at x: its entry of the memoized ``classify_charts`` report.
 
     Raises BadChart for a chart that does not exist at x.n.
     """
@@ -147,7 +148,7 @@ def chart_eval(x: TraceCoordinates, chart: ChartId, tol: Tolerance = DEFAULT_TOL
         raise BadChart(f"pair ({chart.j}, {chart.k}) is not a chart pair for n = {n}")
     if chart.i0 > n:
         raise BadChart(f"anchor index {chart.i0} out of range for n = {n}")
-    return _chart_values(x, (_group(chart.j, chart.k, (chart.i0,)),), tol)[0][0]
+    return classify_charts(x, tol).entries[_layout(n)[1][chart]]
 
 
 def require_admissible(x: TraceCoordinates, chart: ChartId,
@@ -184,6 +185,6 @@ def classify_charts(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> ChartR
     key = ("charts", tol)
     report = x._cache.get(key)
     if report is None:
-        entries, best = _chart_values(x, _layout(x.n), tol)
+        entries, best = _chart_values(x, tol)
         report = x._cache[key] = ChartReport(tuple(entries), best)
     return report

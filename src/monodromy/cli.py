@@ -32,7 +32,6 @@ from .coords import (
     Representation,
     TraceCoordinates,
     close_tuple,
-    closure_residual,
     phi,
 )
 from .errors import (
@@ -236,7 +235,8 @@ def cmd_coords(args, tol: Tolerance) -> int:
     rep = rep_from_obj(read_json(args.input), tol)
     obj = coords_to_obj(_computed(phi, rep))
     print(f"n                : {rep.n}")
-    print(f"closure residual : {closure_residual(rep):.3e}")
+    # M_{n+1} = adj(M_n ... M_1), so |M_{n+1} M_n ... M_1 - I| is |det M_{n+1} - 1|
+    print(f"closure residual : {abs(rep.last.det - 1.0):.3e}")
     print(f"closing trace    : {_fmt_c(rep.last.trace)}")
     write_json(args.output, obj)
     if args.output != "-":

@@ -33,13 +33,11 @@ from types import MappingProxyType
 from .errors import BadIndex
 from .sl2 import (
     DEFAULT_TOL,
-    IDENTITY,
     Mat2,
     Tolerance,
     _record,
     check_unimodular,
     four_trace_reduction,
-    max_entry_diff,
 )
 
 
@@ -122,11 +120,6 @@ def close_tuple(mats, tol: Tolerance = DEFAULT_TOL) -> Representation:
     return Representation(mats, descending_product(mats).adjugate())
 
 
-def closure_residual(rep: Representation) -> float:
-    """Entrywise norm of M_{n+1} M_n ... M_1 - I."""
-    return max_entry_diff(rep.last @ descending_product(rep.mats), IDENTITY)
-
-
 @lru_cache(maxsize=None)
 def _keys(n: int) -> tuple[frozenset, frozenset]:
     """The stored pair and triple keys for size n (no triples for n = 3)."""
@@ -139,10 +132,9 @@ class TraceCoordinates:
 
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
-    derived values: the relation residuals, the real view and ``z``/``s3``
-    tables of the relation kernel, one chart report per tolerance, and one
-    rebuild per (chart, branch, tolerance), which ``reconstruct`` and
-    ``classify`` share.  Each
+    derived values: the real view, the signed relation values and their
+    residuals, one chart report per tolerance, and one rebuild per (chart,
+    branch, tolerance), which ``reconstruct`` and ``classify`` share.  Each
     entry is write-once and idempotent, so sharing across threads stays safe;
     equality, repr and copies ignore it.
     """

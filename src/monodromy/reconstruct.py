@@ -9,15 +9,17 @@ charts (i0 = 0) give M_j lower-left entry 1 and upper-right
 Anchored charts put that normalization at M_{i0}, take the anti-diagonals
 of M_j, M_k from the pair traces with i0, and those of the remaining
 matrices from the four-factor traces with (k, j, i0).  psi is the chart's
-own factor, as ``charts.require_admissible`` evaluates it.
+own factor, read from the point's chart report.
 
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
 its conjugacy class, so coordinates of the output never depend on it.
 
-The chart is checked once, by ``require_admissible``; after that the rebuild
-reads the local traces and stored pairs by key and the triple and
-four-factor traces through ``coords._triple`` and ``coords._quad``, the
-unchecked cores of the public accessors.
+The chart is checked once, by ``require_admissible``, which reads its entry
+of the memoized ``classify_charts`` report, so a rebuild evaluates no chart
+polynomial of its own.  After that the rebuild reads the local traces and
+stored pairs by key and the triple and four-factor traces through
+``coords._triple`` and ``coords._quad``, the unchecked cores of the public
+accessors.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with

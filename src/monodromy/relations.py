@@ -10,28 +10,35 @@ polynomials:
 * type 3 (n >= 4): the full descending word trace, expanded recursively
   into stored data, minus the closing trace a_{n+1}.
 
+Here z_ij = x_ij - a_i a_j / 2 (z_ii = a_i^2 / 2 - 2) and
+s3(i1, i2, i3) = a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1}
+- a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}.
+
 For n = 3 the single type 1 polynomial is the classical cubic relation and
 is the whole story.  Enumeration order is fixed: type 1 over lexicographic
 unordered pairs of triples, type 2 over lexicographic (i, quadruple),
 type 3 last.
 
 Every decision that depends only on n is made once, in the cached plan
-``_layout(n)`` (``_word_plan`` per word); per point, the kernels read by slot
-from tables memoized on the point, the symmetric ``z`` matrix and every ``s3``.
-Type 1 reads each row pair's 2x2 minors of ``z``, built once per ``membership``
-call, against one column table all row triples share; the determinant's factor
-2 rides on a doubled copy of the first ``z`` row (doubling is exact).  The
-public evaluators use the same plans and formulas, and alone check indices.
+``_layout(n)`` (``_word_plan`` per word).  Per point, ``_values`` evaluates
+every relation once, reading by slot from the ``z`` matrix and ``s3`` list of
+``_tables``, and memoizes the signed values on the point: ``membership`` takes
+their magnitudes, and ``type1``/``type2``/``type3`` check their indices and
+return their entry, at its place in ``type1_pairs``/``type2_terms`` order.
+Type 1 reads each row pair's 2x2 minors of ``z`` against one column table all
+row triples share; the determinant's factor 2 rides on a doubled copy of the
+first ``z`` row (doubling is exact).
 
 A point whose every stored value and local trace has imaginary part exactly 0
 (the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
 the tables and type 3 read ``_real_view``, the real parts.  With zero imaginary
 parts complex ``+``, ``-`` and ``*`` compute the float result in the real part
 (the cross terms are +/-0) and ``abs`` is ``hypot(re, 0) = |re|``, so residuals
-are identical; only the sign of an exact-zero table entry may differ.  Past an
-overflow they can differ: complex arithmetic turns a product with an infinite
-factor into nan (inf * 0 in a cross term) where float keeps +/-inf, and type 3,
-which multiplies such products again, can then read inf instead of nan.
+are identical, and the public evaluators return ``float`` there; only the sign
+of an exact-zero value may differ.  Past an overflow they can differ: complex
+arithmetic turns a product with an infinite factor into nan (inf * 0 in a
+cross term) where float keeps +/-inf, and type 3, which multiplies such
+products again, can then read inf instead of nan.
 """
 
 from __future__ import annotations
@@ -70,19 +77,15 @@ def _real_view(x: TraceCoordinates) -> tuple:
 
 
 def _tables(x: TraceCoordinates) -> tuple:
-    """The per-point tables ``(z, s, sv)``, built once from ``_real_view`` and
-    memoized on x.
+    """The per-point tables ``(z, sv)``, built from ``_real_view``.
 
-    ``z`` is the symmetric (n+1) x (n+1) list of lists of ``z_entry``
-    values, row and column 0 padding.  ``s`` maps every ascending triple, in
-    lexicographic order, to its ``s3`` value; ``sv`` lists those values.
+    ``z`` is the symmetric (n+1) x (n+1) list of lists of z entries, a_i^2/2 - 2
+    on the diagonal and x_ij - a_i a_j / 2 off it, row and column 0 padding.
+    ``sv`` lists s3(t) for every ascending triple t, in lexicographic order.
     """
-    tables = x._cache.get("tables")
-    if tables is not None:
-        return tables
     n = x.n
     a, pairs, triples = _real_view(x)
-    # Both halves of z are computed, each entry as z_entry defines it, so the
+    # Both halves of z are computed, each entry by the formula above, so the
     # kernel reproduces the from-definition values bit for bit.
     z = [[0.0] * (n + 1)]
     for i in range(1, n + 1):
@@ -91,33 +94,17 @@ def _tables(x: TraceCoordinates) -> tuple:
             else pairs[(i, j) if i < j else (j, i)] - 0.5 * a[i] * a[j]
             for j in range(1, n + 1)
         ])
-    s = {}
+    sv = []
     for t in combinations(range(1, n + 1), 3):
         i1, i2, i3 = t
         # the triple trace tr(M_i3 M_i2 M_i1); for n = 3 it is the closing trace
         stored = a[4] if n == 3 else triples[t]
-        s[t] = (
+        sv.append(
             a[i1] * pairs[(i2, i3)] + a[i2] * pairs[(i1, i3)] + a[i3] * pairs[(i1, i2)]
             - a[i3] * a[i2] * a[i1]
             - 2.0 * stored
         )
-    tables = (z, s, list(s.values()))
-    x._cache["tables"] = tables
-    return tables
-
-
-def s3(x: TraceCoordinates, i1: int, i2: int, i3: int) -> complex:
-    """a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1} - a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}."""
-    if not 1 <= i1 < i2 < i3 <= x.n:
-        _check_ascending(x, (i1, i2, i3))
-    return _tables(x)[1][(i1, i2, i3)]
-
-
-def z_entry(x: TraceCoordinates, i: int, j: int) -> complex:
-    """a_i^2/2 - 2 on the diagonal, x_ij - a_i a_j / 2 off it."""
-    if not (1 <= i <= x.n and 1 <= j <= x.n):
-        raise BadIndex(f"z entry ({i}, {j}) out of range 1..{x.n}")
-    return _tables(x)[0][i][j]
+    return z, sv
 
 
 def _minors(ra, rb, col_pairs) -> list[complex]:
@@ -154,52 +141,17 @@ def _layout(n: int) -> tuple:
     """The per-n plan ``(col_pairs, rows, cols, quads)`` of type 1 and 2: a minor
     list holds one slot per column pair of ``col_pairs``; ``rows`` holds
     ``(i0, i1, i2, pos)`` per ascending triple, which reads ``cols[pos:]``, the
-    ``_type1_values`` entries of the triples from ``pos`` on; ``quads`` maps each
-    ascending quadruple q to q + the triple slots of q minus q[0], ..., q[3]."""
+    ``_type1_values`` entries of the triples from ``pos`` on; ``quads`` lists, per
+    ascending quadruple q in order, q + the triple slots of q minus q[0], ..., q[3]."""
     col_pairs = list(combinations(range(1, n + 1), 2))
     slot = {pair: k for k, pair in enumerate(col_pairs)}
     triples = list(combinations(range(1, n + 1), 3))
     rows = [(*t, pos) for pos, t in enumerate(triples)]
     cols = [(b0, b1, b2, slot[(b1, b2)], slot[(b0, b2)], slot[(b0, b1)]) for b0, b1, b2 in triples]
     tslot = {t: k for k, t in enumerate(triples)}
-    quads = {q: q + tuple(tslot[q[:p] + q[p + 1:]] for p in range(4))
-             for q in combinations(range(1, n + 1), 4)}
+    quads = [q + tuple(tslot[q[:p] + q[p + 1:]] for p in range(4))
+             for q in combinations(range(1, n + 1), 4)]
     return col_pairs, rows, cols, quads
-
-
-def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
-    """s3(t1) s3(t2) + 2 det Z with Z[p][q] = z(t1[p], t2[q]).
-
-    Symmetric in the two triples; they are canonicalized internally, so the
-    swapped call returns the identical value.
-    """
-    ta, tb = sorted((tuple(triple_a), tuple(triple_b)))
-    for t in (ta, tb):
-        if len(t) != 3:
-            raise BadIndex(f"need an index triple, got {t}")
-        if not 1 <= t[0] < t[1] < t[2] <= x.n:  # the full check names the fault
-            _check_ascending(x, t)
-    z, s, _ = _tables(x)
-    b0, b1, b2 = tb
-    mm = _minors(z[ta[1]], z[ta[2]], ((b1, b2), (b0, b2), (b0, b1)))
-    r = z[ta[0]]
-    r0 = (2.0 * r[b0], 2.0 * r[b1], 2.0 * r[b2])  # the three entries read, doubled
-    return _type1_values(r0, mm, s[ta], [(0, 1, 2, 0, 1, 2)], [s[tb]])[0]
-
-
-def type2(x: TraceCoordinates, i: int, quad) -> complex:
-    """Alternating sum of z(i, p_k) s3(quadruple minus p_k) over the quadruple."""
-    if x.n == 3:
-        raise NotApplicable("type 2 relations need n >= 4")
-    quad = tuple(quad)
-    if len(quad) != 4:
-        raise BadIndex(f"need an index quadruple, got {quad}")
-    if not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= x.n:
-        _check_ascending(x, quad)
-    if not 1 <= i <= x.n:
-        raise BadIndex(f"index {i} out of range 1..{x.n}")
-    z, _, sv = _tables(x)
-    return _type2_row(z[i], _quad_terms(sv, [_layout(x.n)[3][quad]]))[0]
 
 
 @lru_cache(maxsize=1024)
@@ -238,32 +190,32 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
     return v[-1]
 
 
-def g_poly(x: TraceCoordinates, indices) -> complex:
-    """Trace of the descending product M_{i_k} ... M_{i_1} in terms of stored data.
-
-    ``indices`` must be strictly descending.  A single index gives the local
-    trace, two give the pair trace, three the triple trace; longer words are
-    reduced through the four-factor trace identity applied to the lowest
-    three indices, each sub-word evaluated once.  After the checks here,
-    every value is read straight from the stored coordinates.
-    """
-    idx = tuple(indices)
-    if not idx:
-        raise BadIndex("empty index word")
-    if list(idx) != sorted(set(idx), reverse=True):
-        raise BadIndex(f"indices {idx} must be strictly descending")
-    if idx[-1] < 1 or idx[0] > x.n:
-        raise BadIndex(f"indices {idx} out of range 1..{x.n}")
-    a = (0.0,) + x.local.a  # 1-based
-    # for n = 3 the single triple trace is the closing trace a_4
-    return _word_trace(idx, a, x.pairs, x.triples or {(1, 2, 3): a[4]})
-
-
-def type3(x: TraceCoordinates) -> complex:
-    """Full descending word trace minus the closing trace a_{n+1}."""
-    if x.n == 3:
-        raise NotApplicable("for n = 3 the single type 1 relation covers closure")
-    return g_poly(x, tuple(range(x.n, 0, -1))) - x.local.trace(x.n + 1)
+def _values(x: TraceCoordinates) -> tuple:
+    """``(type1, type2, type3)``: the signed value of every defining relation at x,
+    type 1 and 2 as lists in enumeration order, type 3 None for n = 3.  The one
+    evaluation of the relations, memoized on x; indices are checked only by the
+    public evaluators, never in the loops here."""
+    values = x._cache.get("values")
+    if values is not None:
+        return values
+    n = x.n
+    z, sv = _tables(x)
+    col_pairs, rows, cols, quads = _layout(n)
+    z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
+    minors = {p: _minors(z[p[0]], z[p[1]], col_pairs) for p in combinations(range(2, n + 1), 2)}
+    v1: list = []
+    for i0, i1, i2, pos in rows:
+        v1 += _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:])
+    v2: list = []
+    v3 = None
+    if n > 3:
+        terms = _quad_terms(sv, quads)
+        for i in range(1, n + 1):
+            v2 += _type2_row(z[i], terms)
+        a, pairs, triples = _real_view(x)
+        v3 = _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
+    values = x._cache["values"] = (v1, v2, v3)
+    return values
 
 
 def type1_pairs(n: int):
@@ -279,6 +231,51 @@ def type2_terms(n: int):
     for i in range(1, n + 1):
         for quad in combinations(range(1, n + 1), 4):
             yield i, quad
+
+
+@lru_cache(maxsize=None)
+def _slots(n: int) -> tuple[dict, dict]:
+    """``{(ta, tb): slot}`` in ``type1_pairs`` order and ``{(i, quad): slot}`` in
+    ``type2_terms`` order: where ``_values`` holds each relation."""
+    return ({pair: k for k, pair in enumerate(type1_pairs(n))},
+            {term: k for k, term in enumerate(type2_terms(n))})
+
+
+def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
+    """s3(t1) s3(t2) + 2 det Z with Z[p][q] = z(t1[p], t2[q]), read from ``_values``.
+
+    Symmetric in the two triples; they are canonicalized internally, so the
+    swapped call returns the identical value.
+    """
+    ta, tb = sorted((tuple(triple_a), tuple(triple_b)))
+    for t in (ta, tb):
+        if len(t) != 3:
+            raise BadIndex(f"need an index triple, got {t}")
+        if not 1 <= t[0] < t[1] < t[2] <= x.n:  # the full check names the fault
+            _check_ascending(x, t)
+    return _values(x)[0][_slots(x.n)[0][(ta, tb)]]
+
+
+def type2(x: TraceCoordinates, i: int, quad) -> complex:
+    """Alternating sum of z(i, p_k) s3(quadruple minus p_k) over the quadruple,
+    read from ``_values``."""
+    if x.n == 3:
+        raise NotApplicable("type 2 relations need n >= 4")
+    quad = tuple(quad)
+    if len(quad) != 4:
+        raise BadIndex(f"need an index quadruple, got {quad}")
+    if not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= x.n:
+        _check_ascending(x, quad)
+    if not 1 <= i <= x.n:
+        raise BadIndex(f"index {i} out of range 1..{x.n}")
+    return _values(x)[1][_slots(x.n)[1][(i, quad)]]
+
+
+def type3(x: TraceCoordinates) -> complex:
+    """Full descending word trace minus the closing trace a_{n+1}, read from ``_values``."""
+    if x.n == 3:
+        raise NotApplicable("for n = 3 the single type 1 relation covers closure")
+    return _values(x)[2]
 
 
 class RelationResiduals(_record("RelationResiduals", "type1 type2 type3 max scale normalized")):
@@ -310,35 +307,17 @@ def _magnitudes(values: list) -> tuple[float, ...]:
 def membership(x: TraceCoordinates) -> RelationResiduals:
     """Evaluate every defining relation at x.
 
-    The values come from the per-point tables of ``z`` and ``s3`` values
-    that the public evaluators share, by the same formulas and the per-n
-    plan, and type 3 from its word plan on the same ``_real_view``; indices
-    are checked only at the public entry points, never in the loops here.
-    Reports residual magnitudes only and never fails on large values;
-    deciding what counts as "on the variety" is the caller's job.  The
+    The magnitudes of ``_values``, the one evaluation the public evaluators
+    read too.  Reports residual magnitudes only and never fails on large
+    values; deciding what counts as "on the variety" is the caller's job.  The
     result is memoized on the (immutable) coordinate point.
     """
     cached = x._cache.get("membership")
     if cached is not None:
         return cached
-    n = x.n
-    z, _, sv = _tables(x)
-    col_pairs, rows, cols, quads = _layout(n)
-    z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
-    minors = {p: _minors(z[p[0]], z[p[1]], col_pairs) for p in combinations(range(2, n + 1), 2)}
-    v1: list = []
-    for i0, i1, i2, pos in rows:
-        v1 += _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:])
-    r1 = _magnitudes(v1)
-    v2: list = []
-    r3 = None
-    if n > 3:
-        terms = _quad_terms(sv, quads.values())
-        for i in range(1, n + 1):
-            v2 += _type2_row(z[i], terms)
-        a, pairs, triples = _real_view(x)
-        (r3,) = _magnitudes([_word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]])
-    r2 = _magnitudes(v2)
+    v1, v2, v3 = _values(x)
+    r1, r2 = _magnitudes(v1), _magnitudes(v2)
+    r3 = None if v3 is None else _magnitudes([v3])[0]
     worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
     result = RelationResiduals(r1, r2, r3, worst, scale, worst / scale)

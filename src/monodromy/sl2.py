@@ -104,7 +104,7 @@ def max_entry_diff(a: Mat2, b: Mat2) -> float:
 def check_unimodular(a: Mat2, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless |det(a) - 1| is within tolerance."""
     err = abs(a.det - 1.0)
-    if err > tol.bound():
+    if not err <= tol.bound():  # a NaN determinant fails too
         raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.bound():.3e}")
 
 

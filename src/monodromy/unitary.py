@@ -118,7 +118,7 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
             Signature.NOT_UNITARY,
             "no admissible chart: the point lies outside the big open",
         )
-    best = chart_eval(x, report.best, tol)  # == the report's entry for that chart
+    best = chart_eval(x, report.best, tol)  # the report's entry for that chart
     disc, ps = _disc_psi(best)
     if abs(ps) <= tol.abs:
         raise PsiDegenerate(

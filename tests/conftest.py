@@ -33,7 +33,9 @@ from monodromy import (
     sample_su11,
     triple_trace,
 )
-from monodromy.charts import chart_eval, index_set, psi
+from monodromy.charts import index_set, psi
+from monodromy.coords import descending_product
+from monodromy.sl2 import IDENTITY, max_entry_diff
 
 
 # --- plain-tuple 2x2 oracle -------------------------------------------------
@@ -51,6 +53,11 @@ def omul(p, q):
 
 def otr(p):
     return p[0][0] + p[1][1]
+
+
+def closure_residual(rep: Representation) -> float:
+    """Entrywise norm of M_{n+1} M_n ... M_1 - I, by matrix products."""
+    return max_entry_diff(rep.last @ descending_product(rep.mats), IDENTITY)
 
 
 def commutator_gap(a: Mat2, b: Mat2) -> float:
@@ -177,15 +184,16 @@ def oracle_chart_psi(x, chart):
 
 def oracle_chart_entries(x, tol):
     """(chart, value, admissible, psi) per chart and the best admissible chart,
-    one public single-chart call per chart; admissible means |p| above the
-    zero threshold tol.abs * (1 + |x_kj|^4)."""
+    each value p = (x_kj^2 - 4) psi from ``oracle_chart_psi`` and ``x.pair``;
+    admissible means |p| above the zero threshold tol.abs * (1 + |x_kj|^4)."""
     entries = []
     best, best_mag = None, 0.0
     for chart in charts_for(x.n):
-        e = chart_eval(x, chart)
-        value = e.value
-        admissible = abs(value) > tol.abs * (1.0 + abs(x.pair(chart.k, chart.j)) ** 4)
-        entries.append((chart, value, admissible, e.psi))
+        xkj = x.pair(chart.k, chart.j)
+        ps = oracle_chart_psi(x, chart)
+        value = (xkj * xkj - 4.0) * ps
+        admissible = abs(value) > tol.abs * (1.0 + abs(xkj) ** 4)
+        entries.append((chart, value, admissible, ps))
         if admissible and abs(value) > best_mag:
             best, best_mag = chart, abs(value)
     return entries, best

@@ -24,7 +24,7 @@ from monodromy import (
     verify_invariance,
 )
 from monodromy.charts import chart_eval
-from monodromy.relations import g_poly
+from monodromy.relations import _word_trace
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import four_trace_reduction
 
@@ -94,7 +94,8 @@ def test_criterion_02_full_word_trace_oracle():
                 for s in range(n - 1, 0, -1):
                     prod = omul(prod, omat(rep.mats[s - 1]))
                 direct = otr(prod)
-                value = g_poly(x, tuple(range(n, 0, -1)))
+                word = tuple(range(n, 0, -1))
+                value = _word_trace(word, (0.0,) + x.local.a, x.pairs, x.triples)
                 assert abs(value - direct) <= 1e-8 * (1.0 + abs(direct)), (n, seed)
 
 

@@ -13,8 +13,15 @@ from monodromy import (
     TraceCoordinates,
     classify,
     classify_charts,
+    hermitian_form,
+    membership,
     phi,
+    reconstruct,
+    type1,
+    type2,
+    type3,
 )
+from monodromy import charts, relations
 from monodromy.charts import chart_eval, index_set, psi, require_admissible
 from monodromy.samplers import SplitMix64, random_unimodular
 
@@ -211,6 +218,38 @@ def test_classify_charts_memoized_per_tolerance():
     for copied in (copy.copy(x), pickle.loads(pickle.dumps(x))):  # copies start without the memo
         assert copied._cache == {}
         assert classify_charts(copied) == report and classify_charts(copied) is not report
+
+
+@pytest.mark.parametrize("family", ["su2", "su11"])
+def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
+    # phi -> membership -> classify_charts -> reconstruct -> classify ->
+    # hermitian_form, with the public evaluators after: one chart table per
+    # tolerance and one relation pass (its z/s3 tables and its type 3 word) per point
+    calls = {"charts": 0, "tables": 0, "words": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(charts, "_chart_values", counted("charts", charts._chart_values))
+    monkeypatch.setattr(relations, "_tables", counted("tables", relations._tables))
+    monkeypatch.setattr(relations, "_word_trace", counted("words", relations._word_trace))
+    x = phi(FAMILIES[family](6, 2))
+    tols = (DEFAULT_TOL, Tolerance(1e-3, 1e-3))
+    for tol in tols:
+        membership(x)
+        best = classify_charts(x, tol).best
+        reconstruct(x, best, tol=tol)
+        sig = classify(x, tol)
+        hermitian_form(x, sig.chart, tol)
+        for e in classify_charts(x, tol).entries:
+            chart_eval(x, e.chart, tol)
+        type1(x, (1, 2, 3), (4, 5, 6))
+        type2(x, 1, (2, 3, 4, 5))
+        type3(x)
+    assert calls == {"charts": len(tols), "tables": 1, "words": 1}
 
 
 @pytest.mark.parametrize("family", ["su2", "su11", "generic"])

@@ -92,6 +92,36 @@ def test_coords_trace_mismatch(tmp_path):
     assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_RESIDUAL
 
 
+def _tuple_file(mats, a):
+    """A tuple file of real 2x2 grids and real declared traces."""
+    grids = [[[[v, 0.0] for v in row] for row in m] for m in mats]
+    return {"n": len(mats), "a": [[v, 0.0] for v in a], "matrices": grids}
+
+
+def test_coords_nan_determinant_exits_three(tmp_path, capsys):
+    # det M_1 = 1e400 - 1e400 is NaN, which check_unimodular must not pass
+    obj = _tuple_file([[[1e200, 1e200], [1e200, 1e200]], [[1.0, 0.0], [0.0, 1.0]],
+                       [[1.0, 0.0], [0.0, 1.0]]], [2e200, 2.0, 2.0, 2e200])
+    path = tmp_path / "nan-det.json"
+    path.write_text(json.dumps(obj))
+    assert run("coords", path, "-o", tmp_path / "out.json") == EXIT_RESIDUAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |det - 1| = nan") and captured.err.count("\n") == 1
+
+
+def test_coords_closure_residual_is_last_det(tmp_path, capsys):
+    # a genuine tuple whose product M_{n+1} (M_n ... M_1) overflows: the closure
+    # residual is |det M_{n+1} - 1|, which reads 1 here (1e300 * 1 - 1e150 * 1e150)
+    obj = _tuple_file([[[1.0, 1e150], [0.0, 1.0]], [[1.0, 0.0], [1e150, 1.0]],
+                       [[1.0, 0.0], [0.0, 1.0]]], [2.0, 2.0, 2.0, 1e300])
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(obj))
+    assert run("coords", path, "-o", tmp_path / "out.json") == EXIT_OK
+    captured = capsys.readouterr()
+    assert "closure residual : 1.000e+00\n" in captured.out and captured.err == ""
+
+
 def test_relations_pass_and_report(tmp_path, capsys, fixture_rep):
     path = coords_path(tmp_path, fixture_rep)
     assert run("relations", path) == EXIT_OK

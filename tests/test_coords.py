@@ -15,11 +15,10 @@ from monodromy import (
     quad_trace,
     triple_trace,
 )
-from monodromy.coords import closure_residual
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, four_trace_reduction
 
-from conftest import FAMILIES, generic, identity_rep, oword
+from conftest import FAMILIES, closure_residual, generic, identity_rep, oword
 
 
 def test_close_tuple_identity():

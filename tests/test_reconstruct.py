@@ -28,12 +28,20 @@ from monodromy import (
     reconstruct,
     triple_trace,
 )
-from monodromy.coords import _pair, _quad, _triple, closure_residual, opposite_rotation
+from monodromy.coords import _pair, _quad, _triple, opposite_rotation
 from monodromy.reconstruct import lambdas
 from monodromy.samplers import SplitMix64
 from monodromy.sl2 import four_trace_reduction
 
-from conftest import FAMILIES, branch_gap, commutator_gap, generic, identity_rep, su2
+from conftest import (
+    FAMILIES,
+    branch_gap,
+    closure_residual,
+    commutator_gap,
+    generic,
+    identity_rep,
+    su2,
+)
 
 
 def test_branch_choice_validation():

@@ -21,7 +21,6 @@ from monodromy import (
 )
 from monodromy import relations
 from monodromy.charts import psi
-from monodromy.relations import g_poly, s3, z_entry
 from conftest import (
     FAMILIES,
     generic,
@@ -34,6 +33,17 @@ from conftest import (
     oword,
     relation_count,
 )
+
+
+def s3_table(x):
+    """{ascending triple: s3} from the kernel's ``_tables``."""
+    return dict(zip(combinations(range(1, x.n + 1), 3), relations._tables(x)[1]))
+
+
+def word_trace(x, word):
+    """g(word), the trace polynomial of a descending word that the ``test_g_poly_*``
+    tests check: the kernel's ``_word_trace``, read from x's stored data."""
+    return relations._word_trace(word, (0.0,) + x.local.a, x.pairs, x.triples)
 
 
 def synthetic_coords(n, a, pair_value, triple_value=None):
@@ -56,49 +66,52 @@ def test_psi_values(args, expect):
 def test_s3_identity_values():
     # every a = 2 and every coordinate = 2: 4 + 4 + 4 - 8 - 4 = 0
     x = phi(identity_rep(4))
-    assert s3(x, 1, 2, 3) == 0.0
+    assert s3_table(x)[(1, 2, 3)] == 0.0
 
 
 def test_s3_vanishing_local_traces():
     x = synthetic_coords(4, (0.0, 0.0, 0.0, 0.0, 1.0), pair_value=0.7, triple_value=1.3)
-    assert s3(x, 1, 2, 3) == -2.0 * 1.3
-    assert s3(x, 2, 3, 4) == -2.0 * 1.3
+    s = s3_table(x)
+    assert s[(1, 2, 3)] == -2.0 * 1.3
+    assert s[(2, 3, 4)] == -2.0 * 1.3
 
 
 def test_s3_against_oracle():
     rep = generic(4, seed=3)
     x = phi(rep)
     a = x.local.trace
+    s = s3_table(x)
     for i1, i2, i3 in combinations(range(1, 5), 3):
         expect = (
             a(i1) * oword(rep, (i3, i2)) + a(i2) * oword(rep, (i3, i1))
             + a(i3) * oword(rep, (i2, i1)) - a(i3) * a(i2) * a(i1)
             - 2.0 * oword(rep, (i3, i2, i1))
         )
-        assert abs(s3(x, i1, i2, i3) - expect) <= 1e-12 * (1.0 + abs(expect))
+        assert abs(s[(i1, i2, i3)] - expect) <= 1e-12 * (1.0 + abs(expect))
 
 
 def test_s3_requires_ascending():
+    # a triple reaches s3 only through type1 and type2, whose index checks refuse it
     x = phi(generic(4, seed=3))
     with pytest.raises(BadIndex):
-        s3(x, 2, 1, 3)
+        type1(x, (2, 1, 3), (1, 2, 3))
     with pytest.raises(BadIndex):
-        s3(x, 1, 2, 5)
+        type1(x, (1, 2, 5), (1, 2, 3))
+    with pytest.raises(BadIndex):
+        type2(x, 1, (2, 1, 3, 4))
 
 
 def test_z_entry_values(fixture_coords):
-    x = fixture_coords
-    assert z_entry(x, 1, 1) == -2.0  # a_1 = 0
-    assert z_entry(x, 3, 3) == 0.5 * 9 - 2
-    assert z_entry(x, 1, 2) == -2.5  # x_21 - 0
-    assert z_entry(x, 2, 1) == -2.5
-    with pytest.raises(BadIndex):
-        z_entry(x, 0, 1)
+    z = relations._tables(fixture_coords)[0]
+    assert z[1][1] == -2.0  # a_1 = 0
+    assert z[3][3] == 0.5 * 9 - 2
+    assert z[1][2] == -2.5  # x_21 - 0
+    assert z[2][1] == -2.5
 
 
 def test_z_entry_diag_identity():
     x = phi(identity_rep(4))
-    assert z_entry(x, 2, 2) == 0.0
+    assert relations._tables(x)[0][2][2] == 0.0
 
 
 def test_type1_n3_cubic_on_fixture(fixture_coords):
@@ -160,23 +173,23 @@ def test_type2_not_applicable_n3(fixture_coords):
 def test_g_poly_base_cases():
     rep = generic(4, seed=5)
     x = phi(rep)
-    assert g_poly(x, (1,)) == x.local.trace(1)
-    assert g_poly(x, (3, 1)) == x.pair(3, 1)
-    assert g_poly(x, (4, 3, 2)) == x.triples[(2, 3, 4)]
+    assert word_trace(x, (1,)) == x.local.trace(1)
+    assert word_trace(x, (3, 1)) == x.pair(3, 1)
+    assert word_trace(x, (4, 3, 2)) == x.triples[(2, 3, 4)]
 
 
 def test_g_poly_full_word_n4():
     rep = generic(4, seed=9)
     x = phi(rep)
     direct = oword(rep, (4, 3, 2, 1))
-    assert abs(g_poly(x, (4, 3, 2, 1)) - direct) <= 1e-9 * (1.0 + abs(direct))
+    assert abs(word_trace(x, (4, 3, 2, 1)) - direct) <= 1e-9 * (1.0 + abs(direct))
 
 
 def test_g_poly_full_word_n6():
     rep = generic(6, seed=10)
     x = phi(rep)
     direct = oword(rep, (6, 5, 4, 3, 2, 1))
-    assert abs(g_poly(x, (6, 5, 4, 3, 2, 1)) - direct) <= 1e-8 * (1.0 + abs(direct))
+    assert abs(word_trace(x, (6, 5, 4, 3, 2, 1)) - direct) <= 1e-8 * (1.0 + abs(direct))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -187,7 +200,7 @@ def test_g_poly_every_descending_subword(n):
         for combo in combinations(range(1, n + 1), size):
             word = tuple(reversed(combo))
             direct = oword(rep, word)
-            assert abs(g_poly(x, word) - direct) <= 1e-8 * (1.0 + abs(direct))
+            assert abs(word_trace(x, word) - direct) <= 1e-8 * (1.0 + abs(direct))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -197,18 +210,8 @@ def test_g_poly_bit_identical_to_accessor_recursion(n, family):
     memo = {}
     for size in range(1, n + 1):
         for word in combinations(range(n, 0, -1), size):
-            assert g_poly(x, word) == oracle_g(x, word, memo)
+            assert word_trace(x, word) == oracle_g(x, word, memo)
     assert type3(x) == oracle_g(x, tuple(range(n, 0, -1)), memo) - x.local.trace(n + 1)
-
-
-def test_g_poly_rejects_bad_words():
-    x = phi(generic(4, seed=5))
-    with pytest.raises(BadIndex):
-        g_poly(x, (1, 2))
-    with pytest.raises(BadIndex):
-        g_poly(x, (3, 3, 1))
-    with pytest.raises(BadIndex):
-        g_poly(x, ())
 
 
 def test_type3_vanishes_on_image():
@@ -306,7 +309,14 @@ def test_relations_exactly_zero_on_integer_tuples(n):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("n", range(3, 10))
 def test_kernel_bit_identical_to_definition(n, family):
-    x = phi(FAMILIES[family](n, 300 + n))
+    rep = FAMILIES[family](n, 300 + n)
+    # the evaluators, called first on a fresh point, read what membership reports
+    y = phi(rep)
+    t1 = tuple(abs(type1(y, ta, tb)) for ta, tb in type1_pairs(n))
+    t2 = tuple(abs(type2(y, i, quad)) for i, quad in type2_terms(n))
+    t3 = abs(type3(y)) if n > 3 else None
+    assert (t1, t2, t3) == membership(y)[:3]  # (type1, type2, type3)
+    x = phi(rep)
     res = membership(x)
     assert res.type1 == tuple(abs(oracle_type1(x, ta, tb)) for ta, tb in type1_pairs(n))
     assert res.type2 == tuple(abs(oracle_type2(x, i, quad)) for i, quad in type2_terms(n))
@@ -314,11 +324,11 @@ def test_kernel_bit_identical_to_definition(n, family):
         assert type1(x, ta, tb) == oracle_type1(x, ta, tb)
     for i, quad in type2_terms(n):
         assert type2(x, i, quad) == oracle_type2(x, i, quad)
-    for t in combinations(range(1, n + 1), 3):
-        assert s3(x, *t) == oracle_s3(x, *t)
+    z, sv = relations._tables(x)
+    assert sv == [oracle_s3(x, *t) for t in combinations(range(1, n + 1), 3)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            assert z_entry(x, i, j) == oracle_z(x, i, j)
+            assert z[i][j] == oracle_z(x, i, j)
 
 
 def test_type1_rejects_malformed_triples():
@@ -369,17 +379,17 @@ def test_real_view_bit_identical_to_complex_kernel(n, monkeypatch):
 
 def test_real_view_only_on_exactly_real_points():
     x = phi(FAMILIES["su2"](5, 11))
-    z, s, _ = relations._tables(x)
-    assert {type(v) for row in z for v in row} == {type(v) for v in s.values()} == {float}
-    assert type(s3(x, 1, 2, 3)) is type(z_entry(x, 2, 4)) is type(type2(x, 1, (2, 3, 4, 5))) is float
-    assert type(type1(x, (1, 2, 3), (2, 3, 4))) is float
+    z, sv = relations._tables(x)
+    assert {type(v) for row in z for v in row} == {type(v) for v in sv} == {float}
+    assert type(type1(x, (1, 2, 3), (2, 3, 4))) is type(type2(x, 1, (2, 3, 4, 5))) is float
+    assert type(type3(x)) is float
     pairs = dict(x.pairs)
     pairs[(2, 4)] += 1e-30j  # one imaginary part off zero keeps every table complex
     y = TraceCoordinates(x.local, pairs, dict(x.triples))
     assert relations._real_view(y) == ((0.0,) + y.local.a, y.pairs, y.triples)
-    z, s, _ = relations._tables(y)
+    z, sv = relations._tables(y)
     assert type(z[2][4]) is type(z[1][1]) is complex
-    assert {type(v) for v in s.values()} == {complex}
+    assert {type(v) for v in sv} == {complex}
     assert membership(y).max > 0.0
 
 

@@ -12,12 +12,11 @@ from monodromy import (
     sample_su2,
     verify_invariance,
 )
-from monodromy.coords import closure_residual
 from monodromy.samplers import SplitMix64, companion, random_unimodular, su11_element
 from monodromy.sl2 import IDENTITY, max_entry_diff
 from monodromy.unitary import reality_gate
 
-from conftest import commutator_gap
+from conftest import closure_residual, commutator_gap
 
 I_ONE_ONE = Mat2(1.0, 0.0, 0.0, -1.0)
 

@@ -5,6 +5,7 @@ from monodromy import (
     Mat2,
     NotUnimodular,
     Tolerance,
+    close_tuple,
 )
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, check_unimodular, four_trace_reduction, max_entry_diff
@@ -74,6 +75,15 @@ def test_det_trace_inverse(mat, expect):
 def test_det_trace_inverse_rejects():
     with pytest.raises(NotUnimodular):
         check_unimodular(Mat2(2.0, 0.0, 0.0, 1.0))
+
+
+def test_check_unimodular_rejects_nan_determinant():
+    # 1e200 * 1e200 - 1e200 * 1e200 is inf - inf: |det - 1| is NaN, which fails the gate
+    huge = Mat2(1e200, 1e200, 1e200, 1e200)
+    with pytest.raises(NotUnimodular, match="nan"):
+        check_unimodular(huge)
+    with pytest.raises(NotUnimodular):
+        close_tuple([huge, IDENTITY, IDENTITY])
 
 
 def test_skein_identity_pair():
