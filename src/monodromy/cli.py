@@ -2,15 +2,15 @@
 wiring the library, and human-readable residual reports.
 
 Exit codes: 0 success, 2 parse/flag error, 3 residual or invariant failure
-(off-variety points and arithmetic overflow included), 4 no usable chart,
-5 signature boundary.
+(off-variety points and arithmetic overflow included), 4 no usable chart
+(``reconstruct``; ``classify`` at a real point without one), 5 signature boundary.
 
 File formats are UTF-8 JSON with every complex number written as an
 ``[re, im]`` pair.  A tuple file carries ``n``, the n+1 local traces ``a``
 and the n matrices as 2x2 row-major grids; a coordinate file carries ``n``,
-``a`` and the maps ``pairs``/``triples`` keyed by concatenated indices
-("21", "321", ...), which restricts files to n <= 9.  Rewriting a file read
-back in reproduces it byte for byte.
+``a`` and the maps ``pairs``/``triples`` keyed by the descending indices, run
+together for n <= 9 ("21", "321") and comma-separated past it ("10,2,1").
+Rewriting a file read back in reproduces it byte for byte.
 
 The environment variable MONODROMY_TOL overrides the default tolerance of
 1e-9; --tol overrides both.
@@ -55,11 +55,7 @@ EXIT_BOUNDARY = 5
 
 
 class ParseError(Exception):
-    """Malformed file or flag, or a tuple too large for a coordinate file (exit code 2)."""
-
-
-class DataError(Exception):
-    """Structurally valid input violating a library invariant (exit code 3)."""
+    """Malformed file or flag (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +99,7 @@ def rep_to_obj(rep: Representation, provenance: dict | None = None) -> dict:
     return obj
 
 
-def _header(obj, what: str, body: tuple[str, ...], max_n: float, n_range: str) -> list:
+def _header(obj, what: str, body: tuple[str, ...]) -> list:
     """[n, a, *body] of a tuple or coordinate file, after the checks both share."""
     if not isinstance(obj, dict):
         raise ParseError(f"{what}: top level must be a JSON object")
@@ -112,8 +108,8 @@ def _header(obj, what: str, body: tuple[str, ...], max_n: float, n_range: str) -
     except KeyError as exc:
         raise ParseError(f"{what}: missing field {exc}") from exc
     n, raw_a = fields[:2]
-    if not isinstance(n, int) or not 3 <= n <= max_n:
-        raise ParseError(f"{what}: n must be an integer {n_range}, got {n!r}")
+    if not isinstance(n, int) or n < 3:
+        raise ParseError(f"{what}: n must be an integer >= 3, got {n!r}")
     if not isinstance(raw_a, list) or len(raw_a) != n + 1:
         raise ParseError(f"{what}: 'a' must list {n + 1} traces")
     return fields
@@ -124,11 +120,11 @@ def _computed(build, *args):
     try:
         return build(*args)
     except ValueError as exc:
-        raise DataError(f"arithmetic overflow: {exc}") from exc
+        raise MonodromyError(f"arithmetic overflow: {exc}") from exc
 
 
 def rep_from_obj(obj, tol: Tolerance) -> Representation:
-    n, raw_a, raw_mats = _header(obj, "tuple file", ("matrices",), math.inf, ">= 3")
+    n, raw_a, raw_mats = _header(obj, "tuple file", ("matrices",))
     if not isinstance(raw_mats, list) or len(raw_mats) != n:
         raise ParseError(f"tuple file: 'matrices' must list {n} matrices")
     declared = [_c_in(v, f"a[{idx}]") for idx, v in enumerate(raw_a)]
@@ -151,20 +147,19 @@ def rep_from_obj(obj, tol: Tolerance) -> Representation:
     for idx in range(1, n + 2):
         err = abs(actual.trace(idx) - declared[idx - 1])
         if err > tol.bound(1.0 + abs(declared[idx - 1])):
-            raise DataError(
+            raise MonodromyError(
                 f"declared trace a_{idx} disagrees with the matrices by {err:.3e}"
             )
     return rep
 
 
 def coords_to_obj(x: TraceCoordinates) -> dict:
-    if x.n > 9:
-        raise ParseError(f"coordinate files hold n <= 9 (digit keys), got n = {x.n}")
+    sep = "" if x.n <= 9 else ","
     pairs: dict[str, list[float]] = {}
     triples: dict[str, list[float]] = {}
     for key, v in x.items():
         target = pairs if len(key) == 2 else triples
-        target["".join(str(c) for c in key)] = _c_out(v)
+        target[sep.join(map(str, key))] = _c_out(v)
     return {
         "n": x.n,
         "a": [_c_out(v) for v in x.local.a],
@@ -173,30 +168,31 @@ def coords_to_obj(x: TraceCoordinates) -> dict:
     }
 
 
+def _keyed(raw: dict, size: int, n: int) -> dict:
+    """The stored pair (size 2) or triple (size 3) map of a coordinate file's
+    ``raw`` map, whose keys are written as ``coords_to_obj`` writes them."""
+    what, names, count = ("pair", "ji", "two") if size == 2 else ("triple", "kji", "three")
+    sep, unit = ("", "digits") if n <= 9 else (",", "indices")
+    stored = {sep.join(map(str, t[::-1])): t for t in combinations(range(1, n + 1), size)}
+    out = {}
+    for key, val in raw.items():
+        if key not in stored:
+            parts = key.split(",") if sep else list(key)
+            if len(parts) == size and all(p.isascii() and p.isdigit() for p in parts):
+                raise ParseError(f"{what} key {key!r}: need 1 <= {' < '.join(names[::-1])} <= {n}")
+            raise ParseError(f"{what} key {key!r}: expected {count} {unit} '{sep.join(names)}' "
+                             f"with {' > '.join(names)}")
+        out[stored[key]] = _c_in(val, f"{what} {key}")
+    return out
+
+
 def coords_from_obj(obj) -> TraceCoordinates:
-    n, raw_a, raw_pairs, raw_triples = _header(
-        obj, "coordinate file", ("pairs", "triples"), 9, "in 3..9")
+    n, raw_a, raw_pairs, raw_triples = _header(obj, "coordinate file", ("pairs", "triples"))
     local = LocalData(tuple(_c_in(v, f"a[{idx}]") for idx, v in enumerate(raw_a)))
     if not isinstance(raw_pairs, dict) or not isinstance(raw_triples, dict):
         raise ParseError("coordinate file: 'pairs' and 'triples' must be objects")
-    pairs = {}
-    for key, val in raw_pairs.items():
-        if len(key) != 2 or not (key.isascii() and key.isdigit()):
-            raise ParseError(f"pair key {key!r}: expected two digits 'ji' with j > i")
-        j, i = int(key[0]), int(key[1])
-        if not 1 <= i < j <= n:
-            raise ParseError(f"pair key {key!r}: need 1 <= i < j <= {n}")
-        pairs[(i, j)] = _c_in(val, f"pair {key}")
-    triples = {}
-    for key, val in raw_triples.items():
-        if len(key) != 3 or not (key.isascii() and key.isdigit()):
-            raise ParseError(f"triple key {key!r}: expected three digits 'kji' with k > j > i")
-        k, j, i = int(key[0]), int(key[1]), int(key[2])
-        if not 1 <= i < j < k <= n:
-            raise ParseError(f"triple key {key!r}: need 1 <= i < j < k <= {n}")
-        triples[(i, j, k)] = _c_in(val, f"triple {key}")
     try:
-        return TraceCoordinates(local, pairs, triples)
+        return TraceCoordinates(local, _keyed(raw_pairs, 2, n), _keyed(raw_triples, 3, n))
     except ValueError as exc:
         raise ParseError(f"coordinate file: {exc}") from exc
 
@@ -329,6 +325,9 @@ def cmd_classify(args, tol: Tolerance) -> int:
         print("verdict       : boundary")
         print(f"reason        : {exc}")
         return EXIT_BOUNDARY
+    except ChartNotAdmissible as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NO_CHART
     if sig.kind is Signature.NOT_UNITARY:
         print("verdict       : not-unitary")
         print(f"reason        : {sig.detail}")
@@ -394,21 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--tol", type=float, default=None,
-            help="tolerance (default: MONODROMY_TOL env var, else 1e-9)",
-        )
-
     p = sub.add_parser("coords", help="compute trace coordinates of a tuple file")
     p.add_argument("input", help="tuple JSON file")
     p.add_argument("-o", "--output", required=True, help="coordinate JSON file ('-' for stdout)")
-    add_tol(p)
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("relations", help="evaluate the defining relations at a coordinate file")
     p.add_argument("input", help="coordinate JSON file")
-    add_tol(p)
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("reconstruct", help="build a matrix tuple from coordinates on a chart")
@@ -416,12 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="tuple JSON file ('-' for stdout)")
     p.add_argument("--chart", default="auto", help="'j,k,i0', 'j,k,base' or 'auto' (default)")
     p.add_argument("--branch", choices=["+", "-"], default="+", help="square-root branch")
-    add_tol(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("classify", help="decide unitarity and signature of a coordinate file")
     p.add_argument("input", help="coordinate JSON file")
-    add_tol(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sample", help="write a deterministic fixture tuple")
@@ -434,9 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated local exponents; converted via a = 2 cos(pi theta)")
     p.add_argument("--entry-bound", type=float, default=4.0, dest="entry_bound")
     p.add_argument("-o", "--output", required=True, help="tuple JSON file ('-' for stdout)")
-    add_tol(p)
     p.set_defaults(func=cmd_sample)
 
+    for p in sub.choices.values():
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance (default: MONODROMY_TOL env var, else 1e-9)")
     return parser
 
 
@@ -460,7 +451,7 @@ def main(argv=None) -> int:
             print(f"error: MONODROMY_TOL={env!r} is not a number", file=sys.stderr)
             return EXIT_PARSE
     try:
-        tol = DEFAULT_TOL if tol_value is None else Tolerance(tol_value, tol_value)
+        tol = DEFAULT_TOL if tol_value is None else Tolerance(tol_value)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -471,7 +462,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DataError, MonodromyError, OverflowError) as exc:
+    except (MonodromyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     finally:

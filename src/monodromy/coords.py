@@ -132,11 +132,11 @@ class TraceCoordinates:
 
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
-    derived values: the real view, the signed relation values and their
-    residuals, one chart report per tolerance, and one rebuild per (chart,
-    branch, tolerance), which ``reconstruct`` and ``classify`` share.  Each
-    entry is write-once and idempotent, so sharing across threads stays safe;
-    equality, repr and copies ignore it.
+    derived values: the real view, the signed relation values, one chart
+    report per tolerance, and one rebuild per (chart, branch, tolerance),
+    which ``reconstruct`` and ``classify`` share.  Each entry is write-once and
+    idempotent, so sharing across threads stays safe; equality, repr and
+    copies ignore it.
     """
 
     __slots__ = ("local", "pairs", "triples", "_cache", "_n")

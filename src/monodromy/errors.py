@@ -22,7 +22,7 @@ class BadChart(MonodromyError):
 
 
 class ChartNotAdmissible(MonodromyError):
-    """The chart polynomial vanishes numerically at the given point."""
+    """The chart polynomial, or every one, vanishes numerically at the given point."""
 
 
 class DegenerateEigenvalues(MonodromyError):

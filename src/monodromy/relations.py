@@ -23,8 +23,8 @@ Every decision that depends only on n is made once, in the cached plan
 ``_layout(n)`` (``_word_plan`` per word).  Per point, ``_values`` evaluates
 every relation once, reading by slot from the ``z`` matrix and ``s3`` list of
 ``_tables``, and memoizes the signed values on the point: ``membership`` takes
-their magnitudes, and ``type1``/``type2``/``type3`` check their indices and
-return their entry, at its place in ``type1_pairs``/``type2_terms`` order.
+their magnitudes, and ``type1``/``type2`` look their indices up in the per-n
+``_slots`` and, like ``type3``, return their entry.
 Type 1 reads each row pair's 2x2 minors of ``z`` against one column table all
 row triples share; the determinant's factor 2 rides on a doubled copy of the
 first ``z`` row (doubling is exact).
@@ -51,13 +51,6 @@ from math import nan
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
 from .sl2 import _record
-
-
-def _check_ascending(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
-    if list(indices) != sorted(set(indices)):
-        raise BadIndex(f"indices {indices} must be strictly ascending")
-    if indices[0] < 1 or indices[-1] > x.n:
-        raise BadIndex(f"indices {indices} out of range 1..{x.n}")
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -194,7 +187,7 @@ def _values(x: TraceCoordinates) -> tuple:
     """``(type1, type2, type3)``: the signed value of every defining relation at x,
     type 1 and 2 as lists in enumeration order, type 3 None for n = 3.  The one
     evaluation of the relations, memoized on x; indices are checked only by the
-    public evaluators, never in the loops here."""
+    public evaluators' ``_slots`` lookup, never in the loops here."""
     values = x._cache.get("values")
     if values is not None:
         return values
@@ -245,30 +238,25 @@ def type1(x: TraceCoordinates, triple_a, triple_b) -> complex:
     """s3(t1) s3(t2) + 2 det Z with Z[p][q] = z(t1[p], t2[q]), read from ``_values``.
 
     Symmetric in the two triples; they are canonicalized internally, so the
-    swapped call returns the identical value.
+    swapped call returns the identical value.  Other triples raise BadIndex.
     """
-    ta, tb = sorted((tuple(triple_a), tuple(triple_b)))
-    for t in (ta, tb):
-        if len(t) != 3:
-            raise BadIndex(f"need an index triple, got {t}")
-        if not 1 <= t[0] < t[1] < t[2] <= x.n:  # the full check names the fault
-            _check_ascending(x, t)
-    return _values(x)[0][_slots(x.n)[0][(ta, tb)]]
+    try:
+        slot = _slots(x.n)[0][tuple(sorted((tuple(triple_a), tuple(triple_b))))]
+    except (KeyError, TypeError):
+        raise BadIndex(f"need ascending triples in 1..{x.n}, got {triple_a}, {triple_b}") from None
+    return _values(x)[0][slot]
 
 
 def type2(x: TraceCoordinates, i: int, quad) -> complex:
     """Alternating sum of z(i, p_k) s3(quadruple minus p_k) over the quadruple,
-    read from ``_values``."""
+    read from ``_values``; BadIndex unless 1 <= i <= n and quad ascends in 1..n."""
     if x.n == 3:
         raise NotApplicable("type 2 relations need n >= 4")
-    quad = tuple(quad)
-    if len(quad) != 4:
-        raise BadIndex(f"need an index quadruple, got {quad}")
-    if not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= x.n:
-        _check_ascending(x, quad)
-    if not 1 <= i <= x.n:
-        raise BadIndex(f"index {i} out of range 1..{x.n}")
-    return _values(x)[1][_slots(x.n)[1][(i, quad)]]
+    try:
+        slot = _slots(x.n)[1][(i, tuple(quad))]
+    except (KeyError, TypeError):
+        raise BadIndex(f"need i and a quadruple ascending in 1..{x.n}, got {i}, {quad}") from None
+    return _values(x)[1][slot]
 
 
 def type3(x: TraceCoordinates) -> complex:
@@ -308,18 +296,13 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     """Evaluate every defining relation at x.
 
     The magnitudes of ``_values``, the one evaluation the public evaluators
-    read too.  Reports residual magnitudes only and never fails on large
-    values; deciding what counts as "on the variety" is the caller's job.  The
-    result is memoized on the (immutable) coordinate point.
+    read too, memoized on the point; each call retakes the magnitudes.
+    Reports residual magnitudes only and never fails on large values;
+    deciding what counts as "on the variety" is the caller's job.
     """
-    cached = x._cache.get("membership")
-    if cached is not None:
-        return cached
     v1, v2, v3 = _values(x)
     r1, r2 = _magnitudes(v1), _magnitudes(v2)
     r3 = None if v3 is None else _magnitudes([v3])[0]
     worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
-    result = RelationResiduals(r1, r2, r3, worst, scale, worst / scale)
-    x._cache["membership"] = result
-    return result
+    return RelationResiduals(r1, r2, r3, worst, scale, worst / scale)

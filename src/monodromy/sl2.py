@@ -3,9 +3,10 @@
 Scalars are double-precision complex numbers throughout; matrices are
 immutable value objects.  Every value type of the package but
 ``TraceCoordinates`` is a named tuple built on ``_record``, so its ``_make``
-and ``_replace`` go through the constructor and its checks.  Inverses always go through the adjugate, which is
-the exact inverse of a determinant-1 matrix and therefore keeps
-unimodularity residuals tight.
+and ``_replace`` go through the constructor and its checks.  Inverses always
+go through the adjugate, which is the exact inverse of a determinant-1 matrix
+and therefore keeps unimodularity residuals tight.  ``Tolerance`` is the one
+positive number ``abs`` that every gate of the package reads (``bound`` scales it).
 """
 
 from __future__ import annotations
@@ -23,23 +24,20 @@ def _record(name: str, fields: str, defaults=None) -> type:
     return base
 
 
-class Tolerance(_record("Tolerance", "abs rel")):
-    """Absolute/relative tolerance pair used by residual checks.
-
-    ``bound(scale)`` gives the acceptance threshold ``abs + rel * |scale|``.
-    """
+class Tolerance(_record("Tolerance", "abs")):
+    """One tolerance; ``bound(scale)`` gives the threshold ``abs + abs * |scale|``."""
 
     __slots__ = ()
 
-    def __new__(cls, abs: float = 1e-9, rel: float = 1e-9):
-        if not (abs >= 0 and rel >= 0):  # also rejects NaN, which fails every gate
+    def __new__(cls, abs: float = 1e-9):
+        if not abs >= 0:  # also rejects NaN, which fails every gate
             raise ValueError("tolerances must be non-negative")
-        if abs + rel == 0:
-            raise ValueError("abs and rel tolerance cannot both be zero")
-        return tuple.__new__(cls, (abs, rel))
+        if abs == 0:
+            raise ValueError("tolerance cannot be zero")
+        return tuple.__new__(cls, (abs,))
 
     def bound(self, scale: float = 1.0) -> float:
-        return self.abs + self.rel * abs(scale)
+        return self.abs + self.abs * abs(scale)
 
 
 DEFAULT_TOL = Tolerance()

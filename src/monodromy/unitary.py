@@ -16,14 +16,15 @@ from itertools import chain
 
 from .charts import ChartEval, ChartId, chart_eval, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
-from .errors import DegenerateEigenvalues, NotReal, OffVariety, PsiDegenerate
+from .errors import ChartNotAdmissible, DegenerateEigenvalues, NotReal, OffVariety, PsiDegenerate
 from .reconstruct import PLUS, rebuild
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
 
 
 class Signature(enum.Enum):
     """Signature verdict; (2,0) and (0,2) are reported jointly as definite
-    because nothing in the data distinguishes an orientation."""
+    because nothing in the data distinguishes an orientation.  NOT_UNITARY
+    means non-real traces, which no tuple preserving a form has."""
 
     DEFINITE = "definite"
     INDEFINITE = "indefinite(1,1)"
@@ -88,9 +89,9 @@ def _disc_psi(e: ChartEval) -> tuple[float, float]:
     return xkj * xkj - 4.0, complex(e.psi).real
 
 
-def verify_invariance(rep: Representation, form: HermitianForm | Mat2) -> float:
+def verify_invariance(rep: Representation, form: HermitianForm) -> float:
     """max over the tuple's generators of the entrywise norm of M^dag H M - H."""
-    h = form.matrix() if isinstance(form, HermitianForm) else form
+    h = form.matrix()
     worst = 0.0
     for m in rep.mats:
         worst = max(worst, max_entry_diff(m.conj_transpose() @ h @ m, h))
@@ -100,12 +101,14 @@ def verify_invariance(rep: Representation, form: HermitianForm | Mat2) -> float:
 def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClass:
     """Decide unitarity and signature of the tuple parametrized by x.
 
-    Coordinates alone drive the decision: the reality gate, then the sign
-    pattern of (x_kj^2 - 4, psi) on the best admissible chart, which is the
-    signature of the invariant form by construction (module docstring).
-    Raises PsiDegenerate when the deciding psi is numerically zero,
-    DegenerateEigenvalues when x_kj^2 - 4 is, and OffVariety when the
-    rebuild on that chart fails the gate of ``reconstruct``.
+    Coordinates alone drive the decision: the reality gate (NOT_UNITARY when
+    it fails), then the sign pattern of (x_kj^2 - 4, psi) on the best
+    admissible chart, the signature of the invariant form by construction
+    (module docstring).  Raises ChartNotAdmissible at a real point without an
+    admissible chart (a reducible one, say), where the criterion does not
+    apply; PsiDegenerate when the deciding psi is numerically zero,
+    DegenerateEigenvalues when x_kj^2 - 4 is, and OffVariety when the rebuild
+    on that chart fails the gate of ``reconstruct``.
     """
     if not reality_gate(x, tol):
         return SignatureClass(
@@ -114,10 +117,8 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         )
     report = classify_charts(x, tol)
     if report.best is None:
-        return SignatureClass(
-            Signature.NOT_UNITARY,
-            "no admissible chart: the point lies outside the big open",
-        )
+        raise ChartNotAdmissible("no admissible chart at this point: the chart criterion does "
+                                 "not apply here, for instance at a reducible point")
     best = chart_eval(x, report.best, tol)  # the report's entry for that chart
     disc, ps = _disc_psi(best)
     if abs(ps) <= tol.abs:

@@ -8,12 +8,14 @@ kernel must reproduce bit for bit.  The coordinate oracles walk the sorted
 ``items()``; the package reads the stored dicts directly, in another order.
 The chart list and the relation count come from the index set and the closed
 formula, not from the package's per-n tables.  The eigenvalues of an invariant
-form come from the closed 2x2 formula, not from the package's sign rule.
+form come from the closed 2x2 formula, not from the package's sign rule.  The
+Gram oracle decides signature and reducibility from the inertia of a real
+symmetric matrix, without charts.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, copysign, hypot
 
 import pytest
 
@@ -241,6 +243,46 @@ def oracle_reality_gate(x, tol):
     """Every local trace and canonical-walk coordinate real within tol.abs."""
     values = list(x.local.a) + [v for _, v in x.items()]
     return all(abs(complex(v).imag) <= tol.abs for v in values)
+
+
+# --- chart-free Gram oracle ----------------------------------------------------
+# z_ij = tr(M_i0 M_j0) for the traceless parts M0 = M - (tr M / 2) I: Z is the
+# Gram matrix of n vectors of sl2 under its trace form, which has signature
+# (0+, 3-) on su(2) and (2+, 1-) on su(1,1); a reducible tuple keeps them in a
+# Borel subalgebra, where the form has rank <= 1 (Goldman, arXiv:0901.1404).
+
+def oracle_gram(x):
+    """The real n x n matrix Z, z_ii = a_i^2/2 - 2 and z_ij = x_ij - a_i a_j / 2,
+    read through the accessors at a real point."""
+    a = [complex(v).real for v in x.local.a]
+    return [[a[i] * a[i] / 2 - 2 if i == j else complex(x.pair(j + 1, i + 1)).real - a[i] * a[j] / 2
+             for j in range(x.n)] for i in range(x.n)]
+
+
+def oracle_inertia(z, rel=1e-9):
+    """(positive, negative, zero) eigenvalue counts of the real symmetric z, by
+    cyclic Jacobi rotations; an eigenvalue within rel * max|eigenvalue| is zero."""
+    a = [list(row) for row in z]
+    n = len(a)
+    for _ in range(50):
+        off = sum(a[p][q] ** 2 for p in range(n) for q in range(n) if p != q)
+        if off <= 1e-32 * sum(v * v for row in a for v in row):
+            break
+        for p, q in ((p, q) for p in range(n) for q in range(p + 1, n)):
+            if a[p][q] == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
+            c = 1.0 / hypot(t, 1.0)
+            s = t * c
+            for row in a:  # columns p and q
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = ([c * u - s * v for u, v in zip(a[p], a[q])],
+                          [s * u + c * v for u, v in zip(a[p], a[q])])
+    eig = [a[i][i] for i in range(n)]
+    zero = rel * max(map(abs, eig))
+    return (sum(v > zero for v in eig), sum(v < -zero for v in eig),
+            sum(abs(v) <= zero for v in eig))
 
 
 # --- canonical fixtures -------------------------------------------------------

@@ -188,7 +188,7 @@ def test_chart_psi_matches_commutator_interpretation():
 def test_chart_table_matches_definition(n, family):
     # the table writes psi and opposite_rotation out; every ChartEval must be ==
     # a recomputation with psi and triple_trace
-    for seed, tol in product((400 + n, 0, 1, 2), (DEFAULT_TOL, Tolerance(1e-3, 1e-3))):
+    for seed, tol in product((400 + n, 0, 1, 2), (DEFAULT_TOL, Tolerance(1e-3))):
         x = phi(FAMILIES[family](n, seed))
         report = classify_charts(x, tol)
         entries, best = oracle_chart_entries(x, tol)
@@ -210,7 +210,7 @@ def test_classify_charts_memoized_per_tolerance():
     x = phi(rep)
     report = classify_charts(x)
     assert classify_charts(x) is report and classify_charts(x, DEFAULT_TOL) is report
-    loose = Tolerance(1e-3, 1e-3)
+    loose = Tolerance(1e-3)
     other = classify_charts(x, loose)
     assert other is not report and classify_charts(x, loose) is other
     assert other == classify_charts(phi(rep), loose)
@@ -237,7 +237,7 @@ def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
     monkeypatch.setattr(relations, "_tables", counted("tables", relations._tables))
     monkeypatch.setattr(relations, "_word_trace", counted("words", relations._word_trace))
     x = phi(FAMILIES[family](6, 2))
-    tols = (DEFAULT_TOL, Tolerance(1e-3, 1e-3))
+    tols = (DEFAULT_TOL, Tolerance(1e-3))
     for tol in tols:
         membership(x)
         best = classify_charts(x, tol).best
@@ -255,7 +255,7 @@ def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
 @pytest.mark.parametrize("family", ["su2", "su11", "generic"])
 def test_classify_after_classify_charts_matches_fresh_point(family):
     rep = FAMILIES[family](7, 2)
-    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):
+    for tol in (DEFAULT_TOL, Tolerance(1e-3)):
         x = phi(rep)
         classify_charts(x, tol)
         assert classify(x, tol) == classify(phi(rep), tol)

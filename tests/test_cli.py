@@ -230,17 +230,40 @@ def test_coordinate_file_non_ascii_digit_key_exits_two(tmp_path, capsys, table, 
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_coords_rejects_n_above_nine(tmp_path, capsys):
-    rep_path = tmp_path / "t10.json"
-    assert run("sample", "--n", "10", "--seed", "1", "-o", rep_path) == EXIT_OK
-    capsys.readouterr()
-    out = tmp_path / "c10.json"
-    assert run("coords", rep_path, "-o", out) == EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "n <= 9" in captured.err
-    assert not out.exists()
+def test_coords_round_trip_above_nine(tmp_path, capsys):
+    # past n = 9 the keys join the descending indices with commas
+    for n in (10, 12):
+        rep_path, path = tmp_path / f"t{n}.json", tmp_path / f"c{n}.json"
+        assert run("sample", "--kind", "su2", "--n", n, "--seed", 0, "-o", rep_path) == EXIT_OK
+        assert run("coords", rep_path, "-o", path) == EXIT_OK
+        text = path.read_text()
+        obj = json.loads(text)
+        assert list(obj["pairs"])[:2] == ["2,1", "3,1"] and f"{n},2" in obj["pairs"]
+        assert list(obj["triples"])[0] == "3,2,1" and f"{n},2,1" in obj["triples"]
+        x = coords_from_obj(obj)
+        assert x == phi(su2(n, seed=0)) and x.n == n
+        assert json.dumps(coords_to_obj(x), indent=2) + "\n" == text
+        assert run("relations", path) == EXIT_OK
+        assert run("reconstruct", path, "-o", tmp_path / "r.json") == EXIT_OK
+        assert run("classify", path) == EXIT_OK
+        assert capsys.readouterr().out.endswith("verdict       : definite\n")
+
+
+def test_coordinate_keys_past_nine_are_checked(tmp_path, capsys):
+    obj = coords_to_obj(phi(su2(10, seed=0)))
+    for field, key, message in (
+        ("pairs", "21", "pair key '21': expected two indices 'j,i' with j > i"),
+        ("pairs", "1,2", "pair key '1,2': need 1 <= i < j <= 10"),
+        ("pairs", "02,1", "pair key '02,1': need 1 <= i < j <= 10"),
+        ("triples", "11,2,1", "triple key '11,2,1': need 1 <= i < j < k <= 10"),
+        ("triples", "3,2", "triple key '3,2': expected three indices 'k,j,i' with k > j > i"),
+    ):
+        bad = json.loads(json.dumps(obj))
+        bad[field][key] = [0.0, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run("relations", path) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_reconstruct_round_trip(tmp_path, fixture_rep):
@@ -317,6 +340,15 @@ def test_classify_generic_not_unitary(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "reality gate  : fail" in report
     assert "verdict       : not-unitary" in report
+
+
+def test_classify_without_chart_exits_four(tmp_path, capsys):
+    # the identity tuple lies in SU(2), but no chart applies to it: no verdict
+    path = coords_path(tmp_path, identity_rep(4))
+    assert run("classify", path) == EXIT_NO_CHART
+    out, err = capsys.readouterr()
+    assert out == "reality gate  : pass\n"
+    assert err.startswith("no admissible chart at this point") and err.count("\n") == 1
 
 
 def test_classify_boundary_exit(tmp_path, capsys):

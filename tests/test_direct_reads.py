@@ -23,7 +23,7 @@ from monodromy import DEFAULT_TOL, LocalData, Tolerance, TraceCoordinates, phi
 from monodromy import coordinate_distance
 from monodromy.unitary import reality_gate
 
-TOLERANCES = (DEFAULT_TOL, Tolerance(1e-3, 1e-3))
+TOLERANCES = (DEFAULT_TOL, Tolerance(1e-3))
 
 
 def _replaced(x, key, value):

@@ -254,7 +254,7 @@ def test_rebuild_memoized_per_chart_branch_and_tolerance():
     chart = classify_charts(x).best
     result = reconstruct(x, chart)
     assert reconstruct(x, chart) is result and reconstruct(x, chart, PLUS, DEFAULT_TOL) is result
-    loose = Tolerance(1e-3, 1e-3)
+    loose = Tolerance(1e-3)
     for branch, tol in ((MINUS, DEFAULT_TOL), (PLUS, loose), (MINUS, loose)):
         other = reconstruct(x, chart, branch, tol)
         assert other is not result and reconstruct(x, chart, branch, tol) is other

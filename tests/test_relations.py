@@ -267,11 +267,6 @@ def test_membership_counts():
         assert (res.type3 is None) == (n == 3)
 
 
-def test_membership_memoized():
-    x = phi(generic(4, seed=4))
-    assert membership(x) is membership(x)
-
-
 # Integer generators of SL2(Z[i]): words in them have Gaussian-integer
 # entries and traces, which floating point holds exactly at these sizes.
 _U = Mat2(1.0, 1.0, 0.0, 1.0)

@@ -1,6 +1,7 @@
 import pytest
 
 from monodromy import (
+    HermitianForm,
     Mat2,
     SamplerConfig,
     TraceOutOfRange,
@@ -73,7 +74,7 @@ def test_generic_prescribed_traces():
 
 
 def test_generic_irreducible_and_closed():
-    tight = Tolerance(1e-11, 0.0)
+    tight = Tolerance(5e-12)
     for seed in range(30):
         rep = sample_generic(SamplerConfig(seed=seed, n=3 + seed % 4))
         close_tuple(rep.mats, tight)  # unimodularity at 1e-11
@@ -86,7 +87,7 @@ def test_su2_unitarity():
         rep = sample_su2(SamplerConfig(seed=seed, n=3 + seed % 3))
         for m in rep.mats:
             assert max_entry_diff(m.conj_transpose() @ m, IDENTITY) <= 1e-12
-        assert verify_invariance(rep, IDENTITY) <= 1e-12
+        assert verify_invariance(rep, HermitianForm(1.0, 1.0)) <= 1e-12
 
 
 def test_su2_phi_real():
@@ -119,7 +120,7 @@ def test_su11_preserves_indefinite_form():
         rep = sample_su11(SamplerConfig(seed=seed, n=3 + seed % 3))
         for m in rep.mats:
             assert max_entry_diff(m.conj_transpose() @ I_ONE_ONE @ m, I_ONE_ONE) <= 1e-12
-        assert verify_invariance(rep, I_ONE_ONE) <= 1e-12
+        assert verify_invariance(rep, HermitianForm(1.0, -1.0)) <= 1e-12
 
 
 def test_su11_phi_real():
@@ -138,7 +139,7 @@ def test_su11_prescribed_traces_any_magnitude():
 
 
 def test_all_samplers_deterministic_and_closed():
-    tight = Tolerance(1e-11, 0.0)
+    tight = Tolerance(5e-12)
     for fn in (sample_generic, sample_su2, sample_su11):
         cfg = SamplerConfig(seed=42, n=4)
         assert fn(cfg) == fn(cfg)

@@ -51,10 +51,11 @@ def test_mat2_rejects_nonfinite():
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        Tolerance(0.0, 0.0)
+        Tolerance(0.0)
     with pytest.raises(ValueError):
-        Tolerance(-1e-9, 1e-9)
-    assert Tolerance(1e-12, 0.0).bound(10.0) == 1e-12
+        Tolerance(-1e-9)
+    assert Tolerance(1e-12).bound(10.0) == 1e-12 + 1e-12 * 10.0
+    assert DEFAULT_TOL.bound() == 2e-9
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,9 @@ from monodromy import (
 )
 from monodromy.charts import chart_eval, psi
 from monodromy.unitary import reality_gate
-from conftest import form_eigenvalues, generic, identity_rep, su2, su11
+from conftest import (
+    form_eigenvalues, generic, identity_rep, oracle_gram, oracle_inertia, su2, su11,
+)
 
 
 def coords_n3(a, x21, x31, x32):
@@ -108,7 +110,7 @@ def test_hermitian_form_errors():
 def test_verify_invariance_su2_element():
     m = Mat2(cmath.exp(0.7j), 0.0, 0.0, cmath.exp(-0.7j))
     rep = close_tuple([m, m.adjugate(), m])
-    assert verify_invariance(rep, Mat2(1.0, 0.0, 0.0, 1.0)) <= 1e-15
+    assert verify_invariance(rep, HermitianForm(1.0, 1.0)) <= 1e-15
 
 
 def test_verify_invariance_construction():
@@ -165,9 +167,10 @@ def test_classify_not_unitary_complex_data():
     assert sig.chart is None
 
 
-def test_classify_not_unitary_without_charts():
-    sig = classify(phi(identity_rep(4)))
-    assert sig.kind is Signature.NOT_UNITARY
+def test_classify_raises_without_charts():
+    # the identity tuple lies in SU(2), but no chart applies there
+    with pytest.raises(ChartNotAdmissible, match="no admissible chart"):
+        classify(phi(identity_rep(4)))
 
 
 def test_classify_boundary_psi():
@@ -244,3 +247,46 @@ def test_symmetry_of_reconstructed_entries():
                 assert abs(complex(m.m11).conjugate() - m.m22) <= 1e-9
                 ratio = m.m12 / complex(m.m21).conjugate()
                 assert abs(ratio + ps / disc) <= 1e-9
+
+
+# --- chart-free Gram oracle ---------------------------------------------------
+
+def test_verdict_matches_gram_inertia():
+    # definite exactly when Z has inertia (0+, 3-), indefinite exactly at (2+, 1-)
+    for family, want in ((su2, Signature.DEFINITE), (su11, Signature.INDEFINITE)):
+        for n in range(3, 10):
+            for bound in (4.0, 16.0):
+                for seed in range(6):
+                    x = phi(family(n, seed=seed, entry_bound=bound))
+                    inertia = oracle_inertia(oracle_gram(x))
+                    kind = classify(x).kind
+                    assert kind is want, (family.__name__, n, bound, seed)
+                    assert (kind is Signature.DEFINITE) == (inertia == (0, 3, n - 3))
+                    assert (kind is Signature.INDEFINITE) == (inertia == (2, 1, n - 3))
+
+
+def _diagonal_su2(thetas):
+    return close_tuple([Mat2(cmath.exp(1j * t), 0.0, 0.0, cmath.exp(-1j * t)) for t in thetas])
+
+
+def test_reducible_probes_have_gram_rank_at_most_one():
+    # a reducible tuple spans at most rank 1 of Z, and no chart applies to it
+    probes = (
+        identity_rep(4),
+        _diagonal_su2((0.3, 1.1, 2.0, 0.7)),
+        close_tuple([Mat2(2.0, 0.3 + 0.2j, 0.0, 0.5), Mat2(-0.5, 1.0, 0.0, -2.0),
+                     Mat2(4.0, -1.5j, 0.0, 0.25), Mat2(1.0, 2.0, 0.0, 1.0)]),
+    )
+    for rep in probes:
+        x = phi(rep)
+        assert reality_gate(x)
+        pos, neg, _ = oracle_inertia(oracle_gram(x))
+        assert pos + neg <= 1
+        with pytest.raises(ChartNotAdmissible):
+            classify(x)
+    # the quaternion tuple (i, j, i, j) is irreducible: rank 2 and a chart
+    qi, qj = Mat2(1j, 0.0, 0.0, -1j), Mat2(0.0, 1.0, -1.0, 0.0)
+    x = phi(close_tuple([qi, qj, qi, qj]))
+    pos, neg, _ = oracle_inertia(oracle_gram(x))
+    assert pos + neg == 2
+    assert classify_charts(x).best is not None
