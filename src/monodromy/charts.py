@@ -5,36 +5,31 @@ A chart is labeled by a pair (j, k) from the index set plus an anchor
 ``i0`` outside {j, k} anchors the normalization at that matrix.  A chart is
 admissible at a point when its chart polynomial is numerically nonzero;
 the union of all admissible loci is where explicit matrix representatives
-exist.
+exist.  The chart polynomial is p = (x_kj^2 - 4) psi, where
+psi(s, t, u) = s^2 + t^2 + u^2 - s t u - 4 is read at (x_kj, a_k, a_j) on a
+base chart and at (x_{k j i0}, x_kj, a_i0) on an anchored one.  The base
+psi = z_jk^2 - z_jj z_kk is minus the Gram determinant of M0_j and M0_k (see
+``relations``), so psi != 0 exactly when the pair is irreducible (Goldman,
+arXiv:0901.1404).
 
 Which stored coordinates each chart reads is worked out once per n and
 grouped by chart pair, so ``classify_charts`` computes x_kj, x_kj^2 - 4 and
 the admissibility threshold once per pair.  Its report, memoized on the
 point per tolerance, is the only evaluation: ``chart_eval`` checks the chart
 and returns the report's entry, so ``require_admissible``, ``reconstruct``
-and ``unitary`` all read its ``ChartEval`` (p, psi, x_kj) and a point's
-charts are evaluated once per tolerance.  Indices are checked at
-``chart_eval`` and ``ChartId`` only: the table reads the stored coordinates
-by the keys of its layout, with ``psi`` and ``opposite_rotation`` written
-out term for term.
+and ``unitary`` all read its ``ChartEval`` (p, psi, x_kj).  Indices are
+checked at ``chart_eval`` and ``ChartId`` only: the table reads the stored
+coordinates by the keys of its layout, with psi and ``opposite_rotation``
+written out term for term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coords import TraceCoordinates
+from .coords import TraceCoordinates, _triple_key
 from .errors import BadChart, ChartNotAdmissible
 from .sl2 import DEFAULT_TOL, Tolerance, _record
-
-
-def psi(s: complex, t: complex, u: complex) -> complex:
-    """s^2 + t^2 + u^2 - s t u - 4.
-
-    At (tr(AB), tr(A), tr(B)) this equals tr(A B A^-1 B^-1) - 2, so it
-    vanishes exactly when the pair generates a reducible group.
-    """
-    return s * s + t * t + u * u - s * t * u - 4.0
 
 
 class ChartId(_record("ChartId", "j k i0")):
@@ -86,8 +81,8 @@ def _group(j: int, k: int, n: int) -> tuple:
     for i0 in anchors:
         tkey = flip = None
         if i0:
-            lo, mid, hi = tkey = tuple(sorted((k, j, i0)))
-            if (k, j, i0) not in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+            tkey, rotation = _triple_key(k, j, i0)
+            if not rotation:
                 flip = ((min(j, i0), max(j, i0)), (min(k, i0), max(k, i0)))
         reads.append((i0, tkey, flip))
     return (min(j, k), max(j, k)), k, j, tuple(ChartId(j, k, i0) for i0 in anchors), tuple(reads)
@@ -102,15 +97,11 @@ class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
 
 def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval], ChartId | None]:
     """A ``ChartEval`` per chart of x's ``_layout``, read straight from the stored
-    coordinates, and the first admissible chart of largest |p|.  Base charts use
-    psi(x_kj, a_k, a_j), anchored charts psi(x_{k j i0}, x_kj, a_i0) with the
-    triple trace canonicalized as ``triple_trace`` does; p = (x_kj^2 - 4) psi is
-    admissible when |p| exceeds the scale-aware zero threshold
-    tol.abs * (1 + |x_kj|^4)."""
+    coordinates, and the first admissible chart of largest |p|.  The triple trace
+    is canonicalized as ``triple_trace`` does; p is admissible when |p| exceeds
+    the scale-aware zero threshold tol.abs * (1 + |x_kj|^4)."""
     a = (0.0,) + x.local.a  # 1-based
-    pairs = x.pairs
-    # for n = 3 the single triple trace is the closing trace a_4
-    triples = x.triples or {(1, 2, 3): a[4]}
+    pairs, triples = x.pairs, x._triples
     new = tuple.__new__  # ChartEval checks nothing, so its Python-level __new__ is skipped
     out = []
     best, best_mag = None, 0.0

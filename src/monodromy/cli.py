@@ -115,14 +115,6 @@ def _header(obj, what: str, body: tuple[str, ...]) -> list:
     return fields
 
 
-def _computed(build, *args):
-    """build(*args) on checked input, where a ValueError means a value overflowed."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise MonodromyError(f"arithmetic overflow: {exc}") from exc
-
-
 def rep_from_obj(obj, tol: Tolerance) -> Representation:
     n, raw_a, raw_mats = _header(obj, "tuple file", ("matrices",))
     if not isinstance(raw_mats, list) or len(raw_mats) != n:
@@ -136,13 +128,9 @@ def rep_from_obj(obj, tol: Tolerance) -> Representation:
         )
         if not shape_ok:
             raise ParseError(f"matrix {s}: expected a 2x2 grid of [re, im] pairs")
-        mats.append(Mat2(
-            _c_in(grid[0][0], f"matrix {s} entry (1,1)"),
-            _c_in(grid[0][1], f"matrix {s} entry (1,2)"),
-            _c_in(grid[1][0], f"matrix {s} entry (2,1)"),
-            _c_in(grid[1][1], f"matrix {s} entry (2,2)"),
-        ))
-    rep = _computed(close_tuple, mats, tol)
+        mats.append(Mat2(*(_c_in(grid[r][c], f"matrix {s} entry ({r + 1},{c + 1})")
+                           for r in (0, 1) for c in (0, 1))))
+    rep = close_tuple(mats, tol)
     actual = rep.local()
     for idx in range(1, n + 2):
         err = abs(actual.trace(idx) - declared[idx - 1])
@@ -229,7 +217,7 @@ def _fmt_c(z: complex) -> str:
 
 def cmd_coords(args, tol: Tolerance) -> int:
     rep = rep_from_obj(read_json(args.input), tol)
-    obj = coords_to_obj(_computed(phi, rep))
+    obj = coords_to_obj(phi(rep))
     print(f"n                : {rep.n}")
     # M_{n+1} = adj(M_n ... M_1), so |M_{n+1} M_n ... M_1 - I| is |det M_{n+1} - 1|
     print(f"closure residual : {abs(rep.last.det - 1.0):.3e}")
@@ -289,7 +277,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
         chart = _parse_chart(args.chart)
     branch = PLUS if args.branch == "+" else MINUS
     try:
-        result = _computed(reconstruct, x, chart, branch, tol)
+        result = reconstruct(x, chart, branch, tol)
     except (ChartNotAdmissible, DegenerateEigenvalues) as exc:
         print(f"chart {chart.label()} unusable: {exc}", file=sys.stderr)
         return EXIT_NO_CHART
@@ -320,7 +308,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     x = coords_from_obj(read_json(args.input))
     print(f"reality gate  : {'pass' if reality_gate(x, tol) else 'fail'}")
     try:
-        sig = _computed(classify, x, tol)
+        sig = classify(x, tol)
     except (PsiDegenerate, DegenerateEigenvalues) as exc:
         print("verdict       : boundary")
         print(f"reason        : {exc}")
@@ -462,8 +450,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (MonodromyError, OverflowError) as exc:
+    except MonodromyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
+    except (ValueError, OverflowError) as exc:  # checked input whose arithmetic left the float range
+        print(f"error: arithmetic overflow: {exc.args[-1]}", file=sys.stderr)
         return EXIT_RESIDUAL
     finally:
         warnings.formatwarning = formatwarning

@@ -14,8 +14,10 @@ and the opposite rotation class follows from the linear reordering identity
     tr(M_k M_j M_i) + tr(M_k M_i M_j)
         = a_k x_ji + a_j x_ki + a_i x_kj - a_k a_j a_i.
 
-For n = 3 the triple map is empty: the single triple trace always equals
-the closing trace a_4 and is read from the local data.
+For n = 3 the triple map is empty: the single triple trace is the closing
+trace a_4, which the private read map ``TraceCoordinates._triples`` holds at
+(1, 2, 3) (for n > 3 it is the stored map).  Every reader of a triple trace
+indexes that map, and ``_triple_key`` says which words rotate into the stored one.
 
 Indices are checked at the public accessors only: ``pair``, ``triple_trace``
 and ``quad_trace`` check, then call the cores ``_pair``, ``_triple`` and
@@ -121,10 +123,14 @@ def close_tuple(mats, tol: Tolerance = DEFAULT_TOL) -> Representation:
 
 
 @lru_cache(maxsize=None)
-def _keys(n: int) -> tuple[frozenset, frozenset]:
-    """The stored pair and triple keys for size n (no triples for n = 3)."""
-    triples = combinations(range(1, n + 1), 3) if n > 3 else ()
-    return frozenset(combinations(range(1, n + 1), 2)), frozenset(triples)
+def _phi_plan(n: int) -> tuple[tuple, tuple, frozenset, frozenset]:
+    """The pair keys of size n in ``combinations`` order; per stored triple (i, j, k)
+    its key, the pair slot of (j, k) and i - 1; the stored pair and triple key sets."""
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    slot = {key: s for s, key in enumerate(pairs)}
+    triples = tuple(combinations(range(1, n + 1), 3)) if n > 3 else ()
+    return (pairs, tuple((t, slot[t[1:]], t[0] - 1) for t in triples),
+            frozenset(pairs), frozenset(triples))
 
 
 class TraceCoordinates:
@@ -139,7 +145,7 @@ class TraceCoordinates:
     copies ignore it.
     """
 
-    __slots__ = ("local", "pairs", "triples", "_cache", "_n")
+    __slots__ = ("local", "pairs", "triples", "_triples", "_cache", "_n")
     __hash__ = None
 
     def __init__(self, local: LocalData, pairs: dict[tuple[int, int], complex],
@@ -149,11 +155,12 @@ class TraceCoordinates:
         init(self, "local", local)
         init(self, "pairs", MappingProxyType(pairs))
         init(self, "triples", MappingProxyType(triples))
+        init(self, "_triples", triples if n > 3 else {(1, 2, 3): local.a[3]})
         init(self, "_cache", {})
         init(self, "_n", n)
-        if pairs.keys() != _keys(n)[0]:
+        if pairs.keys() != _phi_plan(n)[2]:
             raise ValueError(f"pair keys must be the {comb(n, 2)} ascending pairs in 1..{n}")
-        if triples.keys() != _keys(n)[1]:
+        if triples.keys() != _phi_plan(n)[3]:
             want = "empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}"
             raise ValueError(f"triple keys must be {want}")
         if not all(map(cmath.isfinite, chain(pairs.values(), triples.values()))):
@@ -204,16 +211,6 @@ class TraceCoordinates:
         return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
-@lru_cache(maxsize=None)
-def _phi_plan(n: int) -> tuple[tuple, tuple]:
-    """The pair keys of size n in ``combinations`` order, and per ascending
-    triple (i, j, k) its key, the slot of (j, k) among the pairs and i - 1."""
-    pairs = tuple(combinations(range(1, n + 1), 2))
-    slot = {key: s for s, key in enumerate(pairs)}
-    triples = combinations(range(1, n + 1), 3) if n > 3 else ()
-    return pairs, tuple((t, slot[t[1:]], t[0] - 1) for t in triples)
-
-
 def phi(rep: Representation) -> TraceCoordinates:
     """Trace coordinates of a tuple: x_ji = tr(M_j M_i), x_kji = tr(M_k M_j M_i).
 
@@ -222,7 +219,7 @@ def phi(rep: Representation) -> TraceCoordinates:
     finite in one pass with the error ``Mat2`` raises for its first bad entry.
     """
     mats = rep.mats
-    pair_keys, triple_reads = _phi_plan(rep.n)
+    pair_keys, triple_reads, _, _ = _phi_plan(rep.n)
     prods = []
     for i, j in pair_keys:
         a11, a12, a21, a22 = mats[j - 1]
@@ -261,18 +258,23 @@ def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
 
     Orderings in the cyclic class of the stored descending word return the
     stored value; the opposite class is computed from the reordering
-    identity (see the module docstring).  For n = 3 the stored value is the
-    closing trace a_4.
+    identity (see the module docstring).
     """
     _check_distinct(x, (k, j, i))
     return _triple(x, k, j, i)
 
 
+def _triple_key(k: int, j: int, i: int) -> tuple[tuple[int, int, int], bool]:
+    """The stored key of the word M_k M_j M_i, and whether it rotates into the stored word."""
+    lo, mid, hi = key = tuple(sorted((k, j, i)))
+    return key, (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid))
+
+
 def _triple(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     """``triple_trace`` on indices the caller has checked."""
-    lo, mid, hi = sorted((k, j, i))
-    stored = x.triples[(lo, mid, hi)] if x._n > 3 else x.local.a[3]
-    if (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+    key, rotation = _triple_key(k, j, i)
+    stored = x._triples[key]
+    if rotation:
         return stored
     a, pairs = x.local.a, x.pairs
     return opposite_rotation(

@@ -12,7 +12,11 @@ polynomials:
 
 Here z_ij = x_ij - a_i a_j / 2 (z_ii = a_i^2 / 2 - 2) and
 s3(i1, i2, i3) = a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1}
-- a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}.
+- a_i3 a_i2 a_i1 - 2 x_{i3 i2 i1}.  With M0 = M - (tr M / 2) I the traceless
+part, z_ij = tr(M0_i M0_j) is the Gram matrix of the M0_i under the trace form
+of the 3-dimensional sl2, and s3(i1, i2, i3) = 2 tr(M0_i1 M0_i2 M0_i3): type 1
+is the identity det Z[t1, t2] = -s3(t1) s3(t2) / 2, and type 2 says that four
+vectors in a 3-dimensional space are dependent (Goldman, arXiv:0901.1404).
 
 For n = 3 the single type 1 polynomial is the classical cubic relation and
 is the whole story.  Enumeration order is fixed: type 1 over lexicographic
@@ -54,13 +58,13 @@ from .sl2 import _record
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
-    """``(a, pairs, triples)``: the 1-based local traces and the stored maps, as
-    their real parts when every imaginary part is exactly 0, else as stored.
-    Memoized on x."""
+    """``(a, pairs, triples)``: the 1-based local traces, the stored pairs and the
+    triple read map ``x._triples``, as their real parts when every imaginary part
+    is exactly 0, else as stored.  Memoized on x."""
     view = x._cache.get("real")
     if view is not None:
         return view
-    a, pairs, triples = (0.0,) + x.local.a, x.pairs, x.triples
+    a, pairs, triples = (0.0,) + x.local.a, x.pairs, x._triples
     if all(v.imag == 0 for v in chain(a, pairs.values(), triples.values())):
         a = tuple(v.real for v in a)
         pairs = {k: v.real for k, v in pairs.items()}
@@ -90,12 +94,10 @@ def _tables(x: TraceCoordinates) -> tuple:
     sv = []
     for t in combinations(range(1, n + 1), 3):
         i1, i2, i3 = t
-        # the triple trace tr(M_i3 M_i2 M_i1); for n = 3 it is the closing trace
-        stored = a[4] if n == 3 else triples[t]
         sv.append(
             a[i1] * pairs[(i2, i3)] + a[i2] * pairs[(i1, i3)] + a[i3] * pairs[(i1, i2)]
             - a[i3] * a[i2] * a[i1]
-            - 2.0 * stored
+            - 2.0 * triples[t]
         )
     return z, sv
 

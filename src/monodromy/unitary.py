@@ -7,6 +7,8 @@ is diag(1, psi / (x_kj^2 - 4)) with psi the chart's factor, so the sign of
 psi decides definite versus indefinite.  The verdict never depends on which
 admissible chart is used, provided the point lies on the variety; ``classify``
 checks that on its chart's memoized rebuild, by the gate ``reconstruct`` uses.
+Chart-free, the real Gram matrix Z of ``relations`` has inertia (0+, 3-) on
+su(2) and (2+, 1-) on su(1,1), zeros aside (Goldman, arXiv:0901.1404).
 """
 
 from __future__ import annotations

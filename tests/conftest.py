@@ -10,11 +10,14 @@ The chart list and the relation count come from the index set and the closed
 formula, not from the package's per-n tables.  The eigenvalues of an invariant
 form come from the closed 2x2 formula, not from the package's sign rule.  The
 Gram oracle decides signature and reducibility from the inertia of a real
-symmetric matrix, without charts.
+symmetric matrix, without charts, and the Gram rebuild builds a second tuple
+in the frame of one triple's traceless parts, without a chart normal form
+past n = 3.  The chart oracle writes psi out itself.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb, copysign, hypot
 
 import pytest
@@ -23,9 +26,12 @@ from monodromy import (
     MINUS,
     PLUS,
     ChartId,
+    LocalData,
     Mat2,
     Representation,
     SamplerConfig,
+    TraceCoordinates,
+    classify_charts,
     close_tuple,
     coordinate_distance,
     phi,
@@ -35,7 +41,7 @@ from monodromy import (
     sample_su11,
     triple_trace,
 )
-from monodromy.charts import index_set, psi
+from monodromy.charts import index_set
 from monodromy.coords import descending_product
 from monodromy.sl2 import IDENTITY, max_entry_diff
 
@@ -102,15 +108,17 @@ def oracle_z(x, i, j):
     return x.pair(i, j) - 0.5 * a(i) * a(j)
 
 
+def _det3(m):
+    """The 3x3 determinant, expanded along the first row."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 def oracle_type1(x, ta, tb):
     """s3(ta) s3(tb) + 2 det over z(ta[p], tb[q]), expanded along the first row."""
     m = [[oracle_z(x, p, q) for q in tb] for p in ta]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return oracle_s3(x, *ta) * oracle_s3(x, *tb) + 2.0 * det
+    return oracle_s3(x, *ta) * oracle_s3(x, *tb) + 2.0 * _det3(m)
 
 
 def oracle_type2(x, i, quad):
@@ -162,6 +170,12 @@ def oracle_g(x, word, memo):
 
 
 # --- from-definition chart oracle -------------------------------------------
+
+def psi(s, t, u):
+    """s^2 + t^2 + u^2 - s t u - 4: at (tr(AB), tr A, tr B) it equals
+    tr(A B A^-1 B^-1) - 2, so it vanishes exactly when the pair is reducible."""
+    return s * s + t * t + u * u - s * t * u - 4.0
+
 
 def charts_for(n):
     """Every chart for tuples of size n, in lexicographic (j, k, i0) order: each
@@ -283,6 +297,53 @@ def oracle_inertia(z, rel=1e-9):
     zero = rel * max(map(abs, eig))
     return (sum(v > zero for v in eig), sum(v < -zero for v in eig),
             sum(abs(v) <= zero for v in eig))
+
+
+def oracle_gram_rebuild(x):
+    """Worst trace, det and round-trip residual of a second rebuild, in the Gram
+    frame of one triple instead of a chart's normal form.
+
+    The pivot t0 maximizes |s3(t)| / (1 + max|z|^(3/2)) over t's 3x3 block of Z
+    (det Z[t0, t0] = -s3(t0)^2 / 2 is the frame's volume).  Its three matrices are
+    rebuilt as an n = 3 point on that point's best chart; their traceless parts
+    M0_m span sl2, so every other M_i = (a_i / 2) I + sum_m c_m M0_m with
+    Z[t0, t0] c = Z[t0, i], solved by Cramer's rule.  The tuple is closed with
+    the adjugate of M_n ... M_1, as ``reconstruct`` closes it."""
+    n, a = x.n, x.local.trace
+    z = [[oracle_z(x, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    def relative_s3(t):
+        big = max(abs(z[p - 1][q - 1]) for p in t for q in t)
+        return abs(oracle_s3(x, *t)) / (1.0 + big ** 1.5)
+
+    t0 = max(combinations(range(1, n + 1), 3), key=relative_s3)
+    i1, i2, i3 = t0
+    y = TraceCoordinates(
+        LocalData((a(i1), a(i2), a(i3), triple_trace(x, i3, i2, i1))),
+        {(1, 2): x.pair(i2, i1), (1, 3): x.pair(i3, i1), (2, 3): x.pair(i3, i2)},
+    )
+    frame = dict(zip(t0, reconstruct(y, classify_charts(y).best).rep.mats))
+    basis = [(m.m11 - m.trace / 2, m.m12, m.m21, m.m22 - m.trace / 2) for m in frame.values()]
+    gram = [[z[p - 1][q - 1] for q in t0] for p in t0]
+    volume = _det3(gram)
+    mats = []
+    for i in range(1, n + 1):
+        if i in frame:
+            mats.append(frame[i])
+            continue
+        col = [z[p - 1][i - 1] for p in t0]
+        c = [_det3([[col[r] if s == m else gram[r][s] for s in range(3)] for r in range(3)])
+             / volume for m in range(3)]
+        e = [sum(cm * b[entry] for cm, b in zip(c, basis)) for entry in range(4)]
+        h = 0.5 * a(i)
+        mats.append(Mat2(h + e[0], e[1], e[2], h + e[3]))
+    rep = Representation(mats, descending_product(mats).adjugate())
+    closed = rep.mats + (rep.last,)
+    return max(
+        max(abs(m.trace - v) for m, v in zip(closed, x.local.a)),
+        max(abs(m.det - 1.0) for m in closed),
+        coordinate_distance(x, phi(rep)),
+    )
 
 
 # --- canonical fixtures -------------------------------------------------------

@@ -22,7 +22,7 @@ from monodromy import (
     type3,
 )
 from monodromy import charts, relations
-from monodromy.charts import chart_eval, index_set, psi, require_admissible
+from monodromy.charts import chart_eval, index_set, require_admissible
 from monodromy.samplers import SplitMix64, random_unimodular
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     oracle_chart_psi,
     otr,
     oword,
+    psi,
 )
 
 

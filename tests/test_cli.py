@@ -421,7 +421,7 @@ def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
     output = [] if command in ("relations", "classify") else ["-o", tmp_path / "out.json"]
     assert run(command, path, *output) == EXIT_RESIDUAL
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: arithmetic overflow: ") and err.count("\n") == 1
 
 
 def test_sample_deterministic_files(tmp_path):

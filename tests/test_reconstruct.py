@@ -40,6 +40,7 @@ from conftest import (
     commutator_gap,
     generic,
     identity_rep,
+    oracle_gram_rebuild,
     su2,
 )
 
@@ -319,3 +320,13 @@ def test_rebuild_reads_equal_public_accessors(n, family):
             triple_trace(x, k, j, i), triple_trace(x, k, j, i0),
             triple_trace(x, k, i, i0), triple_trace(x, j, i, i0),
         )
+
+
+@pytest.mark.parametrize("family", ["su2", "su11", "generic"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_gram_frame_rebuild_passes_the_gate(n, family):
+    # a second rebuild, in the Gram frame of one triple instead of a chart's normal
+    # form, meets the rebuild gate on every genuine point of the default entry bound
+    # (at entry bound 16 it reads 1.9e-9 on n = 8 seed 2, where the gate's scale fails)
+    for seed in range(16):
+        assert oracle_gram_rebuild(phi(FAMILIES[family](n, seed))) <= DEFAULT_TOL.abs

@@ -20,7 +20,6 @@ from monodromy import (
     type3,
 )
 from monodromy import relations
-from monodromy.charts import psi
 from conftest import (
     FAMILIES,
     generic,
@@ -31,6 +30,7 @@ from conftest import (
     oracle_type2,
     oracle_z,
     oword,
+    psi,
     relation_count,
 )
 
@@ -338,7 +338,7 @@ def test_type1_rejects_malformed_triples():
 
 def _stored_view(x):
     """``relations._real_view`` with the float view switched off."""
-    return (0.0,) + x.local.a, x.pairs, x.triples
+    return (0.0,) + x.local.a, x.pairs, x._triples
 
 
 def _membership_outcome(x):

@@ -22,10 +22,10 @@ from monodromy import (
     reconstruct,
     verify_invariance,
 )
-from monodromy.charts import chart_eval, psi
+from monodromy.charts import chart_eval
 from monodromy.unitary import reality_gate
 from conftest import (
-    form_eigenvalues, generic, identity_rep, oracle_gram, oracle_inertia, su2, su11,
+    form_eigenvalues, generic, identity_rep, oracle_gram, oracle_inertia, psi, su2, su11,
 )
 
 
