@@ -1,9 +1,10 @@
 """Command-line front end: JSON I/O for tuples and coordinates, subcommands
 wiring the library, and human-readable residual reports.
 
-Exit codes: 0 success, 2 parse/flag error, 3 residual or invariant failure
-(off-variety points and arithmetic overflow included), 4 no usable chart
-(``reconstruct``; ``classify`` at a real point without one), 5 signature boundary.
+Exit codes: 0 success, 2 parse/flag error or an output path that cannot be
+written, 3 residual or invariant failure (off-variety points and arithmetic
+overflow included), 4 no usable chart (``reconstruct``; ``classify`` at a real
+point without one), 5 signature boundary.
 
 File formats are UTF-8 JSON with every complex number written as an
 ``[re, im]`` pair.  A tuple file carries ``n``, the n+1 local traces ``a``
@@ -200,8 +201,11 @@ def write_json(path: str, obj) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt_c(z: complex) -> str:

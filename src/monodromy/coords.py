@@ -138,9 +138,9 @@ class TraceCoordinates:
 
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
-    derived values: the real view, the signed relation values, one chart
-    report per tolerance, and one rebuild per (chart, branch, tolerance),
-    which ``reconstruct`` and ``classify`` share.  Each entry is write-once and
+    derived values: the signed relation values, one chart report per
+    tolerance, and one rebuild per (chart, branch, tolerance), which
+    ``reconstruct`` and ``classify`` share.  Each entry is write-once and
     idempotent, so sharing across threads stays safe; equality, repr and
     copies ignore it.
     """
@@ -191,8 +191,7 @@ class TraceCoordinates:
 
     def pair(self, j: int, i: int) -> complex:
         """Pair trace tr(M_j M_i) = tr(M_i M_j); symmetric lookup."""
-        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise BadIndex(f"bad pair index ({j}, {i}) for n = {self.n}")
+        _check_distinct(self, (j, i))
         return _pair(self.pairs, j, i)
 
     def items(self):

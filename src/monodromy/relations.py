@@ -60,28 +60,24 @@ from .sl2 import _record
 def _real_view(x: TraceCoordinates) -> tuple:
     """``(a, pairs, triples)``: the 1-based local traces, the stored pairs and the
     triple read map ``x._triples``, as their real parts when every imaginary part
-    is exactly 0, else as stored.  Memoized on x."""
-    view = x._cache.get("real")
-    if view is not None:
-        return view
+    is exactly 0, else as stored."""
     a, pairs, triples = (0.0,) + x.local.a, x.pairs, x._triples
     if all(v.imag == 0 for v in chain(a, pairs.values(), triples.values())):
         a = tuple(v.real for v in a)
         pairs = {k: v.real for k, v in pairs.items()}
         triples = {k: v.real for k, v in triples.items()}
-    view = x._cache["real"] = (a, pairs, triples)
-    return view
+    return a, pairs, triples
 
 
 def _tables(x: TraceCoordinates) -> tuple:
-    """The per-point tables ``(z, sv)``, built from ``_real_view``.
+    """The per-point tables ``(z, sv, view)``, built from ``view = _real_view(x)``.
 
     ``z`` is the symmetric (n+1) x (n+1) list of lists of z entries, a_i^2/2 - 2
     on the diagonal and x_ij - a_i a_j / 2 off it, row and column 0 padding.
     ``sv`` lists s3(t) for every ascending triple t, in lexicographic order.
     """
     n = x.n
-    a, pairs, triples = _real_view(x)
+    view = a, pairs, triples = _real_view(x)
     # Both halves of z are computed, each entry by the formula above, so the
     # kernel reproduces the from-definition values bit for bit.
     z = [[0.0] * (n + 1)]
@@ -99,36 +95,7 @@ def _tables(x: TraceCoordinates) -> tuple:
             - a[i3] * a[i2] * a[i1]
             - 2.0 * triples[t]
         )
-    return z, sv
-
-
-def _minors(ra, rb, col_pairs) -> list[complex]:
-    """The 2x2 minors ``ra[c] rb[d] - ra[d] rb[c]`` of two ``z`` rows, one per ``(c, d)``."""
-    return [ra[c] * rb[d] - ra[d] * rb[c] for c, d in col_pairs]
-
-
-def _type1_values(r0, mm, s_a: complex, cols, s_cols) -> list[complex]:
-    """type 1 values of a row triple, ``r0`` its first ``z`` row doubled and ``mm``
-    the minors of its other rows, against each ``(b0, b1, b2, k12, k02, k01)`` in
-    ``cols`` with ``s3(b)`` in ``s_cols``; ``k12`` is the slot in ``mm`` of columns (b1, b2)."""
-    return [
-        s_a * s_b + (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
-        for (b0, b1, b2, k12, k02, k01), s_b in zip(cols, s_cols)
-    ]
-
-
-def _type2_row(z_i, terms) -> list[complex]:
-    """type 2 values at one index for each quadruple term of ``_quad_terms``."""
-    return [
-        z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
-        for p0, p1, p2, p3, c0, c1, c2, c3 in terms
-    ]
-
-
-def _quad_terms(sv, quads) -> list[tuple]:
-    """Each ``_layout`` quadruple entry with its sub-triples' ``s3`` values from ``sv``."""
-    return [(p0, p1, p2, p3, sv[k0], sv[k1], sv[k2], sv[k3])
-            for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
+    return z, sv, view
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +103,9 @@ def _layout(n: int) -> tuple:
     """The per-n plan ``(col_pairs, rows, cols, quads)`` of type 1 and 2: a minor
     list holds one slot per column pair of ``col_pairs``; ``rows`` holds
     ``(i0, i1, i2, pos)`` per ascending triple, which reads ``cols[pos:]``, the
-    ``_type1_values`` entries of the triples from ``pos`` on; ``quads`` lists, per
-    ascending quadruple q in order, q + the triple slots of q minus q[0], ..., q[3]."""
+    ``(b0, b1, b2, k12, k02, k01)`` entries of the triples b from ``pos`` on,
+    ``k12`` the minor slot of columns (b1, b2); ``quads`` lists, per ascending
+    quadruple q in order, q + the triple slots of q minus q[0], ..., q[3]."""
     col_pairs = list(combinations(range(1, n + 1), 2))
     slot = {pair: k for k, pair in enumerate(col_pairs)}
     triples = list(combinations(range(1, n + 1), 3))
@@ -149,7 +117,7 @@ def _layout(n: int) -> tuple:
     return col_pairs, rows, cols, quads
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def _word_plan(word: tuple[int, ...]) -> tuple:
     """``(a_keys, pair_keys, triple_keys, steps)`` of a checked descending word.  Each
     sub-word it reaches has a slot, shorter first, so the word has the last; words of
@@ -194,20 +162,26 @@ def _values(x: TraceCoordinates) -> tuple:
     if values is not None:
         return values
     n = x.n
-    z, sv = _tables(x)
+    z, sv, (a, pairs, triples) = _tables(x)
     col_pairs, rows, cols, quads = _layout(n)
     z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
-    minors = {p: _minors(z[p[0]], z[p[1]], col_pairs) for p in combinations(range(2, n + 1), 2)}
+    minors = {}  # per row pair, its 2x2 minors ra[c] rb[d] - ra[d] rb[c], one per (c, d)
+    for i1, i2 in combinations(range(2, n + 1), 2):
+        ra, rb = z[i1], z[i2]
+        minors[(i1, i2)] = [ra[c] * rb[d] - ra[d] * rb[c] for c, d in col_pairs]
     v1: list = []
     for i0, i1, i2, pos in rows:
-        v1 += _type1_values(z2[i0], minors[(i1, i2)], sv[pos], cols[pos:], sv[pos:])
+        r0, mm, s_a = z2[i0], minors[(i1, i2)], sv[pos]
+        v1 += [s_a * s_b + (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
+               for (b0, b1, b2, k12, k02, k01), s_b in zip(cols[pos:], sv[pos:])]
     v2: list = []
     v3 = None
     if n > 3:
-        terms = _quad_terms(sv, quads)
-        for i in range(1, n + 1):
-            v2 += _type2_row(z[i], terms)
-        a, pairs, triples = _real_view(x)
+        terms = [(p0, p1, p2, p3, sv[k0], sv[k1], sv[k2], sv[k3])
+                 for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
+        for z_i in z[1:]:
+            v2 += [z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
+                   for p0, p1, p2, p3, c0, c1, c2, c3 in terms]
         v3 = _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
     values = x._cache["values"] = (v1, v2, v3)
     return values

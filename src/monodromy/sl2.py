@@ -36,7 +36,7 @@ class Tolerance(_record("Tolerance", "abs")):
             raise ValueError("tolerance cannot be zero")
         return tuple.__new__(cls, (abs,))
 
-    def bound(self, scale: float = 1.0) -> float:
+    def bound(self, scale: float) -> float:
         return self.abs + self.abs * abs(scale)
 
 
@@ -84,11 +84,8 @@ class Mat2(_record("Mat2", "m11 m12 m21 m22")):
             complex(self.m22).conjugate(),
         )
 
-    def entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.m11, self.m12, self.m21, self.m22)
-
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.entries())
+        return max(map(abs, self))
 
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
@@ -96,14 +93,14 @@ IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 def max_entry_diff(a: Mat2, b: Mat2) -> float:
     """Largest entrywise |a - b|."""
-    return max(abs(x - y) for x, y in zip(a.entries(), b.entries()))
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def check_unimodular(a: Mat2, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless |det(a) - 1| is within tolerance."""
     err = abs(a.det - 1.0)
-    if not err <= tol.bound():  # a NaN determinant fails too
-        raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.bound():.3e}")
+    if not err <= tol.bound(1.0):  # abs + abs * 1, twice the tolerance; a NaN determinant fails too
+        raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.bound(1.0):.3e}")
 
 
 def four_trace_reduction(

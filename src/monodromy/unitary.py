@@ -76,7 +76,12 @@ def hermitian_form(x: TraceCoordinates, chart: ChartId,
     """
     if not reality_gate(x, tol):
         raise NotReal("coordinates or local traces have imaginary parts beyond tolerance")
-    disc, ps = _disc_psi(require_admissible(x, chart, tol))
+    return _form(*_disc_psi(require_admissible(x, chart, tol)), tol)
+
+
+def _form(disc: float, ps: float, tol: Tolerance) -> HermitianForm:
+    """The invariant form at x_kj^2 - 4 = disc and psi = ps (module docstring);
+    DegenerateEigenvalues when disc is numerically zero."""
     if abs(disc) <= tol.abs:
         raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
     if disc > 0:
@@ -104,13 +109,14 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
     """Decide unitarity and signature of the tuple parametrized by x.
 
     Coordinates alone drive the decision: the reality gate (NOT_UNITARY when
-    it fails), then the sign pattern of (x_kj^2 - 4, psi) on the best
-    admissible chart, the signature of the invariant form by construction
-    (module docstring).  Raises ChartNotAdmissible at a real point without an
-    admissible chart (a reducible one, say), where the criterion does not
-    apply; PsiDegenerate when the deciding psi is numerically zero,
-    DegenerateEigenvalues when x_kj^2 - 4 is, and OffVariety when the rebuild
-    on that chart fails the gate of ``reconstruct``.
+    it fails), then the signature of the invariant form ``hermitian_form``
+    builds on the best admissible chart: definite exactly when its h22 =
+    psi / (x_kj^2 - 4) is positive (module docstring).  Raises
+    ChartNotAdmissible at a real point without an admissible chart (a
+    reducible one, say), where the criterion does not apply; PsiDegenerate
+    when the deciding psi is numerically zero, DegenerateEigenvalues when
+    x_kj^2 - 4 is, and OffVariety when the rebuild on that chart fails the
+    gate of ``reconstruct``.
     """
     if not reality_gate(x, tol):
         return SignatureClass(
@@ -127,16 +133,15 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
         raise PsiDegenerate(
             f"chart {best.chart.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
         )
-    if abs(disc) <= tol.abs:
-        raise DegenerateEigenvalues(f"|x_kj^2 - 4| = {abs(disc):.3e} is numerically zero")
+    form = _form(disc, ps, tol)
     diag = rebuild(x, best.chart, PLUS, tol).diagnostics
     if not diag.passes(tol):
         raise OffVariety(
             f"chart {best.chart.label()}: the rebuilt tuple misses the point by "
             f"{diag.worst():.1e} > {tol.abs:g}"
         )
-    if disc > 0 or ps > 0:
-        return SignatureClass(Signature.INDEFINITE, "invariant form has signature (1,1)",
+    if form.h22 > 0:
+        return SignatureClass(Signature.DEFINITE, "eigenvalues of the invariant form share a sign",
                               best.chart, disc, ps)
-    return SignatureClass(Signature.DEFINITE, "eigenvalues of the invariant form share a sign",
+    return SignatureClass(Signature.INDEFINITE, "invariant form has signature (1,1)",
                           best.chart, disc, ps)

@@ -372,6 +372,16 @@ BOUNDARY_COORDS = {
     "triples": {},
 }
 
+# n = 3 coordinate file whose only admissible chart, (1,2,base) with |p| = 8e-8
+# and psi = 100, has x_21^2 - 4 = 8e-10: the pair trace sits at 2, a
+# degenerate eigenvalue pair.
+DEGENERATE_PAIR_COORDS = {
+    "n": 3,
+    "a": [[5.0, 0.0], [-5.0, 0.0], [0.5, 0.0], [0.3, 0.0]],
+    "pairs": {"21": [2.0 + 2e-10, 0.0], "31": [2.0, 0.0], "32": [2.0, 0.0]},
+    "triples": {},
+}
+
 
 @pytest.fixture
 def fixture_mats():

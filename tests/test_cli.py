@@ -21,7 +21,7 @@ from monodromy.cli import (
     rep_to_obj,
 )
 
-from conftest import BOUNDARY_COORDS, FLAT_COORDS, identity_rep, su2
+from conftest import BOUNDARY_COORDS, DEGENERATE_PAIR_COORDS, FLAT_COORDS, identity_rep, su2
 
 
 @pytest.fixture
@@ -356,6 +356,44 @@ def test_classify_boundary_exit(tmp_path, capsys):
     path.write_text(json.dumps(BOUNDARY_COORDS))
     assert run("classify", path) == EXIT_BOUNDARY
     assert "boundary" in capsys.readouterr().out
+
+
+def test_degenerate_pair_is_a_boundary_and_has_no_chart(tmp_path, capsys):
+    # the only admissible chart has x_21 = 2 + 2e-10: classify calls it a
+    # boundary, and reconstruct finds the chart unusable
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(DEGENERATE_PAIR_COORDS))
+    assert run("classify", path) == EXIT_BOUNDARY
+    assert capsys.readouterr().out == (
+        "reality gate  : pass\n"
+        "verdict       : boundary\n"
+        "reason        : |x_kj^2 - 4| = 8.000e-10 is numerically zero\n"
+    )
+    assert run("reconstruct", path, "-o", tmp_path / "out.json") == EXIT_NO_CHART
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("chart (1,2,base) unusable: x_kj = (2.0000000002+0j): "
+                   "|x_kj^2 - 4| = 8.000e-10 is numerically zero\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_output_exits_two(tmp_path, capsys, fixture_rep, target):
+    # a missing directory (FileNotFoundError) or a directory (IsADirectoryError)
+    # as -o: one error line and exit 2, after any report already printed
+    out = tmp_path / target
+    rep_path = tmp_path / "t.json"
+    rep_path.write_text(json.dumps(rep_to_obj(fixture_rep)))
+    commands = [
+        ("coords", rep_path),
+        ("reconstruct", coords_path(tmp_path, fixture_rep)),
+        ("sample", "--kind", "su2", "--n", "4", "--seed", "1"),
+    ]
+    for command in commands:
+        assert run(*command, "-o", out) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_classify_off_variety_exits_3(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_kernel_bit_identical_to_definition(n, family):
         assert type1(x, ta, tb) == oracle_type1(x, ta, tb)
     for i, quad in type2_terms(n):
         assert type2(x, i, quad) == oracle_type2(x, i, quad)
-    z, sv = relations._tables(x)
+    z, sv, _ = relations._tables(x)
     assert sv == [oracle_s3(x, *t) for t in combinations(range(1, n + 1), 3)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -374,7 +374,7 @@ def test_real_view_bit_identical_to_complex_kernel(n, monkeypatch):
 
 def test_real_view_only_on_exactly_real_points():
     x = phi(FAMILIES["su2"](5, 11))
-    z, sv = relations._tables(x)
+    z, sv, _ = relations._tables(x)
     assert {type(v) for row in z for v in row} == {type(v) for v in sv} == {float}
     assert type(type1(x, (1, 2, 3), (2, 3, 4))) is type(type2(x, 1, (2, 3, 4, 5))) is float
     assert type(type3(x)) is float
@@ -382,7 +382,7 @@ def test_real_view_only_on_exactly_real_points():
     pairs[(2, 4)] += 1e-30j  # one imaginary part off zero keeps every table complex
     y = TraceCoordinates(x.local, pairs, dict(x.triples))
     assert relations._real_view(y) == ((0.0,) + y.local.a, y.pairs, y.triples)
-    z, sv = relations._tables(y)
+    z, sv, _ = relations._tables(y)
     assert type(z[2][4]) is type(z[1][1]) is complex
     assert {type(v) for v in sv} == {complex}
     assert membership(y).max > 0.0

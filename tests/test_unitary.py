@@ -174,15 +174,22 @@ def test_classify_raises_without_charts():
 
 
 def test_classify_boundary_psi():
-    # crafted so the only admissible chart has |psi| below tolerance:
-    # x_21 = 0 gives disc = -4; a_1 chosen with a_1^2 = 5e-10; every other
-    # chart is killed by pair traces sitting at 2 or psi = 0
-    a1 = (5e-10) ** 0.5
-    x = coords_n3((a1, 2.0, 0.0, 2.0), 0.0, 2.0, 2.0)
-    report = classify_charts(x)
-    assert report.best == ChartId(1, 2, 0)
-    with pytest.raises(PsiDegenerate):
-        classify(x)
+    # crafted so the only admissible chart sits on a boundary of the verdict
+    cases = [
+        # x_21 = 0 gives disc = -4; a_1 chosen with a_1^2 = 5e-10 puts |psi| below
+        # tolerance; every other chart is killed by pair traces at 2 or psi = 0
+        (coords_n3(((5e-10) ** 0.5, 2.0, 0.0, 2.0), 0.0, 2.0, 2.0), PsiDegenerate,
+         "chart (1,2,base): |psi| = 5.000e-10 sits on the signature boundary"),
+        # psi = 100, but x_21 = 2 + 2e-10 puts |x_21^2 - 4| = 8e-10 below tolerance
+        (coords_n3((5.0, -5.0, 0.5, 0.3), 2.0 + 2e-10, 2.0, 2.0), DegenerateEigenvalues,
+         "|x_kj^2 - 4| = 8.000e-10 is numerically zero"),
+    ]
+    for x, error, message in cases:
+        report = classify_charts(x)
+        assert report.best == ChartId(1, 2, 0) and report.admissible() == [ChartId(1, 2, 0)]
+        with pytest.raises(error) as info:
+            classify(x)
+        assert str(info.value) == message
 
 
 def _moved(x, seed, delta):

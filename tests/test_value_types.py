@@ -224,7 +224,7 @@ def test_chart_id_repr_order_and_hash():
 def test_value_types_are_tuples():
     m = Mat2(1.0, 2.0, 3.0, 7.0)
     assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == m
-    assert tuple(m) == m.entries() == (1.0, 2.0, 3.0, 7.0)
+    assert tuple(m) == (1.0, 2.0, 3.0, 7.0)
     assert m == (1.0, 2.0, 3.0, 7.0)
     assert m + m == (1.0, 2.0, 3.0, 7.0) * 2
     j, k, i0 = ChartId(1, 2, 3)
