@@ -285,8 +285,6 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
     except (ChartNotAdmissible, DegenerateEigenvalues) as exc:
         print(f"chart {chart.label()} unusable: {exc}", file=sys.stderr)
         return EXIT_NO_CHART
-    except BadChart as exc:
-        raise ParseError(str(exc)) from exc
     diag = result.diagnostics
     print(f"chart            : {chart.label()}   branch: {'+' if branch.sign > 0 else '-'}")
     for s in range(1, x.n + 2):
@@ -451,7 +449,7 @@ def main(argv=None) -> int:
     warnings.formatwarning = _warning_line
     try:
         return args.func(args, tol)
-    except ParseError as exc:
+    except (ParseError, BadChart) as exc:  # BadChart: a --chart that is no chart at n
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MonodromyError as exc:

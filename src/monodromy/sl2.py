@@ -6,7 +6,7 @@ immutable value objects.  Every value type of the package but
 and ``_replace`` go through the constructor and its checks.  Inverses always
 go through the adjugate, which is the exact inverse of a determinant-1 matrix
 and therefore keeps unimodularity residuals tight.  ``Tolerance`` is the one
-positive number ``abs`` that every gate of the package reads (``bound`` scales it).
+positive finite number ``abs`` that every gate of the package reads (``bound`` scales it).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ class Tolerance(_record("Tolerance", "abs")):
             raise ValueError("tolerances must be non-negative")
         if abs == 0:
             raise ValueError("tolerance cannot be zero")
+        if abs == float("inf"):  # passes every <= gate
+            raise ValueError("tolerance must be finite")
         return tuple.__new__(cls, (abs,))
 
     def bound(self, scale: float) -> float:

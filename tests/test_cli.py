@@ -64,16 +64,34 @@ def test_coords_fixture_values(tmp_path, capsys, fixture_rep_file):
     assert obj["triples"] == {}
 
 
-def test_coords_malformed_json(tmp_path):
+def test_coords_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_PARSE
+    missing = tmp_path / "missing.json"
+    assert run("coords", missing, "-o", tmp_path / "out.json") == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: cannot read {missing}: ")
 
 
-def test_coords_shape_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 3, "a": [[0, 0]], "matrices": []}))
-    assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_PARSE
+def test_coords_shape_error(tmp_path, capsys):
+    good = rep_to_obj(identity_rep(3))
+    mats = good["matrices"]
+    for obj, message in (
+        ({"n": 3, "a": [[0, 0]], "matrices": []}, "tuple file: 'a' must list 4 traces"),
+        ([], "tuple file: top level must be a JSON object"),
+        ({"n": 3, "a": good["a"]}, "tuple file: missing field 'matrices'"),
+        ({**good, "n": 2}, "tuple file: n must be an integer >= 3, got 2"),
+        ({**good, "matrices": mats[:2]}, "tuple file: 'matrices' must list 3 matrices"),
+        ({**good, "matrices": [mats[0][:1], *mats[1:]]},
+         "matrix 1: expected a 2x2 grid of [re, im] pairs"),
+        ({**good, "a": [[2.0, 0.0, 0.0], *good["a"][1:]]},
+         "a[0]: expected [re, im], got [2.0, 0.0, 0.0]"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert run("coords", bad, "-o", tmp_path / "out.json") == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_coords_invariant_violation(tmp_path):
@@ -158,16 +176,24 @@ def test_relations_tolerance_flag_and_env(tmp_path, capsys, fixture_rep, monkeyp
 def test_nan_tolerance_exits_two(tmp_path, capsys, monkeypatch, via):
     # A NaN tolerance fails every <= gate: classify called this definite point
     # not-unitary (exit 0) and reconstruct found no admissible chart (exit 4).
+    # An infinite one (1e400 parses to inf) passes the <= gates: relations
+    # printed PASS (exit 0) at a normalized residual of 7.6e-2 on the moved point.
     path = coords_path(tmp_path, su2(4, seed=1))
     assert run("classify", path) == EXIT_OK
     assert "verdict       : definite" in capsys.readouterr().out
-    flag = ["--tol", "nan"] if via == "flag" else []
-    if via == "env":
-        monkeypatch.setenv("MONODROMY_TOL", "nan")
-    assert run("classify", path, *flag) == EXIT_PARSE
-    assert run("reconstruct", path, *flag, "-o", tmp_path / "o.json") == EXIT_PARSE
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: tolerances must be non-negative\n" * 2
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(_coords_with("pairs", "21", 50.0)))
+    for value, message in (("nan", "tolerances must be non-negative"),
+                           ("inf", "tolerance must be finite"),
+                           ("1e400", "tolerance must be finite")):
+        flag = ["--tol", value] if via == "flag" else []
+        if via == "env":
+            monkeypatch.setenv("MONODROMY_TOL", value)
+        assert run("classify", path, *flag) == EXIT_PARSE
+        assert run("reconstruct", path, *flag, "-o", tmp_path / "o.json") == EXIT_PARSE
+        assert run("relations", moved, *flag) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n" * 3
 
 
 def test_tuple_file_nan_matrix_entry_exits_two(tmp_path, capsys):
@@ -212,6 +238,22 @@ def test_coordinate_file_integer_past_digit_limit_exits_two(tmp_path, capsys, fi
     assert run("relations", bad) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: [o], "coordinate file: top level must be a JSON object"),
+    (lambda o: {"n": 3, "a": o["a"], "triples": {}}, "coordinate file: missing field 'pairs'"),
+    (lambda o: {**o, "n": 3.0}, "coordinate file: n must be an integer >= 3, got 3.0"),
+    (lambda o: {**o, "triples": None}, "coordinate file: 'pairs' and 'triples' must be objects"),
+    (lambda o: {**o, "pairs": {"21": o["pairs"]["21"], "32": o["pairs"]["32"]}},
+     "coordinate file: pair keys must be the 3 ascending pairs in 1..3"),
+    (lambda o: {**o, "a": [1.0, *o["a"][1:]]}, "a[0]: expected [re, im], got 1.0"),
+], ids=["top-level", "missing-field", "n", "triples", "pair-set", "trace"])
+def test_coordinate_file_shape_errors_exit_two(tmp_path, capsys, fixture_rep, edit, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(coords_to_obj(phi(fixture_rep)))))
+    assert run("relations", bad) == EXIT_PARSE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("table, key, bad_key", [
@@ -280,23 +322,23 @@ def test_reconstruct_round_trip(tmp_path, fixture_rep):
 
 
 def test_reconstruct_branches_agree(tmp_path, fixture_rep):
+    # the base chart and the three anchored charts the flag can name at n = 3
     coords1 = coords_path(tmp_path, fixture_rep)
     out_plus = tmp_path / "plus.rep.json"
     out_minus = tmp_path / "minus.rep.json"
-    assert run("reconstruct", coords1, "--chart", "1,2,base", "--branch", "+",
-               "-o", out_plus) == EXIT_OK
-    assert run("reconstruct", coords1, "--chart", "1,2,base", "--branch", "-",
-               "-o", out_minus) == EXIT_OK
-    plus = json.loads(out_plus.read_text())
-    minus = json.loads(out_minus.read_text())
     cp = tmp_path / "cp.json"
     cm = tmp_path / "cm.json"
-    assert run("coords", out_plus, "-o", cp) == EXIT_OK
-    assert run("coords", out_minus, "-o", cm) == EXIT_OK
-    a = json.loads(cp.read_text())
-    b = json.loads(cm.read_text())
-    for key in a["pairs"]:
-        assert abs(complex(*a["pairs"][key]) - complex(*b["pairs"][key])) <= 1e-9
+    for chart in ("1,2,base", "1,2,3", "2,3,1", "3,1,2"):
+        assert run("reconstruct", coords1, "--chart", chart, "--branch", "+",
+                   "-o", out_plus) == EXIT_OK
+        assert run("reconstruct", coords1, "--chart", chart, "--branch", "-",
+                   "-o", out_minus) == EXIT_OK
+        assert run("coords", out_plus, "-o", cp) == EXIT_OK
+        assert run("coords", out_minus, "-o", cm) == EXIT_OK
+        a = json.loads(cp.read_text())
+        b = json.loads(cm.read_text())
+        for key in a["pairs"]:
+            assert abs(complex(*a["pairs"][key]) - complex(*b["pairs"][key])) <= 1e-9
 
 
 def test_reconstruct_no_admissible_chart(tmp_path):
@@ -307,10 +349,17 @@ def test_reconstruct_no_admissible_chart(tmp_path):
                "-o", tmp_path / "out.json") == EXIT_NO_CHART
 
 
-def test_reconstruct_bad_chart_flag(tmp_path, fixture_rep):
+def test_reconstruct_bad_chart_flag(tmp_path, capsys, fixture_rep):
     path = coords_path(tmp_path, fixture_rep)
     assert run("reconstruct", path, "--chart", "nope", "-o", tmp_path / "o.json") == EXIT_PARSE
     assert run("reconstruct", path, "--chart", "1,1,base", "-o", tmp_path / "o.json") == EXIT_PARSE
+    capsys.readouterr()
+    # a valid chart id that names no chart at n = 3
+    for chart, message in (("2,1,base", "pair (2, 1) is not a chart pair for n = 3"),
+                           ("1,2,7", "anchor index 7 out of range for n = 3")):
+        assert run("reconstruct", path, "--chart", chart, "-o", tmp_path / "o.json") == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_classify_su2_definite(tmp_path, capsys):
@@ -503,6 +552,7 @@ def test_sample_su2_trace_out_of_range(tmp_path):
 
 @pytest.mark.parametrize("flag, values", [
     ("--traces", "nan,0,0"), ("--thetas", "nan,0.5,0.5"), ("--thetas", "inf,0.5,0.5"),
+    ("--traces", "1+,0,0"),  # a literal complex() rejects
 ])
 def test_sample_non_finite_traces_exit_two(tmp_path, capsys, flag, values):
     out = tmp_path / "x.json"

@@ -158,6 +158,8 @@ INVALID = [
      "entry_bound must be finite and at least 2, got 1e-300"),
     (SamplerConfig, (0, 3, None, float("inf")), ValueError,
      "entry_bound must be finite and at least 2, got inf"),
+    # an infinite tolerance would pass every <= gate
+    (Tolerance, (float("inf"),), ValueError, "tolerance must be finite"),
 ]
 
 
