@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -620,11 +623,19 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def child_env() -> dict:
+    """A CLI subprocess's environment: this package first on the path, default
+    warning filters, and standard output block-buffered when it is a pipe, so
+    a missed flush loses bytes."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(monodromy.__file__).parents[1])
+    return env
+
+
 def test_off_variety_warning_is_one_stderr_line(tmp_path):
     # the library warning reaches a terminal as one "warning:" line, not as
     # "<path>/cli.py:<line>: OffVarietyWarning: ..." plus a source line
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = str(Path(monodromy.__file__).parents[1])
+    env = child_env()
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "monodromy", *argv], cwd=tmp_path,
@@ -646,3 +657,116 @@ def test_main_restores_the_warning_formatter(tmp_path, capsys, fixture_rep_file)
     before = warnings.formatwarning
     assert run("coords", fixture_rep_file, "-o", tmp_path / "c.json") == EXIT_OK
     assert warnings.formatwarning is before
+
+
+# ---------------------------------------------------------------------------
+# The process entry point: `python -m monodromy` and the installed script run
+# `cli.run`, which ends in os._exit after flushing
+
+
+def sample_point(tmp_path, monkeypatch, *flags) -> None:
+    """t.json and c.json for one sampled point, written in-process into tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", *flags, "-o", "t.json"]) == EXIT_OK
+    assert main(["coords", "t.json", "-o", "c.json"]) == EXIT_OK
+
+
+PARITY_POINTS = {
+    "su2-n4": ["--kind", "su2", "--n", "4", "--seed", "0"],
+    "su2-n9": ["--kind", "su2", "--n", "9", "--seed", "0"],
+    "generic16-n8": ["--kind", "generic", "--entry-bound", "16", "--n", "8", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("point", PARITY_POINTS)
+def test_process_matches_in_process_main(tmp_path, capsys, monkeypatch, point):
+    commands = [
+        (["sample", *PARITY_POINTS[point], "-o", "t.json"], "t.json"),
+        (["coords", "t.json", "-o", "c.json"], "c.json"),
+        (["relations", "c.json"], None),
+        (["reconstruct", "c.json", "-o", "r.json"], "r.json"),
+        (["reconstruct", "c.json", "-o", "-"], None),
+        (["classify", "c.json"], None),
+    ]
+    inner, outer = tmp_path / "main", tmp_path / "process"
+    inner.mkdir()
+    outer.mkdir()
+    monkeypatch.chdir(inner)
+    monkeypatch.delenv("MONODROMY_TOL", raising=False)  # for both sides: child_env reads os.environ
+    codes, warned = [], []
+    for argv, written in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        want = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "monodromy", *argv], cwd=outer,
+                              env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, want.out), argv
+        assert proc.stderr == "".join(f"warning: {w.message}\n" for w in caught) + want.err
+        if written is not None:
+            assert (outer / written).read_bytes() == (inner / written).read_bytes(), argv
+        codes.append(code)
+        warned.append(len(caught))
+    if point == "generic16-n8":  # a genuine tuple the reconstruct gate fails (the known defect)
+        assert codes[3:5] == [EXIT_RESIDUAL] * 2 and warned == [0, 0, 0, 1, 1, 0]
+    else:
+        assert codes == [EXIT_OK] * 6 and warned == [0] * 6
+
+
+@pytest.mark.parametrize("command", ["relations", "classify"])
+def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, monkeypatch, command):
+    # relations at n = 9 writes 188 kB in one call, so the pipe breaks inside main;
+    # classify's few lines sit in the buffer until run() flushes them
+    sample_point(tmp_path, monkeypatch, "--kind", "su2", "--n", "9", "--seed", "0")
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "monodromy", command, "c.json"],
+                              cwd=tmp_path, env=child_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_stdout_closed_at_start_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
+    # Python sets sys.stdout to None when descriptor 1 is closed at start-up,
+    # and print() then writes nothing
+    sample_point(tmp_path, monkeypatch, "--kind", "su2", "--n", "4", "--seed", "0")
+    capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "monodromy", "classify", "c.json"],
+                          cwd=tmp_path, env=child_env(), stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+def test_profiler_gets_a_normal_exit(tmp_path, capsys, monkeypatch):
+    # cProfile prints its table after the profiled module raises SystemExit;
+    # an os._exit would end the process before that
+    sample_point(tmp_path, monkeypatch, "--kind", "su2", "--n", "4", "--seed", "0")
+    capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "monodromy", "classify",
+                           "c.json"], cwd=tmp_path, env=child_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == EXIT_OK
+    assert "verdict       : definite" in proc.stdout
+    assert "function calls" in proc.stdout.split("verdict", 1)[1]
+
+
+def test_script_and_python_m_share_one_entry_point():
+    import monodromy.__main__ as entry
+    import monodromy.cli as cli
+
+    # pyproject.toml read as text: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, name = re.search(r'^monodromy = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is entry.run is cli.run
+    for mod in (entry, cli):
+        blocks = [node for node in ast.parse(Path(mod.__file__).read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.If)]
+        assert [ast.unparse(b) for b in blocks] == ["if __name__ == '__main__':\n    run()"]
