@@ -8,7 +8,8 @@ polynomials:
 * type 2 (n >= 4): one per (index, ascending quadruple), an alternating
   ``z``-weighted sum of ``s3`` values;
 * type 3 (n >= 4): the full descending word trace, expanded recursively
-  into stored data, minus the closing trace a_{n+1}.
+  into stored data by ``sl2.four_trace_reduction``, minus the closing trace
+  a_{n+1}.
 
 Here z_ij = x_ij - a_i a_j / 2 (z_ii = a_i^2 / 2 - 2) and
 s3(i1, i2, i3) = a_i1 x_{i3 i2} + a_i2 x_{i3 i1} + a_i3 x_{i2 i1}
@@ -54,7 +55,7 @@ from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
-from .sl2 import _record
+from .sl2 import _record, four_trace_reduction
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -121,15 +122,16 @@ def _layout(n: int) -> tuple:
 def _word_plan(word: tuple[int, ...]) -> tuple:
     """``(a_keys, pair_keys, triple_keys, steps)`` of a checked descending word.  Each
     sub-word it reaches has a slot, shorter first, so the word has the last; words of
-    length 1, 2, 3 are read at those keys, and each longer one is a step holding the
-    slots of the 14 words its four-factor identity reads, as ``_word_trace`` unpacks them."""
+    length 1, 2, 3 are read at those keys, and each longer one ``head + (i3, i2, i1)``
+    is a step holding the slots of the 14 words ``four_trace_reduction`` reads, in its
+    argument order, with (A, B, C, D) = (M_head, M_i3, M_i2, M_i1)."""
     need, parts = {word}, {}
     for size in range(len(word), 3, -1):
         for w in [w for w in need if len(w) == size]:
             head, (i3, i2, i1) = w[:-3], w[-3:]
-            parts[w] = (head, head + (i3,), head + (i1,), head + (i3, i2), head + (i3, i1),
-                        head + (i2, i1), head + (i2,), (i3,), (i2,), (i1,), (i2, i1), (i3, i1),
-                        (i3, i2), (i3, i2, i1))
+            parts[w] = (head, (i3,), (i2,), (i1,), head + (i3,), head + (i2,), head + (i1,),
+                        (i3, i2), (i3, i1), (i2, i1), head + (i3, i2), head + (i3, i1),
+                        head + (i2, i1), (i3, i2, i1))
             need.update(parts[w])
     order = sorted(need, key=lambda w: (len(w), w))
     slot = {w: k for k, w in enumerate(order)}
@@ -139,17 +141,14 @@ def _word_plan(word: tuple[int, ...]) -> tuple:
 
 
 def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> complex:
-    """Trace of a checked descending word from the 1-based local traces ``a`` and
-    the stored ``pairs`` and ``triples``, in one pass over its ``_word_plan``."""
+    """Trace of a checked descending word from the 1-based local traces ``a`` and the
+    stored ``pairs`` and ``triples``: a ``four_trace_reduction`` per ``_word_plan`` step."""
     a_keys, pair_keys, triple_keys, steps = _word_plan(word)
     v = [*map(a.__getitem__, a_keys), *map(pairs.__getitem__, pair_keys),
          *map(triples.__getitem__, triple_keys)]
-    for kg, kg3, kg1, kg32, kg31, kg21, kg2, k3, k2, k1, k21, k31, k32, kt in steps:
-        g, g3, g1, a3, a2, a1 = v[kg], v[kg3], v[kg1], v[k3], v[k2], v[k1]
-        x21, x31, x32 = v[k21], v[k31], v[k32]
-        v.append(0.5 * (g * a3 * a2 * a1 + g * v[kt] + a1 * v[kg32] + a2 * v[kg31] + a3 * v[kg21]
-                        + g3 * x21 - v[kg2] * x31 + g1 * x32 - g * a3 * x21 - g * a1 * x32
-                        - g1 * a3 * a2 - g3 * a2 * a1))
+    for ka, kb, kc, kd, kab, kac, kad, kbc, kbd, kcd, kabc, kabd, kacd, kbcd in steps:
+        v.append(four_trace_reduction(v[ka], v[kb], v[kc], v[kd], v[kab], v[kac], v[kad],
+                                      v[kbc], v[kbd], v[kcd], v[kabc], v[kabd], v[kacd], v[kbcd]))
     return v[-1]
 
 
@@ -247,8 +246,8 @@ class RelationResiduals(_record("RelationResiduals", "type1 type2 type3 max scal
 
     ``type1`` and ``type2`` are tuples in enumeration order, ``type3`` is
     None for n = 3.  ``max`` is the raw maximum; ``normalized`` divides it
-    by ``scale``, the cube of (1 + largest input magnitude), matching the
-    dominant degree of the relations.
+    by ``scale``, the cube of (1 + largest input magnitude).  The scale fits
+    no family's degree: type 1 has degree 6 and type 3 degree n.
     """
 
     __slots__ = ()

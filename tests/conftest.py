@@ -133,7 +133,9 @@ def oracle_type2(x, i, quad):
 
 def oracle_g(x, word, memo):
     """Trace of a descending word through the coordinate accessors: the
-    four-factor recursion on the lowest three indices, memoized in ``memo``."""
+    four-factor recursion on the lowest three indices, memoized in ``memo``,
+    written out term for term in the order of ``sl2.four_trace_reduction``
+    with (A, B, C, D) = (M_head, M_i3, M_i2, M_i1)."""
     if word in memo:
         return memo[word]
     if len(word) == 1:
@@ -154,16 +156,16 @@ def oracle_g(x, word, memo):
         v = 0.5 * (
             g(head) * a(i3) * a(i2) * a(i1)
             + g(head) * triple_trace(x, i3, i2, i1)
-            + a(i1) * g(head + (i3, i2))
-            + a(i2) * g(head + (i3, i1))
             + a(i3) * g(head + (i2, i1))
+            + a(i2) * g(head + (i3, i1))
+            + a(i1) * g(head + (i3, i2))
             + g(head + (i3,)) * p(i2, i1)
             - g(head + (i2,)) * p(i3, i1)
             + g(head + (i1,)) * p(i3, i2)
             - g(head) * a(i3) * p(i2, i1)
             - g(head) * a(i1) * p(i3, i2)
-            - g(head + (i1,)) * a(i3) * a(i2)
-            - g(head + (i3,)) * a(i2) * a(i1)
+            - a(i3) * a(i2) * g(head + (i1,))
+            - a(i1) * a(i2) * g(head + (i3,))
         )
     memo[word] = v
     return v

@@ -294,6 +294,16 @@ def test_coords_round_trip_above_nine(tmp_path, capsys):
         assert capsys.readouterr().out.endswith("verdict       : definite\n")
 
 
+def test_reconstruct_at_n_sixteen_passes(tmp_path, capsys):
+    # the report evaluates no relation, so a wide su2 point costs only its O(n^3) rebuild
+    rep_path, path = tmp_path / "t.json", tmp_path / "c.json"
+    assert run("sample", "--kind", "su2", "--n", 16, "--seed", 0, "-o", rep_path) == EXIT_OK
+    assert run("coords", rep_path, "-o", path) == EXIT_OK
+    assert run("reconstruct", path, "-o", tmp_path / "r.json") == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.endswith("PASS\n") and "membership" not in out
+
+
 def test_coordinate_keys_past_nine_are_checked(tmp_path, capsys):
     obj = coords_to_obj(phi(su2(10, seed=0)))
     for field, key, message in (
@@ -733,12 +743,19 @@ def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, monkeypatch, co
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
-def test_stdout_closed_at_start_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["classify", "c.json"],
+    ["relations", "c.json"],
+    ["coords", "t.json", "-o", "-"],
+    ["reconstruct", "c.json", "-o", "-"],
+    ["sample", "--kind", "su2", "--n", "4", "-o", "-"],
+], ids=["classify", "relations", "coords", "reconstruct", "sample"])
+def test_stdout_closed_at_start_keeps_the_exit_code(tmp_path, capsys, monkeypatch, argv):
     # Python sets sys.stdout to None when descriptor 1 is closed at start-up,
-    # and print() then writes nothing
+    # and print() then writes nothing; every report and every `-o -` prints
     sample_point(tmp_path, monkeypatch, "--kind", "su2", "--n", "4", "--seed", "0")
     capsys.readouterr()
-    proc = subprocess.run([sys.executable, "-m", "monodromy", "classify", "c.json"],
+    proc = subprocess.run([sys.executable, "-m", "monodromy", *argv],
                           cwd=tmp_path, env=child_env(), stderr=subprocess.PIPE, text=True,
                           preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")

@@ -18,6 +18,9 @@ updates this file and says so.
 After an intended change of output, regenerate from the repository root with
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
+
+which prints every cell that changed, with its old and new exit code, and a
+count per command, for the change's list of moved cells.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import os
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -119,9 +123,17 @@ def corpus() -> dict:
     return {**_grid(), **_errors()}
 
 
+def _command(key: str) -> str:
+    """The command of a cell key: the text after the seed of a grid cell
+    (``sample``, ``reconstruct +``, ...), or ``error`` for the error cases."""
+    return "error" if key.startswith("error: ") else key.split(" ", 3)[3]
+
+
 def regenerate() -> None:
-    """Rewrite the golden file from the current code."""
+    """Rewrite the golden file from the current code, printing every cell whose
+    entry changed, with its old and new exit code, and a count per command."""
     os.environ.pop("MONODROMY_TOL", None)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -129,6 +141,13 @@ def regenerate() -> None:
             obj = corpus()
         finally:
             os.chdir(cwd)
+    moved = [key for key in [*obj, *(key for key in old if key not in obj)]
+             if old.get(key) != obj.get(key)]
+    for key in moved:
+        print(f"{key}: exit {old.get(key, [None])[0]} -> {obj.get(key, [None])[0]}")
+    for command, count in Counter(map(_command, moved)).items():
+        print(f"{command}: {count} cells changed")
+    print(f"{len(moved)} of {len(obj)} cells changed")
     lines = [f"{json.dumps(key)}: {json.dumps(rec)}" for key, rec in obj.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 

@@ -29,7 +29,7 @@ from monodromy import (
     triple_trace,
 )
 from monodromy.coords import _pair, _quad, _triple, opposite_rotation
-from monodromy.reconstruct import lambdas
+from monodromy.reconstruct import lambdas, rebuild
 from monodromy.samplers import SplitMix64
 from monodromy.sl2 import four_trace_reduction
 
@@ -330,3 +330,17 @@ def test_gram_frame_rebuild_passes_the_gate(n, family):
     # (at entry bound 16 it reads 1.9e-9 on n = 8 seed 2, where the gate's scale fails)
     for seed in range(16):
         assert oracle_gram_rebuild(phi(FAMILIES[family](n, seed))) <= DEFAULT_TOL.abs
+
+
+@pytest.mark.parametrize("family", ["su2", "su11", "generic"])
+@pytest.mark.parametrize("n", [12, 16, 20, 24])
+def test_wide_n_round_trip_and_su2_gate(n, family):
+    # past n = 9 the round trip holds on every genuine point; the gate is asserted on
+    # su2 only, since on su11 and generic the closing determinant's roundoff outgrows
+    # the unscaled bound (4 of 4 generic points fail it at n = 24)
+    for seed in range(4):
+        x = phi(FAMILIES[family](n, seed))
+        diag = rebuild(x, classify_charts(x).best, PLUS).diagnostics
+        assert diag.round_trip <= 1e-13
+        if family == "su2":
+            assert diag.passes(DEFAULT_TOL)
