@@ -16,9 +16,11 @@ Rewriting a file read back in reproduces it byte for byte.
 The environment variable MONODROMY_TOL overrides the default tolerance of
 1e-9; --tol overrides both.
 
-The process entry point ``run`` ends in ``os._exit``: module teardown and the
-exit-time garbage collection would add about 10 ms to a 60-70 ms call and free
-nothing an exiting process needs; under a tracer or profiler it exits normally.
+Each subcommand imports the library modules it runs beyond ``coords``, so a
+process loads only those.  The process entry point ``run`` ends in
+``os._exit``: module teardown and the exit-time garbage collection would add
+about 10 ms to a 60-70 ms call and free nothing an exiting process needs;
+under a tracer or profiler it exits normally.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ import sys
 import warnings
 from itertools import combinations
 
-from .charts import ChartId, classify_charts
-from .coords import (
-    LocalData,
-    Representation,
-    TraceCoordinates,
-    close_tuple,
-    phi,
-)
+from .coords import LocalData, Representation, TraceCoordinates, close_tuple, phi
 from .errors import (
     BadChart,
     ChartNotAdmissible,
@@ -46,11 +41,7 @@ from .errors import (
     MonodromyError,
     PsiDegenerate,
 )
-from .reconstruct import MINUS, PLUS, reconstruct
-from .relations import membership, type1_pairs, type2_terms
-from .samplers import SamplerConfig, sample_generic, sample_su2, sample_su11
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance
-from .unitary import Signature, classify, hermitian_form, reality_gate, verify_invariance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -237,11 +228,15 @@ def cmd_coords(args, tol: Tolerance) -> int:
 
 
 def cmd_relations(args, tol: Tolerance) -> int:
+    from .relations import membership
+
     x = coords_from_obj(read_json(args.input))
     res = membership(x)
-    names = {t: str(t) for t in combinations(range(1, x.n + 1), 3)}
-    labels = [f"type1 {names[ta]}x{names[tb]}" for ta, tb in type1_pairs(x.n)]
-    labels += [f"type2 i={i} {quad}" for i, quad in type2_terms(x.n)]
+    # labels in the enumeration order of relations.type1_pairs and type2_terms
+    triples = [str(t) for t in combinations(range(1, x.n + 1), 3)]
+    quads = [str(q) for q in combinations(range(1, x.n + 1), 4)]
+    labels = [f"type1 {ta}x{tb}" for pos, ta in enumerate(triples) for tb in triples[pos:]]
+    labels += [f"type2 i={i} {quad}" for i in range(1, x.n + 1) for quad in quads]
     values = res.type1 + res.type2
     if res.type3 is not None:
         labels.append("type3")
@@ -252,7 +247,7 @@ def cmd_relations(args, tol: Tolerance) -> int:
             worst, worst_label = value, label
     passed = res.normalized <= tol.abs
     print("".join([  # one write: the report runs to 4705 lines at n = 9
-        *(f"{label:<28s}: {value:.3e}\n" for label, value in zip(labels, values)),
+        *map("%-28s: %.3e\n".__mod__, zip(labels, values)),
         f"relations                   : {res.count}\n",
         f"max residual (raw)          : {res.max:.3e}\n",
         f"max residual (normalized)   : {res.normalized:.3e}  [scale {res.scale:.3e}]\n",
@@ -261,7 +256,9 @@ def cmd_relations(args, tol: Tolerance) -> int:
     return EXIT_OK if passed else EXIT_RESIDUAL
 
 
-def _parse_chart(text: str) -> ChartId:
+def _parse_chart(text: str):
+    from .charts import ChartId
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"chart {text!r}: expected 'j,k,i0' or 'j,k,base'")
@@ -274,6 +271,9 @@ def _parse_chart(text: str) -> ChartId:
 
 
 def cmd_reconstruct(args, tol: Tolerance) -> int:
+    from .charts import classify_charts
+    from .reconstruction import MINUS, PLUS, reconstruct
+
     x = coords_from_obj(read_json(args.input))
     if args.chart == "auto":
         report = classify_charts(x, tol)
@@ -310,6 +310,9 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
 
 
 def cmd_classify(args, tol: Tolerance) -> int:
+    from .reconstruction import PLUS, reconstruct
+    from .unitary import Signature, classify, hermitian_form, reality_gate, verify_invariance
+
     x = coords_from_obj(read_json(args.input))
     print(f"reality gate  : {'pass' if reality_gate(x, tol) else 'fail'}")
     try:
@@ -339,6 +342,8 @@ def cmd_classify(args, tol: Tolerance) -> int:
 
 
 def cmd_sample(args, tol: Tolerance) -> int:
+    from .samplers import SamplerConfig, sample_generic, sample_su2, sample_su11
+
     if args.traces and args.thetas:
         raise ParseError("--traces and --thetas are mutually exclusive")
     traces = None

@@ -21,7 +21,7 @@ indexes that map, and ``_triple_key`` says which words rotate into the stored on
 
 Indices are checked at the public accessors only: ``pair``, ``triple_trace``
 and ``quad_trace`` check, then call the cores ``_pair``, ``_triple`` and
-``_quad``, which the rebuild calls directly.
+``_quad``; the rebuild calls ``_pair`` and ``_triple`` directly.
 """
 
 from __future__ import annotations
@@ -151,18 +151,24 @@ class TraceCoordinates:
     def __init__(self, local: LocalData, pairs: dict[tuple[int, int], complex],
                  triples: dict[tuple[int, int, int], complex] | None = None) -> None:
         pairs, triples, n = dict(pairs), dict(triples or {}), local.n
+        _, _, pair_keys, triple_keys = _phi_plan(n)
+        if pairs.keys() != pair_keys:
+            raise ValueError(f"pair keys must be the {comb(n, 2)} ascending pairs in 1..{n}")
+        if triples.keys() != triple_keys:
+            want = "empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}"
+            raise ValueError(f"triple keys must be {want}")
+        self._fill(local, pairs, triples)
+
+    def _fill(self, local: LocalData, pairs: dict, triples: dict) -> None:
+        """Set the fields from dicts with the stored keys of local.n, kept uncopied;
+        checks only that every value is finite.  ``phi`` builds its point here."""
         init = object.__setattr__
         init(self, "local", local)
         init(self, "pairs", MappingProxyType(pairs))
         init(self, "triples", MappingProxyType(triples))
-        init(self, "_triples", triples if n > 3 else {(1, 2, 3): local.a[3]})
+        init(self, "_triples", triples if local.n > 3 else {(1, 2, 3): local.a[3]})
         init(self, "_cache", {})
-        init(self, "_n", n)
-        if pairs.keys() != _phi_plan(n)[2]:
-            raise ValueError(f"pair keys must be the {comb(n, 2)} ascending pairs in 1..{n}")
-        if triples.keys() != _phi_plan(n)[3]:
-            want = "empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}"
-            raise ValueError(f"triple keys must be {want}")
+        init(self, "_n", local.n)
         if not all(map(cmath.isfinite, chain(pairs.values(), triples.values()))):
             for v in chain(pairs.values(), triples.values()):  # name the first bad value
                 _require_finite_scalar(v, "coordinate")
@@ -236,7 +242,9 @@ def phi(rep: Representation) -> TraceCoordinates:
         p11, p12, p21, p22 = prods[s]
         q11, q12, q21, q22 = mats[i]
         triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
-    return TraceCoordinates(rep.local(), pairs, triples)
+    x = object.__new__(TraceCoordinates)
+    x._fill(rep.local(), pairs, triples)  # the keys are the plan's: no copies, no key checks
+    return x
 
 
 def _check_distinct(x: TraceCoordinates, indices: tuple[int, ...]) -> None:

@@ -17,9 +17,10 @@ its conjugacy class, so coordinates of the output never depend on it.
 The chart is checked once, by ``require_admissible``, which reads its entry
 of the memoized ``classify_charts`` report, so a rebuild evaluates no chart
 polynomial of its own.  After that the rebuild reads the local traces and
-stored pairs by key and the triple and four-factor traces through
-``coords._triple`` and ``coords._quad``, the unchecked cores of the public
-accessors.
+stored pairs by key and the triple traces through ``coords._triple``, the
+unchecked core of ``triple_trace``, each once per matrix (the anchor's once
+per chart), and evaluates the four-factor traces with
+``sl2.four_trace_reduction`` on those reads, as ``coords._quad`` would.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -42,14 +43,13 @@ from .coords import (
     Representation,
     TraceCoordinates,
     _pair,
-    _quad,
     _triple,
     coordinate_distance,
     descending_product,
     phi,
 )
 from .errors import DegenerateEigenvalues, OffVarietyWarning
-from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record
+from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, four_trace_reduction
 
 
 class BranchChoice(_record("BranchChoice", "sign")):
@@ -146,17 +146,12 @@ def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
     xkj = _pair(pairs, k, j)
     r, lp, lm = lambdas(xkj, branch, tol)
     disc = xkj * xkj - 4.0
-
-    def diag_entries(i: int) -> tuple[complex, complex]:
-        xkji = _triple(x, k, j, i)
-        return (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
-
     if i0 == 0:
         u12_j, u21_j = -ps / disc, 1.0
         u12_k, u21_k = lp * ps / disc, -lm
-    else:
-        u11_0, u22_0 = diag_entries(i0)
-        xki0, xji0 = _pair(pairs, k, i0), _pair(pairs, j, i0)
+    else:  # the anchor's triple and pairs, read once for every matrix
+        xkji0, xki0, xji0 = _triple(x, k, j, i0), _pair(pairs, k, i0), _pair(pairs, j, i0)
+        u11_0, u22_0 = (xkji0 - lm * a[i0]) / r, -(xkji0 - lp * a[i0]) / r
         u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
         u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
         u12_k, u21_k = -lp * u12_j, -lm * u21_j
@@ -168,17 +163,20 @@ def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
         if i == k:
             mats.append(Mat2(-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
             continue
-        u11, u22 = diag_entries(i)
+        if i == i0:
+            mats.append(Mat2(u11_0, -ps / disc, 1.0, u22_0))
+            continue
+        xkji, xki, xji = _triple(x, k, j, i), _pair(pairs, k, i), _pair(pairs, j, i)
+        u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
         if i0 == 0:
-            xki, xji = _pair(pairs, k, i), _pair(pairs, j, i)
             u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
             u21 = r * (xki - a[k] * u11 + lm * (xji - a[j] * u22)) / ps
-        elif i == i0:
-            u12, u21 = -ps / disc, 1.0
         else:
-            q = _quad(x, k, j, i, i0)
-            u12 = -(lm * _pair(pairs, i, i0) + r * u11 * u11_0 - q) / r
-            u21 = -r * (lp * _pair(pairs, i, i0) - r * u22 * u22_0 - q) / ps
+            xii0 = _pair(pairs, i, i0)
+            q = four_trace_reduction(a[k], a[j], a[i], a[i0], xkj, xki, xki0, xji, xji0, xii0,
+                                     xkji, xkji0, _triple(x, k, i, i0), _triple(x, j, i, i0))
+            u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
+            u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
         mats.append(Mat2(u11, u12, u21, u22))
     rep = Representation(mats, descending_product(mats).adjugate())
     closed = rep.mats + (rep.last,)

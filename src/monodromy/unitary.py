@@ -19,7 +19,7 @@ from itertools import chain
 from .charts import ChartEval, ChartId, chart_eval, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
 from .errors import ChartNotAdmissible, DegenerateEigenvalues, NotReal, OffVariety, PsiDegenerate
-from .reconstruct import PLUS, rebuild
+from .reconstruction import PLUS, rebuild
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
 
 

@@ -787,3 +787,42 @@ def test_script_and_python_m_share_one_entry_point():
         blocks = [node for node in ast.parse(Path(mod.__file__).read_text(encoding="utf-8")).body
                   if isinstance(node, ast.If)]
         assert [ast.unparse(b) for b in blocks] == ["if __name__ == '__main__':\n    run()"]
+
+
+# Each process imports only the modules its subcommand runs: the root names
+# are lazy, and every cmd_* imports what it needs beyond coords.
+BASE = {"cli", "coords", "sl2", "errors"}
+LOADED = {
+    "help": (["--help"], BASE),
+    "sample": (["sample", "--kind", "su2", "--n", "4", "-o", "s.json"], BASE | {"samplers"}),
+    "coords": (["coords", "t.json", "-o", "c2.json"], BASE),
+    "relations": (["relations", "c.json"], BASE | {"relations"}),
+    "reconstruct": (["reconstruct", "c.json", "-o", "r.json"],
+                    BASE | {"charts", "reconstruction"}),
+    "classify": (["classify", "c.json"], BASE | {"unitary", "charts", "reconstruction"}),
+}
+
+
+def loaded_modules(proc) -> set:
+    """The monodromy.* modules a `python -X importtime` child imported."""
+    rows = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:"))
+    return {name.split(".", 1)[1] for name in rows if name.startswith("monodromy.")}
+
+
+@pytest.mark.parametrize("command", LOADED)
+def test_process_loads_only_its_subcommands_modules(tmp_path, capsys, monkeypatch, command):
+    sample_point(tmp_path, monkeypatch, "--kind", "su2", "--n", "4", "--seed", "0")
+    capsys.readouterr()
+    argv, want = LOADED[command]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "monodromy", *argv],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK
+    assert loaded_modules(proc) == want
+
+
+def test_import_loads_no_submodule(tmp_path):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import monodromy"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "monodromy" in proc.stderr and loaded_modules(proc) == set()

@@ -39,7 +39,7 @@ from monodromy import (
 from monodromy.charts import chart_eval
 from monodromy.cli import EXIT_OK, EXIT_RESIDUAL, coords_from_obj, coords_to_obj, main
 from monodromy.cli import rep_from_obj, rep_to_obj
-from monodromy.reconstruct import lambdas
+from monodromy.reconstruction import lambdas
 from monodromy.sl2 import check_unimodular
 from monodromy.unitary import hermitian_form, reality_gate
 

@@ -2,7 +2,10 @@
 quickstart runs as written."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -35,8 +38,8 @@ ROOT_NAMES = sorted([
 
 def test_root_names_and_harness_reads():
     exported = sorted(
-        name for name, value in vars(monodromy).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(monodromy)  # the root names are lazy: not in vars() until read
+        if not name.startswith("_") and not isinstance(getattr(monodromy, name), types.ModuleType)
     )
     assert exported == ROOT_NAMES
     tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
@@ -88,3 +91,13 @@ def test_no_unused_imports_or_private_functions():
                     and not node.name.startswith("__") and node.name not in referenced):
                 debris.append(f"{module}: unreferenced private function {node.name}")
     assert debris == []
+
+
+def test_root_reconstruct_is_the_function_after_its_module_loads():
+    # unitary imports the module holding reconstruct; the root name must stay the function
+    code = ("import monodromy.unitary; from monodromy import reconstruct; "
+            "print(reconstruct.__module__, callable(reconstruct))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["monodromy.reconstruction", "True"]

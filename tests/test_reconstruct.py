@@ -29,7 +29,7 @@ from monodromy import (
     triple_trace,
 )
 from monodromy.coords import _pair, _quad, _triple, opposite_rotation
-from monodromy.reconstruct import lambdas, rebuild
+from monodromy.reconstruction import lambdas, rebuild
 from monodromy.samplers import SplitMix64
 from monodromy.sl2 import four_trace_reduction
 
@@ -275,7 +275,7 @@ def test_classify_reuses_the_rebuild_of_reconstruct(monkeypatch):
     def no_rebuild(*args):
         raise AssertionError("rebuilt again")
 
-    monkeypatch.setattr(import_module("monodromy.reconstruct"), "require_admissible", no_rebuild)
+    monkeypatch.setattr(import_module("monodromy.reconstruction"), "require_admissible", no_rebuild)
     assert classify(x).chart == chart
     with pytest.raises(AssertionError, match="rebuilt again"):
         classify(fresh)  # a fresh point does rebuild
