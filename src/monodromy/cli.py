@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from itertools import combinations
 
 from .coords import LocalData, Representation, TraceCoordinates, close_tuple, phi
@@ -130,7 +129,7 @@ def rep_from_obj(obj, tol: Tolerance) -> Representation:
     actual = rep.local()
     for idx in range(1, n + 2):
         err = abs(actual.trace(idx) - declared[idx - 1])
-        if err > tol.bound(1.0 + abs(declared[idx - 1])):
+        if err > tol.abs * (2.0 + abs(declared[idx - 1])):
             raise MonodromyError(
                 f"declared trace a_{idx} disagrees with the matrices by {err:.3e}"
             )
@@ -272,7 +271,7 @@ def _parse_chart(text: str):
 
 def cmd_reconstruct(args, tol: Tolerance) -> int:
     from .charts import classify_charts
-    from .reconstruction import MINUS, PLUS, reconstruct
+    from .reconstruction import MINUS, PLUS, rebuild
 
     x = coords_from_obj(read_json(args.input))
     if args.chart == "auto":
@@ -285,7 +284,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
         chart = _parse_chart(args.chart)
     branch = PLUS if args.branch == "+" else MINUS
     try:
-        result = reconstruct(x, chart, branch, tol)
+        result = rebuild(x, chart, branch, tol)  # a miss is reported once, by the FAIL line
     except (ChartNotAdmissible, DegenerateEigenvalues) as exc:
         print(f"chart {chart.label()} unusable: {exc}", file=sys.stderr)
         return EXIT_NO_CHART
@@ -310,7 +309,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
 
 
 def cmd_classify(args, tol: Tolerance) -> int:
-    from .reconstruction import PLUS, reconstruct
+    from .reconstruction import PLUS, rebuild
     from .unitary import Signature, classify, hermitian_form, reality_gate, verify_invariance
 
     x = coords_from_obj(read_json(args.input))
@@ -335,7 +334,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     h = form.matrix()
     print(f"H             : [[{_fmt_c(h.m11)}, {_fmt_c(h.m12)}], "
           f"[{_fmt_c(h.m21)}, {_fmt_c(h.m22)}]]")
-    rec = reconstruct(x, sig.chart, PLUS, tol)  # the rebuild classify gated on
+    rec = rebuild(x, sig.chart, PLUS, tol)  # the rebuild classify gated on
     print(f"invariance    : {verify_invariance(rec.rep, form):.3e}")
     print(f"verdict       : {sig.kind.value}")
     return EXIT_OK
@@ -344,15 +343,15 @@ def cmd_classify(args, tol: Tolerance) -> int:
 def cmd_sample(args, tol: Tolerance) -> int:
     from .samplers import SamplerConfig, sample_generic, sample_su2, sample_su11
 
-    if args.traces and args.thetas:
+    if args.traces is not None and args.thetas is not None:
         raise ParseError("--traces and --thetas are mutually exclusive")
     traces = None
-    if args.traces:
+    if args.traces is not None:
         try:
             traces = tuple(complex(tok) for tok in args.traces.split(","))
         except ValueError as exc:
             raise ParseError(f"--traces: {exc}") from exc
-    elif args.thetas:
+    elif args.thetas is not None:
         try:
             traces = tuple(2.0 * math.cos(math.pi * float(tok)) for tok in args.thetas.split(","))
         except ValueError as exc:  # a token float() rejects, or math.cos(inf)
@@ -429,11 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, category, filename, lineno, line=None) -> str:
-    """A printed warning as one ``warning: <message>`` line, like the ``error:`` lines."""
-    return f"warning: {message}\n"
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -453,8 +447,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _warning_line
     try:
         return args.func(args, tol)
     except (ParseError, BadChart) as exc:  # BadChart: a --chart that is no chart at n
@@ -466,8 +458,6 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:  # checked input whose arithmetic left the float range
         print(f"error: arithmetic overflow: {exc.args[-1]}", file=sys.stderr)
         return EXIT_RESIDUAL
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 def run() -> None:

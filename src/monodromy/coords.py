@@ -20,8 +20,8 @@ trace a_4, which the private read map ``TraceCoordinates._triples`` holds at
 indexes that map, and ``_triple_key`` says which words rotate into the stored one.
 
 Indices are checked at the public accessors only: ``pair``, ``triple_trace``
-and ``quad_trace`` check, then call the cores ``_pair``, ``_triple`` and
-``_quad``; the rebuild calls ``_pair`` and ``_triple`` directly.
+and ``quad_trace`` check, then read the unchecked cores ``_pair`` and
+``_triple``, which the rebuild calls directly.
 """
 
 from __future__ import annotations
@@ -303,11 +303,6 @@ def quad_trace(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:
     computed trace whenever the coordinates come from an actual tuple.
     """
     _check_distinct(x, (k, j, i, i0))
-    return _quad(x, k, j, i, i0)
-
-
-def _quad(x: TraceCoordinates, k: int, j: int, i: int, i0: int) -> complex:
-    """``quad_trace`` on indices the caller has checked."""
     a, p = x.local.a, x.pairs
     return four_trace_reduction(
         a[k - 1], a[j - 1], a[i - 1], a[i0 - 1],

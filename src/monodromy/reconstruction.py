@@ -20,13 +20,14 @@ polynomial of its own.  After that the rebuild reads the local traces and
 stored pairs by key and the triple traces through ``coords._triple``, the
 unchecked core of ``triple_trace``, each once per matrix (the anchor's once
 per chart), and evaluates the four-factor traces with
-``sl2.four_trace_reduction`` on those reads, as ``coords._quad`` would.
+``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` does.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
 those of an actual tuple, so they all vanish exactly when x lies on the
 variety.  ``Diagnostics.passes`` is that one gate; ``rebuild`` memoizes the
-result on the point for ``reconstruct`` and ``unitary.classify``.
+result on the point for ``reconstruct``, ``unitary.classify`` and the CLI's
+``reconstruct`` and ``classify``, which report a miss without a warning.
 
 Every reconstruction is irreducible, so nothing tests that numerically:
 psi != 0 on an admissible chart, and psi vanishes exactly when (M_j, M_k),

@@ -6,7 +6,8 @@ immutable value objects.  Every value type of the package but
 and ``_replace`` go through the constructor and its checks.  Inverses always
 go through the adjugate, which is the exact inverse of a determinant-1 matrix
 and therefore keeps unimodularity residuals tight.  ``Tolerance`` is the one
-positive finite number ``abs`` that every gate of the package reads (``bound`` scales it).
+positive finite number ``abs`` that every gate of the package reads: each gate
+compares its residual with ``abs`` times its own scale.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _record(name: str, fields: str, defaults=None) -> type:
 
 
 class Tolerance(_record("Tolerance", "abs")):
-    """One tolerance; ``bound(scale)`` gives the threshold ``abs + abs * |scale|``."""
+    """One tolerance ``abs``; a gate of scale s admits a residual up to ``abs * s``."""
 
     __slots__ = ()
 
@@ -37,9 +38,6 @@ class Tolerance(_record("Tolerance", "abs")):
         if abs == float("inf"):  # passes every <= gate
             raise ValueError("tolerance must be finite")
         return tuple.__new__(cls, (abs,))
-
-    def bound(self, scale: float) -> float:
-        return self.abs + self.abs * abs(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -101,8 +99,8 @@ def max_entry_diff(a: Mat2, b: Mat2) -> float:
 def check_unimodular(a: Mat2, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless |det(a) - 1| is within tolerance."""
     err = abs(a.det - 1.0)
-    if not err <= tol.bound(1.0):  # abs + abs * 1, twice the tolerance; a NaN determinant fails too
-        raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.bound(1.0):.3e}")
+    if not err <= tol.abs * 2.0:  # a NaN determinant fails too
+        raise NotUnimodular(f"|det - 1| = {err:.3e} exceeds tolerance {tol.abs * 2.0:.3e}")
 
 
 def four_trace_reduction(

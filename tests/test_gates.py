@@ -139,7 +139,7 @@ def admissibility(tmp_path):
 
 
 GATES = {
-    "sl2.check_unimodular: 2, from tol.bound(1.0)": unimodular,
+    "sl2.check_unimodular: 2": unimodular,
     "cli declared traces of coords: 2 + |a|": declared_trace,
     "cli relations PASS: (1 + max|x|)^3": relations_pass,
     "reconstruct.Diagnostics.passes: 1": diagnostics_passes,

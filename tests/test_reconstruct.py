@@ -28,7 +28,7 @@ from monodromy import (
     reconstruct,
     triple_trace,
 )
-from monodromy.coords import _pair, _quad, _triple, opposite_rotation
+from monodromy.coords import _pair, _triple, opposite_rotation
 from monodromy.reconstruction import lambdas, rebuild
 from monodromy.samplers import SplitMix64
 from monodromy.sl2 import four_trace_reduction
@@ -313,8 +313,7 @@ def test_rebuild_reads_equal_public_accessors(n, family):
         got = _triple(x, k, j, i)
         assert got == triple_trace(x, k, j, i) == _public_triple(x, k, j, i)
     for k, j, i, i0 in permutations(range(1, n + 1), 4):
-        got = _quad(x, k, j, i, i0)
-        assert got == quad_trace(x, k, j, i, i0) == four_trace_reduction(
+        assert quad_trace(x, k, j, i, i0) == four_trace_reduction(
             a(k), a(j), a(i), a(i0),
             x.pair(k, j), x.pair(k, i), x.pair(k, i0), x.pair(j, i), x.pair(j, i0), x.pair(i, i0),
             triple_trace(x, k, j, i), triple_trace(x, k, j, i0),
