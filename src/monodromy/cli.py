@@ -240,11 +240,10 @@ def cmd_relations(args, tol: Tolerance) -> int:
     if res.type3 is not None:
         labels.append("type3")
         values += (res.type3,)
-    worst, worst_label = -1.0, ""
-    for label, value in zip(labels, values):  # the first label of the largest value
-        if value > worst:
-            worst, worst_label = value, label
     passed = res.normalized <= tol.abs
+    # the first label of the largest value, or of the first NaN
+    worst = res.max if res.max == res.max else next(v for v in values if v != v)
+    worst_label = labels[values.index(worst)]
     print("".join([  # one write: the report runs to 4705 lines at n = 9
         *map("%-28s: %.3e\n".__mod__, zip(labels, values)),
         f"relations                   : {res.count}\n",

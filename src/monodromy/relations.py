@@ -26,17 +26,35 @@ type 3 last.
 
 Every decision that depends only on n is made once, in the cached plan
 ``_layout(n)`` (``_word_plan`` per word).  Per point, ``_values`` evaluates
-every relation once, reading by slot from the ``z`` matrix and ``s3`` list of
-``_tables``, and memoizes the signed values on the point: ``membership`` takes
-their magnitudes, and ``type1``/``type2`` look their indices up in the per-n
-``_slots`` and, like ``type3``, return their entry.
+every relation once and memoizes the signed values on the point:
+``membership`` takes their magnitudes, and ``type1``/``type2`` look their
+indices up in the per-n ``_slots`` and, like ``type3``, return their entry.
 Type 1 reads each row pair's 2x2 minors of ``z`` against one column table all
 row triples share; the determinant's factor 2 rides on a doubled copy of the
 first ``z`` row (doubling is exact).
 
+Two evaluators of type 1 and 2 read that one plan.  ``_comprehension`` reads by
+slot from the ``z`` matrix and ``s3`` list of ``_tables``, one comprehension per
+row.  Up to n = ``_STRAIGHT_N`` (5), ``_kernel(n)`` writes the same evaluation
+out as one straight-line function, compiled on first use: every stored value,
+z entry, s3 value, doubled entry and minor is a local, and every value is the
+comprehension's expression in its operand order, so both give the same values
+of the same type.  The generated source holds only local names and the plan's
+integer indices, never data of a point.  Compiling grows with the relation
+count (Python 3.11, 2-vCPU Xeon VM; traced transient memory):
+
+    n                 3      4      5      6      7      8
+    relations         1     15     81    301    876   2157
+    compile (ms)    0.3    0.8    2.3    6.3     19     45
+    transient (MB)  0.1    0.3    0.9    2.4    6.6     14
+
+while one call saves about 10 / 16 / 40 us at n = 3 / 4 / 5.  Past n = 5 the
+comprehension stays: a CLI process evaluates one point, and the compile would
+outweigh the saving of one call many times over.
+
 A point whose every stored value and local trace has imaginary part exactly 0
 (the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
-the tables and type 3 read ``_real_view``, the real parts.  With zero imaginary
+both evaluators and type 3 read ``_real_view``, the real parts.  With zero imaginary
 parts complex ``+``, ``-`` and ``*`` compute the float result in the real part
 (the cross terms are +/-0) and ``abs`` is ``hypot(re, 0) = |re|``, so residuals
 are identical, and the public evaluators return ``float`` there; only the sign
@@ -152,16 +170,67 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
     return v[-1]
 
 
-def _values(x: TraceCoordinates) -> tuple:
-    """``(type1, type2, type3)``: the signed value of every defining relation at x,
-    type 1 and 2 as lists in enumeration order, type 3 None for n = 3.  The one
-    evaluation of the relations, memoized on x; indices are checked only by the
-    public evaluators' ``_slots`` lookup, never in the loops here."""
-    values = x._cache.get("values")
-    if values is not None:
-        return values
-    n = x.n
-    z, sv, (a, pairs, triples) = _tables(x)
+# The largest n whose relations _values evaluates with the straight-line _kernel
+# (compile cost in the module docstring).
+_STRAIGHT_N = 5
+
+
+@lru_cache(maxsize=None)
+def _kernel(n: int):
+    """``kernel(a, pairs, triples) -> (type1, type2)`` at tuple size n, for 3 <= n <=
+    ``_STRAIGHT_N``: ``_comprehension`` written out from the plan ``_layout(n)`` as
+    one straight-line function and compiled once.  Every stored value, z entry, s3
+    value, doubled first-row entry and row-pair minor it reads is a local, computed
+    by the expression of ``_tables`` or ``_comprehension`` in its operand order, so
+    the values are identical; the source holds only names and the plan's indices."""
+    if not 3 <= n <= _STRAIGHT_N:
+        raise ValueError(f"the straight-line kernel covers n = 3..{_STRAIGHT_N}, got {n}")
+    col_pairs, rows, cols, quads = _layout(n)
+    idx = range(1, n + 1)
+    triples = list(combinations(idx, 3))
+    s = ["s%d_%d_%d" % t for t in triples]
+    used = set()  # the z, doubled and minor locals some value reads
+
+    def ref(name: str) -> str:
+        used.add(name)
+        return name
+
+    v1 = []
+    for i0, i1, i2, pos in rows:
+        d, m = f"d{i0}_%d", f"m{i1}_{i2}_%d_%d"
+        v1 += [f"{s[pos]} * {s_b} + ({ref(d % b0)} * {ref(m % col_pairs[k12])}"
+               f" - {ref(d % b1)} * {ref(m % col_pairs[k02])}"
+               f" + {ref(d % b2)} * {ref(m % col_pairs[k01])})"
+               for (b0, b1, b2, k12, k02, k01), s_b in zip(cols[pos:], s[pos:])]
+    v2 = [f"{ref(f'z{i}_{p0}')} * {s[k0]} - {ref(f'z{i}_{p1}')} * {s[k1]}"
+          f" + {ref(f'z{i}_{p2}')} * {s[k2]} - {ref(f'z{i}_{p3}')} * {s[k3]}"
+          for i in idx for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
+    minors = [f"m{i1}_{i2}_{c}_{d} = {ref(f'z{i1}_{c}')} * {ref(f'z{i2}_{d}')}"
+              f" - {ref(f'z{i1}_{d}')} * {ref(f'z{i2}_{c}')}"
+              for i1, i2 in combinations(range(2, n + 1), 2) for c, d in col_pairs
+              if f"m{i1}_{i2}_{c}_{d}" in used]
+    doubled = [f"d{i}_{j} = 2.0 * {ref(f'z{i}_{j}')}"
+               for i in range(1, n - 1) for j in idx if f"d{i}_{j}" in used]
+    z = [f"z{i}_{j} = " + (f"0.5 * a{i} * a{i} - 2.0" if i == j else
+                           f"x{min(i, j)}_{max(i, j)} - 0.5 * a{i} * a{j}")
+         for i in idx for j in idx if f"z{i}_{j}" in used]
+    body = [*(f"a{i} = a[{i}]" for i in idx),
+            *(f"x{i}_{j} = pairs[{i}, {j}]" for i, j in col_pairs),
+            *("t%d_%d_%d = triples[%d, %d, %d]" % (t + t) for t in triples),
+            *(f"{name} = a{i1} * x{i2}_{i3} + a{i2} * x{i1}_{i3} + a{i3} * x{i1}_{i2}"
+              f" - a{i3} * a{i2} * a{i1} - 2.0 * t{i1}_{i2}_{i3}"
+              for name, (i1, i2, i3) in zip(s, triples)),
+            *z, *doubled, *minors,
+            "return [%s], [%s]" % (", ".join(v1), ", ".join(v2))]
+    source = "def kernel(a, pairs, triples):\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, f"<relations kernel n={n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _comprehension(n: int, z: list, sv: list) -> tuple[list, list]:
+    """``(type1, type2)`` at tuple size n from the ``z`` and ``sv`` of ``_tables``:
+    the kernel of ``_values`` past ``_STRAIGHT_N``, one comprehension per row."""
     col_pairs, rows, cols, quads = _layout(n)
     z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
     minors = {}  # per row pair, its 2x2 minors ra[c] rb[d] - ra[d] rb[c], one per (c, d)
@@ -174,14 +243,31 @@ def _values(x: TraceCoordinates) -> tuple:
         v1 += [s_a * s_b + (r0[b0] * mm[k12] - r0[b1] * mm[k02] + r0[b2] * mm[k01])
                for (b0, b1, b2, k12, k02, k01), s_b in zip(cols[pos:], sv[pos:])]
     v2: list = []
-    v3 = None
-    if n > 3:
-        terms = [(p0, p1, p2, p3, sv[k0], sv[k1], sv[k2], sv[k3])
-                 for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
-        for z_i in z[1:]:
-            v2 += [z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
-                   for p0, p1, p2, p3, c0, c1, c2, c3 in terms]
-        v3 = _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
+    terms = [(p0, p1, p2, p3, sv[k0], sv[k1], sv[k2], sv[k3])
+             for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
+    for z_i in z[1:]:
+        v2 += [z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
+               for p0, p1, p2, p3, c0, c1, c2, c3 in terms]
+    return v1, v2
+
+
+def _values(x: TraceCoordinates) -> tuple:
+    """``(type1, type2, type3)``: the signed value of every defining relation at x,
+    type 1 and 2 as lists in enumeration order, type 3 None for n = 3.  The one
+    evaluation of the relations, memoized on x: type 1 and 2 by ``_kernel(n)`` up to
+    ``_STRAIGHT_N``, by ``_comprehension`` past it, type 3 by ``_word_trace``.
+    Indices are checked only by the public evaluators' ``_slots`` lookup, never here."""
+    values = x._cache.get("values")
+    if values is not None:
+        return values
+    n = x.n
+    if n <= _STRAIGHT_N:
+        view = a, pairs, triples = _real_view(x)
+        v1, v2 = _kernel(n)(*view)
+    else:
+        z, sv, (a, pairs, triples) = _tables(x)
+        v1, v2 = _comprehension(n, z, sv)
+    v3 = None if n == 3 else _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
     values = x._cache["values"] = (v1, v2, v3)
     return values
 
@@ -245,9 +331,10 @@ class RelationResiduals(_record("RelationResiduals", "type1 type2 type3 max scal
     """Magnitudes of every defining relation at a point, grouped by type.
 
     ``type1`` and ``type2`` are tuples in enumeration order, ``type3`` is
-    None for n = 3.  ``max`` is the raw maximum; ``normalized`` divides it
-    by ``scale``, the cube of (1 + largest input magnitude).  The scale fits
-    no family's degree: type 1 has degree 6 and type 3 degree n.
+    None for n = 3.  ``max`` is the raw maximum, NaN when any residual is
+    NaN; ``normalized`` divides it by ``scale``, the cube of (1 + largest
+    input magnitude).  The scale fits no family's degree: type 1 has degree
+    6 and type 3 degree n.
     """
 
     __slots__ = ()
@@ -278,6 +365,9 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     v1, v2, v3 = _values(x)
     r1, r2 = _magnitudes(v1), _magnitudes(v2)
     r3 = None if v3 is None else _magnitudes([v3])[0]
-    worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
+    # a sum of non-negative terms is NaN exactly when one is NaN, which max() skips
+    worst = sum(r1) + sum(r2) + (r3 or 0.0)
+    if worst == worst:
+        worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
     scale = (1.0 + x.max_abs()) ** 3
     return RelationResiduals(r1, r2, r3, worst, scale, worst / scale)

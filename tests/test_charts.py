@@ -221,12 +221,16 @@ def test_classify_charts_memoized_per_tolerance():
         assert classify_charts(copied) == report and classify_charts(copied) is not report
 
 
-@pytest.mark.parametrize("family", ["su2", "su11"])
-def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
+@pytest.mark.parametrize("family, n", [
+    pytest.param(family, n, id=family if n == 6 else f"{family}-n{n}")
+    for n in (6, 4) for family in ("su2", "su11")
+])
+def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
     # phi -> membership -> classify_charts -> reconstruct -> classify ->
     # hermitian_form, with the public evaluators after: one chart table per
-    # tolerance and one relation pass (its z/s3 tables and its type 3 word) per point
-    calls = {"charts": 0, "tables": 0, "words": 0}
+    # tolerance and one relation pass per point: type 1 and 2 by one straight-line
+    # kernel call (n <= 5) or from one build of the z/s3 tables, type 3 by one word
+    calls = {"charts": 0, "kernel": 0, "tables": 0, "words": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -235,9 +239,11 @@ def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(charts, "_chart_values", counted("charts", charts._chart_values))
+    kernel = relations._kernel
+    monkeypatch.setattr(relations, "_kernel", lambda n: counted("kernel", kernel(n)))
     monkeypatch.setattr(relations, "_tables", counted("tables", relations._tables))
     monkeypatch.setattr(relations, "_word_trace", counted("words", relations._word_trace))
-    x = phi(FAMILIES[family](6, 2))
+    x = phi(FAMILIES[family](n, 2))
     tols = (DEFAULT_TOL, Tolerance(1e-3))
     for tol in tols:
         membership(x)
@@ -247,10 +253,11 @@ def test_pipeline_evaluates_each_layer_once(family, monkeypatch):
         hermitian_form(x, sig.chart, tol)
         for e in classify_charts(x, tol).entries:
             chart_eval(x, e.chart, tol)
-        type1(x, (1, 2, 3), (4, 5, 6))
-        type2(x, 1, (2, 3, 4, 5))
+        type1(x, (1, 2, 3), (n - 2, n - 1, n))
+        type2(x, 1, (n - 3, n - 2, n - 1, n))
         type3(x)
-    assert calls == {"charts": len(tols), "tables": 1, "words": 1}
+    relation_pass = "kernel" if n <= relations._STRAIGHT_N else "tables"
+    assert calls == {"charts": len(tols), "kernel": 0, "tables": 0, "words": 1, relation_pass: 1}
 
 
 @pytest.mark.parametrize("family", ["su2", "su11", "generic"])

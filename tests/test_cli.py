@@ -161,6 +161,18 @@ def test_relations_fail_names_polynomial(tmp_path, capsys, fixture_rep):
     assert "FAIL" in report and "type1 (1, 2, 3)x(1, 2, 3)" in report
 
 
+def test_relations_fail_names_first_nan(tmp_path, capsys):
+    # su2 n = 4 seed 700 with a_2..a_4 scaled by 1e60: one nan among finite residuals
+    obj = coords_to_obj(phi(su2(4, seed=700)))
+    obj["a"][1:4] = [[re * 1e60, im] for re, im in obj["a"][1:4]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    assert run("relations", path) == EXIT_RESIDUAL
+    report = capsys.readouterr().out
+    assert "max residual (raw)          : nan\n" in report
+    assert report.endswith("FAIL  worst: type1 (2, 3, 4)x(2, 3, 4)\n")
+
+
 def test_relations_tolerance_flag_and_env(tmp_path, capsys, fixture_rep, monkeypatch):
     obj = coords_to_obj(phi(fixture_rep))
     obj["pairs"]["21"] = [obj["pairs"]["21"][0] + 1e-5, 0.0]

@@ -349,18 +349,24 @@ def _membership_outcome(x):
         return type(exc).__name__
 
 
+def _scaled_copies(x):
+    """Copies of x with three consecutive local traces, from the first, the middle
+    and the end, scaled by 1e60, 1e90 and 1e101: up to inf/nan residuals."""
+    n = x.n
+    for factor in (1e60, 1e90, 1e101):
+        for start in sorted({0, n // 2 - 1, n - 2}):
+            a = list(x.local.a)
+            a[start:start + 3] = [v * factor for v in a[start:start + 3]]
+            yield TraceCoordinates(LocalData(a), dict(x.pairs), dict(x.triples))
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_real_view_bit_identical_to_complex_kernel(n, monkeypatch):
     points = []
     for family in sorted(FAMILIES):
         for seed in (0, 1):
             x = phi(FAMILIES[family](n, 700 + seed))
-            points.append(x)
-            for factor in (1e60, 1e90, 1e101):  # up to inf/nan residuals
-                for start in sorted({0, n // 2 - 1, n - 2}):
-                    a = list(x.local.a)
-                    a[start:start + 3] = [v * factor for v in a[start:start + 3]]
-                    points.append(TraceCoordinates(LocalData(a), dict(x.pairs), dict(x.triples)))
+            points += [x, *_scaled_copies(x)]
     outcomes = []
     for x in points:
         got = _membership_outcome(x)
@@ -370,6 +376,56 @@ def test_real_view_bit_identical_to_complex_kernel(n, monkeypatch):
         assert got == want
         outcomes.append(got)
     assert any("nan" in o or "inf" in o for o in outcomes)
+
+
+def _value_records(x):
+    """(type, repr) of every relation value at a fresh copy of x: repr equality is
+    ``==`` for numbers and also holds between nans."""
+    v1, v2, v3 = relations._values(TraceCoordinates(x.local, dict(x.pairs), dict(x.triples)))
+    return [(type(v), repr(v)) for v in [*v1, *v2, v3]]
+
+
+@pytest.mark.parametrize("n", range(3, relations._STRAIGHT_N + 1))
+def test_straight_line_kernel_identical_to_comprehension(n, monkeypatch):
+    points = []
+    for family in ("su2", "su11", "generic"):
+        for seed in range(700, 706):
+            x = phi(FAMILIES[family](n, seed))
+            points += [x, *_scaled_copies(x)]
+    types, outcomes = set(), []
+    for x in points:
+        got = _value_records(x), _membership_outcome(x)
+        with monkeypatch.context() as m:
+            m.setattr(relations, "_STRAIGHT_N", 2)  # every n through _comprehension
+            want = _value_records(x), _membership_outcome(x)
+        assert got == want
+        types.update(t for t, _ in got[0])
+        outcomes.append(got[1])
+    assert types >= {float, complex}  # the real locus and generic points both covered
+    assert any("nan" in o or "inf" in o for o in outcomes)
+
+
+def test_kernel_only_up_to_straight_n():
+    for n in (2, relations._STRAIGHT_N + 1, 9):
+        with pytest.raises(ValueError):
+            relations._kernel(n)
+    misses = relations._kernel.cache_info().misses
+    for n in range(6, 10):
+        membership(phi(generic(n, seed=700)))
+    assert relations._kernel.cache_info().misses == misses
+
+
+def test_membership_max_is_nan_when_any_residual_is():
+    # su2 n = 4 seed 700 with a_2..a_4 scaled by 1e60: one residual of 15, the last
+    # type 1, is nan and the others are finite
+    x = phi(FAMILIES["su2"](4, 700))
+    a = list(x.local.a)
+    a[1:4] = [v * 1e60 for v in a[1:4]]
+    res = membership(TraceCoordinates(LocalData(a), x.pairs, x.triples))
+    values = res.type1 + res.type2 + (res.type3,)
+    assert [k for k, v in enumerate(values) if v != v] == [9]
+    assert max(v for v in values if v == v) > 1e300  # what max() alone reported
+    assert math.isnan(res.max) and math.isnan(res.normalized)
 
 
 def test_real_view_only_on_exactly_real_points():
