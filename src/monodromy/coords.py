@@ -19,9 +19,12 @@ trace a_4, which the private read map ``TraceCoordinates._triples`` holds at
 (1, 2, 3) (for n > 3 it is the stored map).  Every reader of a triple trace
 indexes that map, and ``_triple_key`` says which words rotate into the stored one.
 
-Indices are checked at the public accessors only: ``pair``, ``triple_trace``
-and ``quad_trace`` check, then read the unchecked cores ``_pair`` and
-``_triple``, which the rebuild calls directly.
+Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
+check indices, then read the unchecked cores ``_pair`` and ``_triple``, which the
+rebuild calls directly.  ``phi`` makes one finiteness pass over its product
+entries, local traces, pairs and triples, then builds ``LocalData`` and the point
+unchecked; when the pass fails it runs the checked path in its order (product
+entries, then ``LocalData``, then coordinates), which names the first bad value.
 """
 
 from __future__ import annotations
@@ -157,11 +160,13 @@ class TraceCoordinates:
         if triples.keys() != triple_keys:
             want = "empty for n = 3" if n == 3 else f"the {comb(n, 3)} ascending triples in 1..{n}"
             raise ValueError(f"triple keys must be {want}")
+        if not all(map(cmath.isfinite, chain(pairs.values(), triples.values()))):
+            for v in chain(pairs.values(), triples.values()):  # name the first bad value
+                _require_finite_scalar(v, "coordinate")
         self._fill(local, pairs, triples)
 
     def _fill(self, local: LocalData, pairs: dict, triples: dict) -> None:
-        """Set the fields from dicts with the stored keys of local.n, kept uncopied;
-        checks only that every value is finite.  ``phi`` builds its point here."""
+        """Set the fields from checked dicts with the keys of local.n, kept uncopied."""
         init = object.__setattr__
         init(self, "local", local)
         init(self, "pairs", MappingProxyType(pairs))
@@ -169,9 +174,6 @@ class TraceCoordinates:
         init(self, "_triples", triples if local.n > 3 else {(1, 2, 3): local.a[3]})
         init(self, "_cache", {})
         init(self, "_n", local.n)
-        if not all(map(cmath.isfinite, chain(pairs.values(), triples.values()))):
-            for v in chain(pairs.values(), triples.values()):  # name the first bad value
-                _require_finite_scalar(v, "coordinate")
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -219,22 +221,19 @@ class TraceCoordinates:
 def phi(rep: Representation) -> TraceCoordinates:
     """Trace coordinates of a tuple: x_ji = tr(M_j M_i), x_kji = tr(M_k M_j M_i).
 
-    Conjugation-invariant up to roundoff, since traces are.  Each pair product
-    is a plain 4-tuple of the entries ``Mat2.__matmul__`` computes, checked
-    finite in one pass with the error ``Mat2`` raises for its first bad entry.
+    Conjugation-invariant up to roundoff, since traces are.  Every value comes
+    from the entry tuples, rounded as ``Mat2.__matmul__`` and ``Mat2.trace``
+    round it, and the point is built after one finiteness pass (module docstring).
     """
-    mats = rep.mats
-    pair_keys, triple_reads, _, _ = _phi_plan(rep.n)
+    mats, last = rep
+    pair_keys, triple_reads, _, _ = _phi_plan(len(mats))
     prods = []
     for i, j in pair_keys:
         a11, a12, a21, a22 = mats[j - 1]
         b11, b12, b21, b22 = mats[i - 1]
         prods.append((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
                       a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
-    if not all(map(cmath.isfinite, chain.from_iterable(prods))):
-        for v in chain.from_iterable(prods):  # name the first bad entry
-            if not cmath.isfinite(v):
-                raise ValueError(f"non-finite matrix entry {v!r}")
+    a = tuple([m11 + m22 for m11, _, _, m22 in (*mats, last)])
     pairs = {key: p[0] + p[3] for key, p in zip(pair_keys, prods)}
     triples = {}
     for key, s, i in triple_reads:
@@ -242,8 +241,13 @@ def phi(rep: Representation) -> TraceCoordinates:
         p11, p12, p21, p22 = prods[s]
         q11, q12, q21, q22 = mats[i]
         triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
+    values = chain(chain.from_iterable(prods), a, pairs.values(), triples.values())
+    if len(mats) < 3 or not all(map(cmath.isfinite, values)):
+        for p in prods:  # the checked path, in its order
+            Mat2(*p)
+        return TraceCoordinates(rep.local(), pairs, triples)
     x = object.__new__(TraceCoordinates)
-    x._fill(rep.local(), pairs, triples)  # the keys are the plan's: no copies, no key checks
+    x._fill(tuple.__new__(LocalData, (a,)), pairs, triples)  # the plan's keys, checked values
     return x
 
 

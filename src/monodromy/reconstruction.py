@@ -21,6 +21,9 @@ stored pairs by key and the triple traces through ``coords._triple``, the
 unchecked core of ``triple_trace``, each once per matrix (the anchor's once
 per chart), and evaluates the four-factor traces with
 ``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` does.
+The n matrices, the adjugate of their product and the ``Representation`` are
+built after one finiteness pass over the n + 1 matrices; when it fails, ``Mat2``
+checks matrices 1..n, then the product, which names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import warnings
+from itertools import chain
 
 from .charts import ChartId, require_admissible
 from .coords import (
@@ -159,13 +163,13 @@ def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
     mats = []
     for i in range(1, x.n + 1):
         if i == j:
-            mats.append(Mat2(-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
+            mats.append((-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
             continue
         if i == k:
-            mats.append(Mat2(-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
+            mats.append((-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
             continue
         if i == i0:
-            mats.append(Mat2(u11_0, -ps / disc, 1.0, u22_0))
+            mats.append((u11_0, -ps / disc, 1.0, u22_0))
             continue
         xkji, xki, xji = _triple(x, k, j, i), _pair(pairs, k, i), _pair(pairs, j, i)
         u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
@@ -178,12 +182,18 @@ def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
                                      xkji, xkji0, _triple(x, k, i, i0), _triple(x, j, i, i0))
             u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
             u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
-        mats.append(Mat2(u11, u12, u21, u22))
-    rep = Representation(mats, descending_product(mats).adjugate())
-    closed = rep.mats + (rep.last,)
+        mats.append((u11, u12, u21, u22))
+    p11, p12, p21, p22 = mats[0]
+    for a11, a12, a21, a22 in mats[1:]:  # M_s @ (M_{s-1} ... M_1), as Mat2.__matmul__ rounds it
+        p11, p12, p21, p22 = (a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
+                              a21 * p11 + a22 * p21, a21 * p12 + a22 * p22)
+    closed = [tuple.__new__(Mat2, m) for m in mats] + [tuple.__new__(Mat2, (p22, -p12, -p21, p11))]
+    if not all(map(cmath.isfinite, chain.from_iterable(closed))):  # the same arithmetic, checked,
+        descending_product([Mat2(*m) for m in mats])  # raises naming the first bad entry
+    rep = tuple.__new__(Representation, (tuple(closed[:-1]), closed[-1]))
     diag = Diagnostics(
-        trace=tuple(abs(m.trace - v) for m, v in zip(closed, x.local.a)),
-        det=tuple(abs(m.det - 1.0) for m in closed),
+        trace=tuple([abs(m11 + m22 - v) for (m11, _, _, m22), v in zip(closed, x.local.a)]),
+        det=tuple([abs(m11 * m22 - m12 * m21 - 1.0) for m11, m12, m21, m22 in closed]),
         round_trip=coordinate_distance(x, phi(rep)),
     )
     result = x._cache[key] = ReconstructionResult(rep, diag)

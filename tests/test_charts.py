@@ -9,6 +9,9 @@ from monodromy import (
     BadChart,
     ChartId,
     LocalData,
+    MINUS,
+    Mat2,
+    PLUS,
     Tolerance,
     TraceCoordinates,
     classify,
@@ -23,6 +26,7 @@ from monodromy import (
 )
 from monodromy import charts, relations
 from monodromy.charts import chart_eval, index_set, require_admissible
+from monodromy.reconstruction import rebuild
 from monodromy.samplers import SplitMix64, random_unimodular
 
 from conftest import (
@@ -258,6 +262,30 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
         type3(x)
     relation_pass = "kernel" if n <= relations._STRAIGHT_N else "tables"
     assert calls == {"charts": len(tols), "kernel": 0, "tables": 0, "words": 1, relation_pass: 1}
+
+
+@pytest.mark.parametrize("family", ["su2", "generic"])
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_phi_and_rebuild_build_values_unchecked(family, n, monkeypatch):
+    # one finiteness pass per layer: on a finite point no Mat2 or LocalData goes
+    # through its checking constructor (test_invalid_construction pins those checks)
+    rep = FAMILIES[family](n, 2)
+    expected = phi(rep)
+    best = classify_charts(expected).best
+    rebuilt = [rebuild(expected, best, branch) for branch in (PLUS, MINUS)]
+    made = []
+    for cls in (Mat2, LocalData):
+        def counted(cls, *args, new=cls.__new__):
+            made.append(cls)
+            return new(cls, *args)
+        monkeypatch.setattr(cls, "__new__", counted)
+    x = phi(rep)
+    assert made == []
+    classify_charts(x)  # the chart table, which rebuild reads, is not counted
+    assert [rebuild(x, best, branch) for branch in (PLUS, MINUS)] == rebuilt
+    assert x == expected and made == []
+    Mat2(1.0, 0.0, 0.0, 1.0), LocalData((2.0,) * 4)  # the counter counts
+    assert made == [Mat2, LocalData]
 
 
 @pytest.mark.parametrize("family", ["su2", "su11", "generic"])

@@ -229,3 +229,20 @@ def test_phi_overflow_names_the_first_bad_entry_as_mat2_does(t, message):
     with pytest.raises(ValueError) as flat:
         phi(rep)
     assert str(flat.value) == message
+
+
+def _scalar(s):
+    return Mat2(s, 0, 0, s)
+
+
+@pytest.mark.parametrize("mats, message", [
+    ((_scalar(1e308), _scalar(1e-308), _scalar(1e-308)), "non-finite local trace: inf"),
+    ((_scalar(1e154), _scalar(1e154), _scalar(1.0)), "non-finite coordinate: inf"),
+    ((_scalar(1.0), _scalar(1.0)), "need at least four local traces (n >= 3)"),
+], ids=["local-trace", "coordinate", "size-2"])
+def test_phi_checks_products_then_local_data_then_coordinates(mats, message):
+    # every pair product is finite here; the first failing check of the
+    # checked path names the value: a local trace, x_21 = 2e308, or the size
+    with pytest.raises(ValueError) as info:
+        phi(Representation(mats, IDENTITY))
+    assert str(info.value) == message

@@ -28,6 +28,7 @@ from monodromy import (
     reconstruct,
     triple_trace,
 )
+from monodromy.cli import coords_from_obj, coords_to_obj
 from monodromy.coords import _pair, _triple, opposite_rotation
 from monodromy.reconstruction import lambdas, rebuild
 from monodromy.samplers import SplitMix64
@@ -343,3 +344,31 @@ def test_wide_n_round_trip_and_su2_gate(n, family):
         assert diag.round_trip <= 1e-13
         if family == "su2":
             assert diag.passes(DEFAULT_TOL)
+
+
+def _file_point(n, seed, edit):
+    """The su2 point of size n read back from its coordinate file after ``edit(triples)``."""
+    obj = coords_to_obj(phi(su2(n, seed=seed)))
+    edit(obj["triples"])
+    return coords_from_obj(obj)
+
+
+def _every_other_scaled(triples):
+    for key in list(triples)[::2]:  # in file order
+        triples[key] = [v * 1e100 for v in triples[key]]
+
+
+@pytest.mark.parametrize("x, chart, in_product, message", [
+    (_file_point(4, 1, lambda triples: triples.update({"321": [1e160, 0.0]})), (1, 2, 3), False,
+     "non-finite matrix entry (inf+nanj)"),
+    (_file_point(5, 1, _every_other_scaled), (2, 5, 1), True,
+     "non-finite matrix entry (-inf+nanj)"),
+    (_file_point(7, 2, _every_other_scaled), (7, 1, 6), True,
+     "non-finite matrix entry (inf-2.323463919496536e+282j)"),
+], ids=["matrix", "product-n5", "product-n7"])
+def test_rebuild_overflow_names_the_first_bad_entry(x, chart, in_product, message):
+    # the checked order: the rebuilt matrices 1..n, then the descending product
+    with pytest.raises(ValueError) as info:
+        rebuild(x, ChartId(*chart))
+    assert str(info.value) == message
+    assert any(entry.name == "__matmul__" for entry in info.traceback) == in_product
