@@ -270,7 +270,7 @@ def _parse_chart(text: str):
 
 def cmd_reconstruct(args, tol: Tolerance) -> int:
     from .charts import classify_charts
-    from .reconstruction import MINUS, PLUS, rebuild
+    from .reconstruction import MINUS, PLUS, reconstruct
 
     x = coords_from_obj(read_json(args.input))
     if args.chart == "auto":
@@ -283,7 +283,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
         chart = _parse_chart(args.chart)
     branch = PLUS if args.branch == "+" else MINUS
     try:
-        result = rebuild(x, chart, branch, tol)  # a miss is reported once, by the FAIL line
+        result = reconstruct(x, chart, branch, tol)  # a miss is reported once, by the FAIL line
     except (ChartNotAdmissible, DegenerateEigenvalues) as exc:
         print(f"chart {chart.label()} unusable: {exc}", file=sys.stderr)
         return EXIT_NO_CHART
@@ -308,7 +308,7 @@ def cmd_reconstruct(args, tol: Tolerance) -> int:
 
 
 def cmd_classify(args, tol: Tolerance) -> int:
-    from .reconstruction import PLUS, rebuild
+    from .reconstruction import PLUS, reconstruct
     from .unitary import Signature, classify, hermitian_form, reality_gate, verify_invariance
 
     x = coords_from_obj(read_json(args.input))
@@ -333,7 +333,7 @@ def cmd_classify(args, tol: Tolerance) -> int:
     h = form.matrix()
     print(f"H             : [[{_fmt_c(h.m11)}, {_fmt_c(h.m12)}], "
           f"[{_fmt_c(h.m21)}, {_fmt_c(h.m22)}]]")
-    rec = rebuild(x, sig.chart, PLUS, tol)  # the rebuild classify gated on
+    rec = reconstruct(x, sig.chart, PLUS, tol)  # the rebuild classify gated on
     print(f"invariance    : {verify_invariance(rec.rep, form):.3e}")
     print(f"verdict       : {sig.kind.value}")
     return EXIT_OK
@@ -473,7 +473,9 @@ def run() -> None:
             print(f"error: cannot write standard output: {exc}", file=sys.stderr, flush=True)
         except OSError:  # standard error is closed too
             pass
-    if sys.gettrace() is not None or sys.getprofile() is not None:
+    tools = getattr(sys, "monitoring", None)  # PEP 669: cProfile registers there from 3.12 on
+    if (sys.gettrace() is not None or sys.getprofile() is not None or tools is not None
+            and any(map(tools.get_tool, (tools.PROFILER_ID, tools.COVERAGE_ID)))):
         raise SystemExit(code)  # coverage, trace and cProfile write their results at exit
     os._exit(code)
 

@@ -142,8 +142,8 @@ class TraceCoordinates:
     Immutable and unhashable, ``pairs`` and ``triples`` being read-only views;
     equality compares ``local``, ``pairs`` and ``triples``.  ``_cache`` memoizes
     derived values: the signed relation values, one chart report per
-    tolerance, and one rebuild per (chart, branch, tolerance), which
-    ``reconstruct`` and ``classify`` share.  Each entry is write-once and
+    tolerance, and one ``reconstruct`` result per (chart, branch, tolerance),
+    which ``classify`` reads too.  Each entry is write-once and
     idempotent, so sharing across threads stays safe; equality, repr and
     copies ignore it.
     """

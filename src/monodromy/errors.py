@@ -49,5 +49,5 @@ class TraceOutOfRange(MonodromyError):
 
 
 class OffVarietyWarning(UserWarning):
-    """``reconstruct`` was asked for a point its rebuild misses by more than
-    the tolerance; the rebuilt tuple is returned anyway."""
+    """Emitted by nothing: ``reconstruct`` reports a miss in its diagnostics.
+    Kept only because the benchmark harness filters it."""

@@ -28,9 +28,9 @@ checks matrices 1..n, then the product, which names the first bad entry.
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
 those of an actual tuple, so they all vanish exactly when x lies on the
-variety.  ``Diagnostics.passes`` is that one gate; ``rebuild`` memoizes the
-result on the point for ``reconstruct``, ``unitary.classify`` and the CLI's
-``reconstruct`` and ``classify``, which report a miss without a warning.
+variety.  ``Diagnostics.passes`` is that one gate.  ``reconstruct`` memoizes
+its result on the point, for ``unitary.classify`` and the CLI's ``reconstruct``
+and ``classify`` too, and warns nothing: each caller reports a miss once.
 
 Every reconstruction is irreducible, so nothing tests that numerically:
 psi != 0 on an admissible chart, and psi vanishes exactly when (M_j, M_k),
@@ -40,7 +40,6 @@ or (M_k M_j, M_{i0}) on an anchored chart, generates a reducible group.
 from __future__ import annotations
 
 import cmath
-import warnings
 from itertools import chain
 
 from .charts import ChartId, require_admissible
@@ -53,7 +52,7 @@ from .coords import (
     descending_product,
     phi,
 )
-from .errors import DegenerateEigenvalues, OffVarietyWarning
+from .errors import DegenerateEigenvalues
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, four_trace_reduction
 
 
@@ -115,31 +114,16 @@ class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
     __slots__ = ()
 
 
-def reconstruct(x: TraceCoordinates, chart: ChartId,
-                branch: BranchChoice = PLUS,
+def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
     """The tuple rebuilt from x on ``chart`` by the normal form of its kind
     (module docstring), memoized on x per (chart, branch, tol).
 
     Raises BadChart for a chart that does not exist at x.n,
     ChartNotAdmissible off the chart and DegenerateEigenvalues at
-    x_kj = +/-2; warns OffVarietyWarning on every call whose rebuild fails
-    ``Diagnostics.passes``, i.e. when x is off the variety.
+    x_kj = +/-2.  Off the variety the result comes back all the same, with
+    diagnostics that fail ``Diagnostics.passes``.
     """
-    result = rebuild(x, chart, branch, tol)
-    if not result.diagnostics.passes(tol):
-        warnings.warn(
-            f"chart {chart.label()}: the rebuilt tuple misses the point by "
-            f"{result.diagnostics.worst():.1e} > {tol.abs:g}; returning it anyway",
-            OffVarietyWarning,
-            stacklevel=2,
-        )
-    return result
-
-
-def rebuild(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
-            tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
-    """``reconstruct`` without the warning; the result is memoized on the point."""
     key = ("rebuild", chart, branch, tol)
     result = x._cache.get(key)
     if result is not None:

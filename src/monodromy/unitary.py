@@ -6,7 +6,7 @@ anti-diagonal [[0, i], [-i, 0]] (always indefinite); when x_kj^2 - 4 < 0 it
 is diag(1, psi / (x_kj^2 - 4)) with psi the chart's factor, so the sign of
 psi decides definite versus indefinite.  The verdict never depends on which
 admissible chart is used, provided the point lies on the variety; ``classify``
-checks that on its chart's memoized rebuild, by the gate ``reconstruct`` uses.
+checks that on its chart's memoized ``reconstruct``, by ``Diagnostics.passes``.
 Chart-free, the real Gram matrix Z of ``relations`` has inertia (0+, 3-) on
 su(2) and (2+, 1-) on su(1,1), zeros aside (Goldman, arXiv:0901.1404).
 """
@@ -19,7 +19,7 @@ from itertools import chain
 from .charts import ChartEval, ChartId, chart_eval, classify_charts, require_admissible
 from .coords import Representation, TraceCoordinates
 from .errors import ChartNotAdmissible, DegenerateEigenvalues, NotReal, OffVariety, PsiDegenerate
-from .reconstruction import PLUS, rebuild
+from .reconstruction import PLUS, reconstruct
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, max_entry_diff
 
 
@@ -116,7 +116,7 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
     reducible one, say), where the criterion does not apply; PsiDegenerate
     when the deciding psi is numerically zero, DegenerateEigenvalues when
     x_kj^2 - 4 is, and OffVariety when the rebuild on that chart fails the
-    gate of ``reconstruct``.
+    variety gate, ``Diagnostics.passes``.
     """
     if not reality_gate(x, tol):
         return SignatureClass(
@@ -134,7 +134,7 @@ def classify(x: TraceCoordinates, tol: Tolerance = DEFAULT_TOL) -> SignatureClas
             f"chart {best.chart.label()}: |psi| = {abs(ps):.3e} sits on the signature boundary"
         )
     form = _form(disc, ps, tol)
-    diag = rebuild(x, best.chart, PLUS, tol).diagnostics
+    diag = reconstruct(x, best.chart, PLUS, tol).diagnostics
     if not diag.passes(tol):
         raise OffVariety(
             f"chart {best.chart.label()}: the rebuilt tuple misses the point by "

@@ -26,7 +26,6 @@ from monodromy import (
 )
 from monodromy import charts, relations
 from monodromy.charts import chart_eval, index_set, require_admissible
-from monodromy.reconstruction import rebuild
 from monodromy.samplers import SplitMix64, random_unimodular
 
 from conftest import (
@@ -272,7 +271,7 @@ def test_phi_and_rebuild_build_values_unchecked(family, n, monkeypatch):
     rep = FAMILIES[family](n, 2)
     expected = phi(rep)
     best = classify_charts(expected).best
-    rebuilt = [rebuild(expected, best, branch) for branch in (PLUS, MINUS)]
+    rebuilt = [reconstruct(expected, best, branch) for branch in (PLUS, MINUS)]
     made = []
     for cls in (Mat2, LocalData):
         def counted(cls, *args, new=cls.__new__):
@@ -281,8 +280,8 @@ def test_phi_and_rebuild_build_values_unchecked(family, n, monkeypatch):
         monkeypatch.setattr(cls, "__new__", counted)
     x = phi(rep)
     assert made == []
-    classify_charts(x)  # the chart table, which rebuild reads, is not counted
-    assert [rebuild(x, best, branch) for branch in (PLUS, MINUS)] == rebuilt
+    classify_charts(x)  # the chart table, which reconstruct reads, is not counted
+    assert [reconstruct(x, best, branch) for branch in (PLUS, MINUS)] == rebuilt
     assert x == expected and made == []
     Mat2(1.0, 0.0, 0.0, 1.0), LocalData((2.0,) * 4)  # the counter counts
     assert made == [Mat2, LocalData]

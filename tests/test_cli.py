@@ -783,6 +783,19 @@ def test_profiler_gets_a_normal_exit(tmp_path, capsys, monkeypatch):
     assert "function calls" in proc.stdout.split("verdict", 1)[1]
 
 
+@pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="sys.monitoring is new in 3.12")
+def test_coverage_tool_gets_a_normal_exit(tmp_path):
+    # coverage's sysmon core registers at COVERAGE_ID, as cProfile does at
+    # PROFILER_ID; atexit handlers run only on a normal exit
+    probe = ("import atexit, sys; from monodromy.cli import run; "
+             "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'probe'); "
+             "atexit.register(print, 'exited normally'); sys.argv[1:] = ['--help']; run()")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.endswith("exited normally\n")
+
+
 def test_script_and_python_m_share_one_entry_point():
     import monodromy.__main__ as entry
     import monodromy.cli as cli

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 from monodromy import (
@@ -81,9 +80,7 @@ def _cell(sampler, n: int, seed: int, entry_bound: float) -> dict:
         if best is None:
             parts.append("no chart")
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result, text = _attempt(reconstruct, x, best, branch)
+        result, text = _attempt(reconstruct, x, best, branch)
         parts.append(text if result is None else repr(result.diagnostics))
         worst.append(text.split(":")[0] if result is None
                      else f"{result.diagnostics.worst():.3e}")

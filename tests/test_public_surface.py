@@ -30,9 +30,10 @@ ROOT_NAMES = sorted([
     # errors
     "MonodromyError", "NotUnimodular", "BadIndex", "NotApplicable", "BadChart",
     "ChartNotAdmissible", "DegenerateEigenvalues", "NotReal", "PsiDegenerate",
-    "OffVariety", "TraceOutOfRange", "OffVarietyWarning",
+    "OffVariety", "TraceOutOfRange",
     # read by perfbench/run.py beyond the above
     "coordinate_distance", "type1", "type1_pairs", "type2", "type2_terms", "type3",
+    "OffVarietyWarning",
 ])
 
 
