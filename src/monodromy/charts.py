@@ -26,6 +26,7 @@ written out term for term.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 
 from .coords import TraceCoordinates, _triple_key
 from .errors import BadChart, ChartNotAdmissible
@@ -109,7 +110,10 @@ def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval],
         xkj = pairs[kj]
         xkj2 = xkj * xkj
         disc = xkj2 - 4.0
-        threshold = tol.abs * (1.0 + abs(xkj) ** 4)
+        try:
+            threshold = tol.abs * (1.0 + abs(xkj) ** 4)
+        except OverflowError:  # |x_kj| past about 1e77: no |p| can clear it
+            threshold = inf
         ak, aj = a[k], a[j]
         # psi and opposite_rotation inlined, term for term
         for chart, (i0, tkey, flip) in zip(charts, reads):
@@ -146,10 +150,9 @@ def require_admissible(x: TraceCoordinates, chart: ChartId,
                        tol: Tolerance = DEFAULT_TOL) -> ChartEval:
     """The chart evaluated at x, raising ChartNotAdmissible where p is numerically zero."""
     e = chart_eval(x, chart, tol)
-    if not e.admissible:
-        raise ChartNotAdmissible(
-            f"chart {chart.label()}: |p| = {abs(e.value):.3e} is numerically zero"
-        )
+    if not e.admissible:  # |p| = inf: p overflowed, and so did its threshold
+        raise ChartNotAdmissible(f"chart {chart.label()}: |p| = {abs(e.value):.3e} is "
+                                 + ("numerically zero" if abs(e.value) != inf else "out of range"))
     return e
 
 

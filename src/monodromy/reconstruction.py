@@ -27,10 +27,11 @@ checks matrices 1..n, then the product, which names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
-those of an actual tuple, so they all vanish exactly when x lies on the
-variety.  ``Diagnostics.passes`` is that one gate.  ``reconstruct`` memoizes
-its result on the point, for ``unitary.classify`` and the CLI's ``reconstruct``
-and ``classify`` too, and warns nothing: each caller reports a miss once.
+those of an actual tuple, read by ``coords._traces`` without building a point,
+so they all vanish exactly when x lies on the variety.  ``Diagnostics.passes`` is
+that one gate.  ``reconstruct`` memoizes its result on the point, for
+``unitary.classify`` and the CLI's ``reconstruct`` and ``classify`` too, and warns
+nothing: each caller reports a miss once.
 
 Every reconstruction is irreducible, so nothing tests that numerically:
 psi != 0 on an admissible chart, and psi vanishes exactly when (M_j, M_k),
@@ -46,11 +47,11 @@ from .charts import ChartId, require_admissible
 from .coords import (
     Representation,
     TraceCoordinates,
+    _distance,
     _pair,
+    _traces,
     _triple,
-    coordinate_distance,
     descending_product,
-    phi,
 )
 from .errors import DegenerateEigenvalues
 from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, four_trace_reduction
@@ -178,7 +179,7 @@ def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS
     diag = Diagnostics(
         trace=tuple([abs(m11 + m22 - v) for (m11, _, _, m22), v in zip(closed, x.local.a)]),
         det=tuple([abs(m11 * m22 - m12 * m21 - 1.0) for m11, m12, m21, m22 in closed]),
-        round_trip=coordinate_distance(x, phi(rep)),
+        round_trip=_distance(x, *_traces(rep)[1:]),  # _traces raises as phi(rep) does
     )
     result = x._cache[key] = ReconstructionResult(rep, diag)
     return result

@@ -73,7 +73,7 @@ from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
-from .sl2 import _record, four_trace_reduction
+from .sl2 import _STRAIGHT_N, _compiled, _record, four_trace_reduction
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -170,11 +170,6 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
     return v[-1]
 
 
-# The largest n whose relations _values evaluates with the straight-line _kernel
-# (compile cost in the module docstring).
-_STRAIGHT_N = 5
-
-
 @lru_cache(maxsize=None)
 def _kernel(n: int):
     """``kernel(a, pairs, triples) -> (type1, type2)`` at tuple size n, for 3 <= n <=
@@ -222,10 +217,7 @@ def _kernel(n: int):
               for name, (i1, i2, i3) in zip(s, triples)),
             *z, *doubled, *minors,
             "return [%s], [%s]" % (", ".join(v1), ", ".join(v2))]
-    source = "def kernel(a, pairs, triples):\n" + "".join(f"    {line}\n" for line in body)
-    namespace: dict = {}
-    exec(compile(source, f"<relations kernel n={n}>", "exec"), namespace)
-    return namespace["kernel"]
+    return _compiled(f"relations kernel n={n}", "a, pairs, triples", body)
 
 
 def _comprehension(n: int, z: list, sv: list) -> tuple[list, list]:

@@ -25,6 +25,17 @@ def _record(name: str, fields: str, defaults=None) -> type:
     return base
 
 
+_STRAIGHT_N = 5  # the largest n with generated kernels (costs: coords, relations docstrings)
+
+
+def _compiled(name: str, params: str, lines: list[str]):
+    """``kernel(params)`` with the body ``lines``, compiled as ``<name>``."""
+    source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class Tolerance(_record("Tolerance", "abs")):
     """One tolerance ``abs``; a gate of scale s admits a residual up to ``abs * s``."""
 

@@ -24,7 +24,7 @@ from monodromy import (
     type2,
     type3,
 )
-from monodromy import charts, relations
+from monodromy import charts, coords, reconstruction, relations
 from monodromy.charts import chart_eval, index_set, require_admissible
 from monodromy.samplers import SplitMix64, random_unimodular
 
@@ -209,6 +209,19 @@ def test_chart_table_matches_definition(n, family):
             assert e.value == (xkj * xkj - 4.0) * ps
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_huge_pair_trace_saturates_the_threshold(n):
+    # |x_kj|^4 overflows past |x_kj| ~ 1.2e77: the threshold reads inf, so
+    # the charts of that pair are inadmissible and the report still completes
+    base = phi(FAMILIES["su2"](n, 1))
+    for key, value in product([(1, 2), (1, 3), (1, 4)], [1e78, 1e100, 1e150, 1e300]):
+        x = TraceCoordinates(base.local, {**base.pairs, key: complex(value)}, dict(base.triples))
+        report = classify_charts(x)
+        assert len(report.entries) == len(charts_for(n))
+        big = [e for e in report.entries if tuple(sorted(e.chart[:2])) == key]
+        assert big and not any(e.admissible for e in big)
+
+
 def test_classify_charts_memoized_per_tolerance():
     rep = FAMILIES["su2"](6, 3)
     x = phi(rep)
@@ -232,8 +245,9 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
     # phi -> membership -> classify_charts -> reconstruct -> classify ->
     # hermitian_form, with the public evaluators after: one chart table per
     # tolerance and one relation pass per point: type 1 and 2 by one straight-line
-    # kernel call (n <= 5) or from one build of the z/s3 tables, type 3 by one word
-    calls = {"charts": 0, "kernel": 0, "tables": 0, "words": 0}
+    # kernel call (n <= 5) or from one build of the z/s3 tables, type 3 by one word;
+    # one trace pass per phi call and per fresh rebuild, none on a memo hit
+    calls = {"charts": 0, "kernel": 0, "tables": 0, "words": 0, "traces": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -246,6 +260,9 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
     monkeypatch.setattr(relations, "_kernel", lambda n: counted("kernel", kernel(n)))
     monkeypatch.setattr(relations, "_tables", counted("tables", relations._tables))
     monkeypatch.setattr(relations, "_word_trace", counted("words", relations._word_trace))
+    traces = counted("traces", coords._traces)
+    monkeypatch.setattr(coords, "_traces", traces)
+    monkeypatch.setattr(reconstruction, "_traces", traces)
     x = phi(FAMILIES[family](n, 2))
     tols = (DEFAULT_TOL, Tolerance(1e-3))
     for tol in tols:
@@ -260,7 +277,8 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
         type2(x, 1, (n - 3, n - 2, n - 1, n))
         type3(x)
     relation_pass = "kernel" if n <= relations._STRAIGHT_N else "tables"
-    assert calls == {"charts": len(tols), "kernel": 0, "tables": 0, "words": 1, relation_pass: 1}
+    assert calls == {"charts": len(tols), "kernel": 0, "tables": 0, "words": 1, relation_pass: 1,
+                     "traces": 1 + len(tols)}
 
 
 @pytest.mark.parametrize("family", ["su2", "generic"])

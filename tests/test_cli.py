@@ -518,14 +518,11 @@ def _diagonal_tuple(scales, closing_trace):
 
 @pytest.mark.parametrize("command, obj", [
     ("relations", _coords_with("pairs", "21", 1e103)),  # the relation scale (1 + max|x|)^3
-    ("reconstruct", _coords_with("pairs", "21", 1e78)),  # the admissibility threshold
-    ("classify", _coords_with("pairs", "21", 1e78)),
     ("reconstruct", _coords_with("triples", "321", 1e160)),  # a rebuilt matrix entry
     ("classify", _coords_with("triples", "543", 1e160, n=5)),  # the rebuild classify gates on
     ("coords", _diagonal_tuple([1e100] * 4, 2.0)),  # closing the tuple
     ("coords", _diagonal_tuple([1e200, 1e-200, 1e200], 1e200)),  # the pair trace x_31
-], ids=["relations", "reconstruct", "classify", "reconstruct-entry", "classify-entry", "coords",
-        "coords-pair"])
+], ids=["relations", "reconstruct-entry", "classify-entry", "coords", "coords-pair"])
 def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
     # finite input whose arithmetic overflows is a data failure, not a traceback
     path = tmp_path / "huge.json"
@@ -534,6 +531,24 @@ def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
     assert run(command, path, *output) == EXIT_RESIDUAL
     err = capsys.readouterr().err
     assert err.startswith("error: arithmetic overflow: ") and err.count("\n") == 1
+
+
+def test_admissibility_threshold_saturates(tmp_path, capsys):
+    # |x_21| = 1e78 overflows |x_21|^4: the threshold reads inf, so the charts of
+    # the pair (1, 2) are inadmissible and the rest still rebuild, off the variety
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_coords_with("pairs", "21", 1e78)))
+    base = ["--chart", "1,2,base", "-o", tmp_path / "base.json"]
+    assert run("reconstruct", path, *base) == EXIT_NO_CHART
+    assert capsys.readouterr().err == (
+        "chart (1,2,base) unusable: chart (1,2,base): |p| = inf is out of range\n")
+    assert run("reconstruct", path, "-o", tmp_path / "out.json") == EXIT_RESIDUAL
+    out, err = capsys.readouterr()
+    assert out.startswith("chart            : (1,3,2)   branch: +\n") and err == ""
+    assert out.endswith("FAIL  worst residual 1.905e+140 exceeds 1.0e-09\n")
+    assert run("classify", path) == EXIT_RESIDUAL
+    assert capsys.readouterr().err == (
+        "error: chart (1,3,2): the rebuilt tuple misses the point by 1.9e+140 > 1e-09\n")
 
 
 def test_sample_deterministic_files(tmp_path):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,10 +15,11 @@ from monodromy import (
     quad_trace,
     triple_trace,
 )
+from monodromy import coords
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, four_trace_reduction
 
-from conftest import FAMILIES, closure_residual, generic, identity_rep, oword
+from conftest import FAMILIES, closure_residual, generic, identity_rep, oword, su2, su11
 
 
 def test_close_tuple_identity():
@@ -217,12 +218,13 @@ def _shears(t, n=4):
     return Representation(tuple(upper if s % 2 else lower for s in range(1, n + 1)), IDENTITY)
 
 
+@pytest.mark.parametrize("n", [4, 6])  # the trace kernel and the loop
 @pytest.mark.parametrize("t, message", [
     (1e160, "non-finite matrix entry inf"),
     (complex(1e160, 1e160), "non-finite matrix entry (nan+infj)"),
 ])
-def test_phi_overflow_names_the_first_bad_entry_as_mat2_does(t, message):
-    rep = _shears(t)
+def test_phi_overflow_names_the_first_bad_entry_as_mat2_does(t, message, n):
+    rep = _shears(t, n)
     with pytest.raises(ValueError) as direct:  # the first pair product M_2 M_1 overflows
         rep.mats[1] @ rep.mats[0]
     assert str(direct.value) == message
@@ -239,10 +241,60 @@ def _scalar(s):
     ((_scalar(1e308), _scalar(1e-308), _scalar(1e-308)), "non-finite local trace: inf"),
     ((_scalar(1e154), _scalar(1e154), _scalar(1.0)), "non-finite coordinate: inf"),
     ((_scalar(1.0), _scalar(1.0)), "need at least four local traces (n >= 3)"),
-], ids=["local-trace", "coordinate", "size-2"])
+    ((_scalar(1e308), _scalar(1e-308), _scalar(1e-308)) + (_scalar(1.0),) * 3,
+     "non-finite local trace: inf"),
+    ((_scalar(1e154), _scalar(1e154)) + (_scalar(1.0),) * 4, "non-finite coordinate: inf"),
+], ids=["local-trace", "coordinate", "size-2", "local-trace-n6", "coordinate-n6"])
 def test_phi_checks_products_then_local_data_then_coordinates(mats, message):
-    # every pair product is finite here; the first failing check of the
-    # checked path names the value: a local trace, x_21 = 2e308, or the size
+    # every pair product is finite here; the first failing check of the checked
+    # path names the value: a local trace, x_21 = 2e308, or the size (n = 3 on the
+    # trace kernel, n = 6 on the loop)
     with pytest.raises(ValueError) as info:
         phi(Representation(mats, IDENTITY))
     assert str(info.value) == message
+
+
+
+def _records(a, pairs, triples):
+    """repr of the three maps (keys, their order and values), and the value types."""
+    values = [*a, *pairs.values(), *triples.values()]
+    return repr((a, pairs, triples)), [type(v) for v in values]
+
+
+@pytest.mark.parametrize("n", range(3, coords._STRAIGHT_N + 1))
+def test_trace_kernel_identical_to_loop(n, monkeypatch):
+    pair_keys = list(combinations(range(1, n + 1), 2))
+    for sampler, bound, seed in product((su2, su11, generic), (4.0, 16.0), range(4)):
+        rep = sampler(n, seed, entry_bound=bound)
+        prods, *got = coords._trace_kernel(n)(*rep)
+        with monkeypatch.context() as m:
+            m.setattr(coords, "_STRAIGHT_N", 2)  # every n through the loop of _traces
+            want = coords._traces(rep)
+        assert _records(*got) == _records(*want)
+        mats = rep.mats
+        assert repr(prods) == repr(tuple(tuple(mats[j - 1] @ mats[i - 1]) for i, j in pair_keys))
+
+
+def test_trace_kernel_only_for_n_3_to_straight_n():
+    cached = coords._trace_kernel.cache_info().currsize
+    for n in (2, coords._STRAIGHT_N + 1, 9):
+        with pytest.raises(ValueError):
+            coords._trace_kernel(n)
+    for n in range(6, 10):
+        phi(generic(n, seed=700))
+    assert coords._trace_kernel.cache_info().currsize == cached
+
+
+def _leaves(consts):
+    for c in consts:
+        if isinstance(c, tuple):
+            yield from _leaves(c)
+        else:
+            yield c
+
+
+@pytest.mark.parametrize("n", range(3, coords._STRAIGHT_N + 1))
+def test_trace_kernel_source_holds_no_point_data(n):
+    # only names and the plan's indices: the key tuples fold into int constants
+    consts = set(map(type, _leaves(coords._trace_kernel(n).__code__.co_consts)))
+    assert consts <= {int, str, type(None)}

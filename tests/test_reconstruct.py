@@ -369,3 +369,36 @@ def test_rebuild_overflow_names_the_first_bad_entry(x, chart, in_product, messag
         reconstruct(x, ChartId(*chart))
     assert str(info.value) == message
     assert any(entry.name == "__matmul__" for entry in info.traceback) == in_product
+
+
+def _same(u: float, v: float) -> bool:
+    return u == v or (u != u and v != v)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_round_trip_equals_the_public_distance(n):
+    # the rebuild reads the rebuilt tuple's traces without building a point; its
+    # round trip is exactly coordinate_distance against phi of the rebuilt tuple
+    for family in sorted(FAMILIES):
+        for seed in range(4):
+            x = phi(FAMILIES[family](n, seed))
+            for branch in (PLUS, MINUS):
+                result = reconstruct(x, classify_charts(x).best, branch)
+                assert _same(result.diagnostics.round_trip,
+                             coordinate_distance(x, phi(result.rep)))
+
+
+@pytest.mark.parametrize("n, seed", [(4, 1), (5, 1), (6, 3), (7, 2)])
+def test_round_trip_equals_the_public_distance_far_off_the_variety(n, seed):
+    x = _file_point(n, seed, _every_other_scaled)
+    rebuilt = 0
+    for chart in classify_charts(x).admissible():
+        for branch in (PLUS, MINUS):
+            try:
+                result = reconstruct(x, chart, branch)
+            except ValueError:  # an overflow, named by test_rebuild_overflow_...
+                continue
+            rebuilt += 1
+            assert _same(result.diagnostics.round_trip,
+                         coordinate_distance(x, phi(result.rep)))
+    assert rebuilt
