@@ -518,11 +518,15 @@ def _diagonal_tuple(scales, closing_trace):
 
 @pytest.mark.parametrize("command, obj", [
     ("relations", _coords_with("pairs", "21", 1e103)),  # the relation scale (1 + max|x|)^3
+    # a huge pair trace: its admissibility threshold saturates, a rebuilt entry overflows
+    ("reconstruct", _coords_with("pairs", "21", 1e160)),
+    ("classify", _coords_with("pairs", "21", 1e160)),
     ("reconstruct", _coords_with("triples", "321", 1e160)),  # a rebuilt matrix entry
     ("classify", _coords_with("triples", "543", 1e160, n=5)),  # the rebuild classify gates on
     ("coords", _diagonal_tuple([1e100] * 4, 2.0)),  # closing the tuple
     ("coords", _diagonal_tuple([1e200, 1e-200, 1e200], 1e200)),  # the pair trace x_31
-], ids=["relations", "reconstruct-entry", "classify-entry", "coords", "coords-pair"])
+], ids=["relations", "reconstruct", "classify", "reconstruct-entry", "classify-entry", "coords",
+        "coords-pair"])
 def test_arithmetic_overflow_exits_three(tmp_path, capsys, command, obj):
     # finite input whose arithmetic overflows is a data failure, not a traceback
     path = tmp_path / "huge.json"
