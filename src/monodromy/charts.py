@@ -125,7 +125,10 @@ def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval],
                     t = ak * pairs[flip[0]] + aj * pairs[flip[1]] + ai * xkj - ak * aj * ai - t
                 ps = t * t + xkj2 + ai * ai - t * xkj * ai - 4.0
             value = disc * ps
-            mag = abs(value)
+            try:
+                mag = abs(value)
+            except OverflowError:  # finite parts, modulus past 1.8e308: saturate as above
+                mag = inf
             admissible = mag > threshold
             out.append(new(ChartEval, (chart, value, admissible, ps, xkj)))
             if admissible and mag > best_mag:

@@ -20,13 +20,14 @@ trace a_4, which the private read map ``TraceCoordinates._triples`` holds at
 indexes that map, and ``_triple_key`` says which words rotate into the stored one.
 
 Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
-check indices, then read the unchecked cores ``_pair`` and ``_triple``, which the
-rebuild calls directly.  ``_traces`` computes a tuple's product entries, local
-traces, pairs and triples, by the compiled straight-line ``_trace_kernel(n)`` up to
-n = ``_STRAIGHT_N`` (5) and by a loop past it, then makes one finiteness pass; when
-it fails it runs the checked path in its order (product entries, then ``LocalData``,
-then coordinates), which names the first bad value.  ``phi`` builds ``LocalData``
-and the point on its maps unchecked; the rebuild's round trip reads them as they are.
+check indices, then read the unchecked cores ``_pair`` and ``_triple``; the chart
+table and the rebuild's per-chart plan read the stored keys ``_triple_key`` names.
+``_traces`` computes a tuple's product entries, local traces, pairs and triples, by
+the compiled straight-line ``_trace_kernel(n)`` up to n = ``_STRAIGHT_N`` (5) and by
+a loop past it, then makes one finiteness pass; when it fails it runs the checked
+path in its order (product entries, then ``LocalData``, then coordinates), which
+names the first bad value.  ``phi`` builds ``LocalData`` and the point on its maps
+unchecked; the rebuild's round trip reads them as they are.
 At n = 3 / 4 / 5 a kernel saves about 1.5 / 2.4 / 3.4 us per call and compiles in
 0.6 / 1.1 / 1.7 ms (the relation kernel in 0.6 / 1.5 / 4.6 ms, timed alongside on a
 2-vCPU Xeon VM); past n = 5 the loop stays, as the relations' comprehension does.
@@ -225,6 +226,14 @@ class TraceCoordinates:
         return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
+def _matmul_source(a: list, b: list) -> list:
+    """The source of the entries of a @ b from the names of their entries, in the
+    operand order of ``Mat2.__matmul__``."""
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
+    return [f"{a11} * {b11} + {a12} * {b21}", f"{a11} * {b12} + {a12} * {b22}",
+            f"{a21} * {b11} + {a22} * {b21}", f"{a21} * {b12} + {a22} * {b22}"]
+
+
 @lru_cache(maxsize=None)
 def _trace_kernel(n: int):
     """``kernel(mats, last) -> (prods, a, pairs, triples)`` for 3 <= n <= ``_STRAIGHT_N``:
@@ -233,20 +242,16 @@ def _trace_kernel(n: int):
     if not 3 <= n <= _STRAIGHT_N:
         raise ValueError(f"the straight-line trace kernel covers n = 3..{_STRAIGHT_N}, got {n}")
     pair_keys, triple_reads, _, _ = _phi_plan(n)
-    def mul(a: list, b: list) -> list:  # the entries of a @ b, as Mat2.__matmul__ has them
-        (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
-        return [f"{a11} * {b11} + {a12} * {b21}", f"{a11} * {b12} + {a12} * {b22}",
-                f"{a21} * {b11} + {a22} * {b21}", f"{a21} * {b12} + {a22} * {b22}"]
     m = [[f"m{s}_{e}" for e in (11, 12, 21, 22)] for s in range(1, n + 2)]  # M_1 .. M_{n+1}
     p = [[f"p{i}_{j}_{e}" for e in (11, 12, 21, 22)] for i, j in pair_keys]  # by plan slot
     body = ["(%s), = mats" % "), (".join(map(", ".join, m[:n])), "%s = last" % ", ".join(m[n])]
     for (i, j), ps in zip(pair_keys, p):
-        body += map("{} = {}".format, ps, mul(m[j - 1], m[i - 1]))
+        body += map("{} = {}".format, ps, _matmul_source(m[j - 1], m[i - 1]))
     body.append("return (%s), (%s), {%s}, {%s}" % (
         "".join(f"({', '.join(ps)}), " for ps in p),
         ", ".join(f"{m11} + {m22}" for m11, _, _, m22 in m),
         ", ".join(f"{key}: {ps[0]} + {ps[3]}" for key, ps in zip(pair_keys, p)),
-        ", ".join("{}: ({}) + ({})".format(key, *mul(p[s], m[i])[::3])
+        ", ".join("{}: ({}) + ({})".format(key, *_matmul_source(p[s], m[i])[::3])
                   for key, s, i in triple_reads)))
     return _compiled(f"trace kernel n={n}", "mats, last", body)
 

@@ -16,14 +16,23 @@ its conjugacy class, so coordinates of the output never depend on it.
 
 The chart is checked once, by ``require_admissible``, which reads its entry
 of the memoized ``classify_charts`` report, so a rebuild evaluates no chart
-polynomial of its own.  After that the rebuild reads the local traces and
-stored pairs by key and the triple traces through ``coords._triple``, the
-unchecked core of ``triple_trace``, each once per matrix (the anchor's once
-per chart), and evaluates the four-factor traces with
-``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` does.
-The n matrices, the adjugate of their product and the ``Representation`` are
-built after one finiteness pass over the n + 1 matrices; when it fails, ``Mat2``
-checks matrices 1..n, then the product, which names the first bad entry.
+polynomial of its own.  Which stored values a chart reads is worked out once
+per (n, chart) by ``_rebuild_plan``: each matrix's pair keys and its triple
+keys, with the operands of ``coords.opposite_rotation`` where the word does
+not rotate into the stored one.  The four-factor traces are
+``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` has them.
+For 3 <= n <= ``_STRAIGHT_N`` (5) the rebuild runs ``_rebuild_kernel(n, chart)``,
+one straight-line function per chart generated from that plan and compiled on
+first use (0.4-1.0 ms a chart on a 2-vCPU Xeon VM, 5-7 KB each): the reads
+are locals, and the normal form, the descending product, the one finiteness
+pass, the unchecked ``Mat2``/``Representation`` build and the trace and det
+residuals are the loop's expressions in its operand order, so every value is
+identical.  At n = 3 / 4 / 5 a fresh rebuild of the best chart takes 13.6 /
+21.2 / 30.3 us against the loop's 17.9 / 29.8 / 43.4.  Past n = 5 the loop
+``_rebuild`` reads the plan (charts grow like n^3/2, so kernels would cost
+hundreds of compiles).  When the pass fails, the kernel returns None and the
+loop reruns: ``Mat2`` checks matrices 1..n, then the product, which names the
+first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -41,6 +50,7 @@ or (M_k M_j, M_{i0}) on an anchored chart, generates a reducible group.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from itertools import chain
 
 from .charts import ChartId, require_admissible
@@ -48,13 +58,24 @@ from .coords import (
     Representation,
     TraceCoordinates,
     _distance,
+    _matmul_source,
     _pair,
+    _phi_plan,
     _traces,
-    _triple,
+    _triple_key,
     descending_product,
+    opposite_rotation,
 )
 from .errors import DegenerateEigenvalues
-from .sl2 import DEFAULT_TOL, Mat2, Tolerance, _record, four_trace_reduction
+from .sl2 import (
+    _STRAIGHT_N,
+    DEFAULT_TOL,
+    Mat2,
+    Tolerance,
+    _compiled,
+    _record,
+    four_trace_reduction,
+)
 
 
 class BranchChoice(_record("BranchChoice", "sign")):
@@ -115,6 +136,182 @@ class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
+def _rebuild_plan(n: int, chart: ChartId) -> tuple:
+    """``(anchor, rows)``: the stored reads of the rebuild on ``chart`` at size n.
+    ``anchor`` is None on a base chart, else the reads of x_{k j i0}, x_{k i0} and
+    x_{j i0}; ``rows`` holds the reads of each matrix i = 1..n: None at j, k and i0,
+    else those of x_kji, x_ki and x_ji, then on an anchored chart those of x_{i i0},
+    x_{k i i0} and x_{j i i0}.  A pair is read by its stored key, a triple
+    word by ``(key, flip)``: ``flip`` is None when the word rotates into the stored
+    one, else the indices (k, j, i) and the keys of x_ji, x_ki and x_kj, which
+    ``opposite_rotation`` reads with it."""
+    j, k, i0 = chart
+    pair_keys, _, _, triple_keys = _phi_plan(n)
+    canon = {key: key for key in chain(pair_keys, triple_keys)}  # the per-n key objects, shared
+
+    def pair(u: int, v: int) -> tuple[int, int]:
+        return canon[(u, v) if u < v else (v, u)]
+
+    def word(u: int, v: int, w: int) -> tuple:
+        key, rotation = _triple_key(u, v, w)
+        return canon.get(key, key), None if rotation else (u, v, w, pair(v, w), pair(u, w),
+                                                             pair(u, v))
+
+    rows = []
+    for i in range(1, n + 1):
+        reads = None
+        if i not in chart:
+            reads = (word(k, j, i), pair(k, i), pair(j, i))
+            if i0:
+                reads += (pair(i, i0), word(k, i, i0), word(j, i, i0))
+        rows.append(reads)
+    return (word(k, j, i0), pair(k, i0), pair(j, i0)) if i0 else None, tuple(rows)
+
+
+def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps: complex,
+             r: complex, lp: complex, lm: complex) -> tuple[Representation, tuple, tuple]:
+    """``(rep, trace, det)`` of the rebuild on ``chart`` from the local traces ``a``, the
+    stored maps and the chart's x_kj, psi and lambdas, by the loop over
+    ``_rebuild_plan(n, chart)``; raises naming the first non-finite entry."""
+    j, k, i0 = chart
+    a = (None,) + a  # 1-based
+
+    def read(word: tuple) -> complex:
+        key, flip = word
+        if flip is None:
+            return triples[key]
+        u, v, w, vw, uw, uv = flip
+        return opposite_rotation(a[u], a[v], a[w], pairs[vw], pairs[uw], pairs[uv], triples[key])
+
+    anchor, rows = _rebuild_plan(n, chart)
+    disc = xkj * xkj - 4.0
+    if anchor is None:
+        u12_j, u21_j = -ps / disc, 1.0
+        u12_k, u21_k = lp * ps / disc, -lm
+    else:  # the anchor's triple and pairs, read once for every matrix
+        xkji0, xki0, xji0 = read(anchor[0]), pairs[anchor[1]], pairs[anchor[2]]
+        u11_0, u22_0 = (xkji0 - lm * a[i0]) / r, -(xkji0 - lp * a[i0]) / r
+        u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
+        u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
+        u12_k, u21_k = -lp * u12_j, -lm * u21_j
+    mats = []
+    for i, reads in enumerate(rows, 1):
+        if i == j:
+            mats.append((-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
+            continue
+        if i == k:
+            mats.append((-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
+            continue
+        if i == i0:
+            mats.append((u11_0, -ps / disc, 1.0, u22_0))
+            continue
+        xkji, xki, xji = read(reads[0]), pairs[reads[1]], pairs[reads[2]]
+        u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
+        if anchor is None:
+            u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
+            u21 = r * (xki - a[k] * u11 + lm * (xji - a[j] * u22)) / ps
+        else:
+            xii0 = pairs[reads[3]]
+            q = four_trace_reduction(a[k], a[j], a[i], a[i0], xkj, xki, xki0, xji, xji0, xii0,
+                                     xkji, xkji0, read(reads[4]), read(reads[5]))
+            u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
+            u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
+        mats.append((u11, u12, u21, u22))
+    p11, p12, p21, p22 = mats[0]
+    for a11, a12, a21, a22 in mats[1:]:  # M_s @ (M_{s-1} ... M_1), as Mat2.__matmul__ rounds it
+        p11, p12, p21, p22 = (a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
+                              a21 * p11 + a22 * p21, a21 * p12 + a22 * p22)
+    closed = [tuple.__new__(Mat2, m) for m in mats] + [tuple.__new__(Mat2, (p22, -p12, -p21, p11))]
+    if not all(map(cmath.isfinite, chain.from_iterable(closed))):  # the same arithmetic, checked,
+        descending_product([Mat2(*m) for m in mats])  # raises naming the first bad entry
+    return (tuple.__new__(Representation, (tuple(closed[:-1]), closed[-1])),
+            tuple([abs(m11 + m22 - v) for (m11, _, _, m22), v in zip(closed, a[1:])]),
+            tuple([abs(m11 * m22 - m12 * m21 - 1.0) for m11, m12, m21, m22 in closed]))
+
+
+@lru_cache(maxsize=None)
+def _rebuild_kernel(n: int, chart: ChartId):
+    """``kernel(a, pairs, triples, xkj, ps, r, lp, lm)`` for 3 <= n <= ``_STRAIGHT_N``:
+    ``_rebuild`` on ``chart`` written out from ``_rebuild_plan(n, chart)`` as one
+    straight-line function, every read and entry a local and every value the loop's
+    expression in its operand order; it returns None where the loop would raise."""
+    if not 3 <= n <= _STRAIGHT_N:
+        raise ValueError(f"the straight-line rebuild kernel covers n = 3..{_STRAIGHT_N}, got {n}")
+    j, k, i0 = chart
+    anchor, rows = _rebuild_plan(n, chart)
+    body = ["%s, = a" % ", ".join(f"a{s}" for s in range(1, n + 2)), "disc = xkj * xkj - 4.0"]
+
+    seen = set()
+
+    def local(name: str, source: str) -> str:  # name = source, once
+        if name not in seen:
+            seen.add(name)
+            body.append(f"{name} = {source}")
+        return name
+
+    def pair(key: tuple) -> str:
+        return local("x%d_%d" % key, "pairs[%d, %d]" % key)
+
+    def read(word: tuple) -> str:  # opposite_rotation's expression, in its operand order
+        key, flip = word
+        stored = local("t%d_%d_%d" % key, "triples[%d, %d, %d]" % key)
+        if flip is None:
+            return stored
+        u, v, w, vw, uw, uv = flip
+        return local(f"w{u}_{v}_{w}", f"a{u} * {pair(vw)} + a{v} * {pair(uw)} + a{w} * {pair(uv)}"
+                                      f" - a{u} * a{v} * a{w} - {stored}")
+
+    m = [[f"m{s}_{e}" for e in (11, 12, 21, 22)] for s in range(n + 1)]  # M_1 .. M_n at 1..n
+    aj, ak, mj, mk = f"a{j}", f"a{k}", m[j], m[k]
+    if anchor is None:
+        body += [f"{mj[1]} = -ps / disc", f"{mj[2]} = 1.0",
+                 f"{mk[1]} = lp * ps / disc", f"{mk[2]} = -lm"]
+    else:
+        a0, m0 = f"a{i0}", m[i0]
+        xkji0, xki0, xji0 = read(anchor[0]), pair(anchor[1]), pair(anchor[2])
+        body += [f"{m0[0]} = ({xkji0} - lm * {a0}) / r", f"{m0[3]} = -({xkji0} - lp * {a0}) / r",
+                 f"{mj[1]} = -({xki0} - {ak} * {m0[0]} + lm * ({xji0} - {aj} * {m0[3]})) / r",
+                 f"{mj[2]} = -r * ({xki0} - {ak} * {m0[3]} + lp * ({xji0} - {aj} * {m0[0]})) / ps",
+                 f"{mk[1]} = -lp * {mj[1]}", f"{mk[2]} = -lm * {mj[2]}",
+                 f"{m0[1]} = -ps / disc", f"{m0[2]} = 1.0"]
+    body += [f"{mj[0]} = -({ak} - lp * {aj}) / r", f"{mj[3]} = ({ak} - lm * {aj}) / r",
+             f"{mk[0]} = -({aj} - lp * {ak}) / r", f"{mk[3]} = ({aj} - lm * {ak}) / r"]
+    for i, reads in enumerate(rows, 1):
+        if reads is None:
+            continue
+        ai, mi = f"a{i}", m[i]
+        xkji, xki, xji = read(reads[0]), pair(reads[1]), pair(reads[2])
+        body += [f"{mi[0]} = ({xkji} - lm * {ai}) / r", f"{mi[3]} = -({xkji} - lp * {ai}) / r"]
+        if anchor is None:
+            body += [f"{mi[1]} = ({xki} - {ak} * {mi[3]} + lp * ({xji} - {aj} * {mi[0]})) / r",
+                     f"{mi[2]} = r * ({xki} - {ak} * {mi[0]} + lm * ({xji} - {aj} * {mi[3]})) / ps"]
+        else:
+            xii0 = pair(reads[3])
+            body += [f"q = four_trace_reduction({ak}, {aj}, {ai}, {a0}, xkj, {xki}, {xki0}, {xji}, "
+                     f"{xji0}, {xii0}, {xkji}, {xkji0}, {read(reads[4])}, {read(reads[5])})",
+                     f"{mi[1]} = -(lm * {xii0} + r * {mi[0]} * {m0[0]} - q) / r",
+                     f"{mi[2]} = -r * (lp * {xii0} - r * {mi[3]} * {m0[3]} - q) / ps"]
+    p = m[1]
+    for s in range(2, n + 1):  # M_s @ (M_{s-1} ... M_1)
+        product = [f"p{s}_{e}" for e in (11, 12, 21, 22)]
+        body += map("{} = {}".format, product, _matmul_source(m[s], p))
+        p = product
+    body += [f"l12, l21 = -{p[1]}, -{p[2]}"]
+    closed = [*m[1:], [p[3], "l12", "l21", p[0]]]
+    body += ["if not all(map(isfinite, (%s))):" % ", ".join(e for c in closed for e in c),
+             "    return None",
+             "return new(Representation, ((%s), new(Mat2, (%s)))), (%s), (%s)" % (
+                 "".join(f"new(Mat2, ({', '.join(c)})), " for c in closed[:-1]),
+                 ", ".join(closed[-1]),
+                 "".join(f"abs({c[0]} + {c[3]} - a{s}), " for s, c in enumerate(closed, 1)),
+                 "".join(f"abs({c[0]} * {c[3]} - {c[1]} * {c[2]} - 1.0), " for c in closed))]
+    return _compiled(f"rebuild kernel n={n} chart={chart.label()}",
+                     "a, pairs, triples, xkj, ps, r, lp, lm", body,
+                     four_trace_reduction=four_trace_reduction, isfinite=cmath.isfinite,
+                     new=tuple.__new__, Mat2=Mat2, Representation=Representation)
+
+
 def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
     """The tuple rebuilt from x on ``chart`` by the normal form of its kind
@@ -130,56 +327,11 @@ def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS
     if result is not None:
         return result
     ps = require_admissible(x, chart, tol).psi
-    j, k, i0 = chart
-    a = (None,) + x.local.a  # 1-based
-    pairs = x.pairs
-    xkj = _pair(pairs, k, j)
-    r, lp, lm = lambdas(xkj, branch, tol)
-    disc = xkj * xkj - 4.0
-    if i0 == 0:
-        u12_j, u21_j = -ps / disc, 1.0
-        u12_k, u21_k = lp * ps / disc, -lm
-    else:  # the anchor's triple and pairs, read once for every matrix
-        xkji0, xki0, xji0 = _triple(x, k, j, i0), _pair(pairs, k, i0), _pair(pairs, j, i0)
-        u11_0, u22_0 = (xkji0 - lm * a[i0]) / r, -(xkji0 - lp * a[i0]) / r
-        u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
-        u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
-        u12_k, u21_k = -lp * u12_j, -lm * u21_j
-    mats = []
-    for i in range(1, x.n + 1):
-        if i == j:
-            mats.append((-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
-            continue
-        if i == k:
-            mats.append((-(a[j] - lp * a[k]) / r, u12_k, u21_k, (a[j] - lm * a[k]) / r))
-            continue
-        if i == i0:
-            mats.append((u11_0, -ps / disc, 1.0, u22_0))
-            continue
-        xkji, xki, xji = _triple(x, k, j, i), _pair(pairs, k, i), _pair(pairs, j, i)
-        u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
-        if i0 == 0:
-            u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
-            u21 = r * (xki - a[k] * u11 + lm * (xji - a[j] * u22)) / ps
-        else:
-            xii0 = _pair(pairs, i, i0)
-            q = four_trace_reduction(a[k], a[j], a[i], a[i0], xkj, xki, xki0, xji, xji0, xii0,
-                                     xkji, xkji0, _triple(x, k, i, i0), _triple(x, j, i, i0))
-            u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
-            u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
-        mats.append((u11, u12, u21, u22))
-    p11, p12, p21, p22 = mats[0]
-    for a11, a12, a21, a22 in mats[1:]:  # M_s @ (M_{s-1} ... M_1), as Mat2.__matmul__ rounds it
-        p11, p12, p21, p22 = (a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
-                              a21 * p11 + a22 * p21, a21 * p12 + a22 * p22)
-    closed = [tuple.__new__(Mat2, m) for m in mats] + [tuple.__new__(Mat2, (p22, -p12, -p21, p11))]
-    if not all(map(cmath.isfinite, chain.from_iterable(closed))):  # the same arithmetic, checked,
-        descending_product([Mat2(*m) for m in mats])  # raises naming the first bad entry
-    rep = tuple.__new__(Representation, (tuple(closed[:-1]), closed[-1]))
-    diag = Diagnostics(
-        trace=tuple([abs(m11 + m22 - v) for (m11, _, _, m22), v in zip(closed, x.local.a)]),
-        det=tuple([abs(m11 * m22 - m12 * m21 - 1.0) for m11, m12, m21, m22 in closed]),
-        round_trip=_distance(x, *_traces(rep)[1:]),  # _traces raises as phi(rep) does
-    )
+    n, pairs = x.n, x.pairs
+    xkj = _pair(pairs, chart.k, chart.j)
+    args = (x.local.a, pairs, x._triples, xkj, ps, *lambdas(xkj, branch, tol))
+    built = _rebuild_kernel(n, chart)(*args) if n <= _STRAIGHT_N else None
+    rep, trace, det = built or _rebuild(n, chart, *args)  # the loop names a non-finite entry
+    diag = Diagnostics(trace, det, _distance(x, *_traces(rep)[1:]))  # _traces raises as phi does
     result = x._cache[key] = ReconstructionResult(rep, diag)
     return result

@@ -25,13 +25,14 @@ def _record(name: str, fields: str, defaults=None) -> type:
     return base
 
 
-_STRAIGHT_N = 5  # the largest n with generated kernels (costs: coords, relations docstrings)
+_STRAIGHT_N = 5  # the largest n with generated kernels (costs: coords, relations, reconstruction)
 
 
-def _compiled(name: str, params: str, lines: list[str]):
-    """``kernel(params)`` with the body ``lines``, compiled as ``<name>``."""
+def _compiled(name: str, params: str, lines: list[str], **names):
+    """``kernel(params)`` with the body ``lines``, compiled as ``<name>`` with the
+    globals ``names``."""
     source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace: dict = {}
+    namespace = dict(names)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace["kernel"]
 

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import pickle
 from itertools import combinations, product
@@ -220,6 +221,22 @@ def test_huge_pair_trace_saturates_the_threshold(n):
         assert len(report.entries) == len(charts_for(n))
         big = [e for e in report.entries if tuple(sorted(e.chart[:2])) == key]
         assert big and not any(e.admissible for e in big)
+
+
+def test_chart_modulus_past_the_float_range_saturates():
+    # x_21 = 1.19e77 e^{i pi/16}: |x_21|^4 overflows, so the threshold of the pair
+    # (1, 2) reads inf, and p of its base chart has finite parts but a modulus past
+    # 1.8e308, where complex abs raises OverflowError; |p| reads inf instead, which
+    # clears no inf threshold, and the other pairs' charts are scored as usual
+    base = phi(FAMILIES["su2"](4, 1))
+    x21 = 1.19e77 * cmath.exp(1j * cmath.pi / 16)
+    x = TraceCoordinates(base.local, {**base.pairs, (1, 2): x21}, dict(base.triples))
+    report = classify_charts(x)
+    big = [e for e in report.entries if tuple(sorted(e.chart[:2])) == (1, 2)]
+    assert big and all(cmath.isfinite(e.value) and not e.admissible for e in big)
+    with pytest.raises(OverflowError):
+        abs(big[0].value)
+    assert report.best == ChartId(1, 3, 2)
 
 
 def test_classify_charts_memoized_per_tolerance():

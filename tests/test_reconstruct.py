@@ -2,7 +2,7 @@ import copy
 import pickle
 import warnings
 from importlib import import_module
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -27,6 +27,7 @@ from monodromy import (
     reconstruct,
     triple_trace,
 )
+from monodromy import reconstruction
 from monodromy.cli import coords_from_obj, coords_to_obj
 from monodromy.coords import _pair, _triple, opposite_rotation
 from monodromy.reconstruction import lambdas
@@ -302,7 +303,7 @@ def _public_triple(x, k, j, i):
 @pytest.mark.parametrize("family", ["su2", "generic16"])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_rebuild_reads_equal_public_accessors(n, family):
-    # the rebuild reads through the unchecked cores; each must be == the public path
+    # the unchecked cores under the accessors; each must be == the public path
     x = phi(FAMILIES[family](n, 7))
     a = x.local.trace
     for u, v in permutations(range(1, n + 1), 2):
@@ -402,3 +403,84 @@ def test_round_trip_equals_the_public_distance_far_off_the_variety(n, seed):
             assert _same(result.diagnostics.round_trip,
                          coordinate_distance(x, phi(result.rep)))
     assert rebuilt
+
+
+def _rebuild_record(x, chart, branch):
+    """repr of the rebuild on a fresh copy of x, or the type and message it raises."""
+    fresh = TraceCoordinates(x.local, dict(x.pairs), dict(x.triples))
+    try:
+        return repr(reconstruct(fresh, chart, branch))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _overflow_points(n):
+    """Coordinate files whose rebuilds overflow on some admissible charts."""
+    points = [_file_point(n, seed, _every_other_scaled) for seed in range(4)]
+    for table, key in [("pairs", "21"), ("pairs", f"{n}1"), ("triples", "321")][:2 + (n > 3)]:
+        obj = coords_to_obj(phi(su2(n, seed=1)))
+        obj[table][key] = [1e160, 0.0]
+        points.append(coords_from_obj(obj))
+    return points
+
+
+@pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
+def test_rebuild_kernel_identical_to_loop(n, monkeypatch):
+    # every admissible chart and both branches, on the sampler grid (4608 rebuilds
+    # over n = 3..5, every chart admissible) and on points whose rebuilds overflow,
+    # where the kernel returns None and the loop names the bad entry
+    grid = [phi(sampler(n, seed, entry_bound=bound)) for sampler, bound, seed
+            in product((su2, FAMILIES["su11"], generic), (4.0, 16.0), range(6))]
+    records = []
+    for x in grid + _overflow_points(n):
+        for chart, branch in product(classify_charts(x).admissible(), (PLUS, MINUS)):
+            got = _rebuild_record(x, chart, branch)
+            with monkeypatch.context() as m:
+                m.setattr(reconstruction, "_STRAIGHT_N", 2)  # every n through the loop
+                assert _rebuild_record(x, chart, branch) == got
+            records.append(got)
+    rebuilt = [r for r in records if r.startswith("ReconstructionResult(")]
+    assert len(rebuilt) >= len(grid) * 2 * len(classify_charts(grid[0]).entries)
+    assert any(r.startswith("ValueError: non-finite matrix entry") for r in records)
+
+
+def test_rebuild_kernel_only_for_n_3_to_straight_n():
+    for n in (2, reconstruction._STRAIGHT_N + 1, 9):
+        with pytest.raises(ValueError):
+            reconstruction._rebuild_kernel(n, ChartId(1, 2))
+    misses = reconstruction._rebuild_kernel.cache_info().misses
+    for n in range(6, 10):
+        x = phi(generic(n, seed=700))
+        reconstruct(x, classify_charts(x).best)
+    assert reconstruction._rebuild_kernel.cache_info().misses == misses
+
+
+def _leaves(consts):
+    for c in consts:
+        if isinstance(c, tuple):
+            yield from _leaves(c)
+        else:
+            yield c
+
+
+@pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
+def test_rebuild_kernel_source_holds_no_point_data(n):
+    # names, the plan's indices and the normal form's own 1.0 and 4.0, nothing else
+    x = phi(su2(n, 0))
+    for e in classify_charts(x).entries:
+        consts = list(_leaves(reconstruction._rebuild_kernel(n, e.chart).__code__.co_consts))
+        assert set(map(type, consts)) <= {int, str, float, type(None)}
+        assert {c for c in consts if isinstance(c, float)} == {1.0, 4.0}
+
+
+def test_rebuild_loop_reads_the_plan(monkeypatch):
+    # past n = 5 the stored keys come from the per-chart plan: once it is built, a
+    # rebuild on the chart canonicalizes no triple word
+    x = phi(generic(9, seed=701))
+    admissible = classify_charts(x).admissible()
+    for chart in admissible:
+        reconstruction._rebuild_plan(9, chart)
+    monkeypatch.setattr(reconstruction, "_triple_key", None)
+    for chart in admissible:
+        reconstruct(x, chart, MINUS)
+    assert {chart.i0 == 0 for chart in admissible} == {True, False}

