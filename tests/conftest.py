@@ -423,3 +423,13 @@ FAMILIES = {
     "generic": generic,
     "generic16": lambda n, seed: generic(n, seed, entry_bound=16.0),
 }
+
+
+def const_leaves(consts):
+    """The non-tuple constants of a code object's ``co_consts``, tuples flattened:
+    what a generated kernel's source holds besides names."""
+    for c in consts:
+        if isinstance(c, tuple):
+            yield from const_leaves(c)
+        else:
+            yield c

@@ -19,7 +19,9 @@ from monodromy import coords
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, four_trace_reduction
 
-from conftest import FAMILIES, closure_residual, generic, identity_rep, oword, su2, su11
+from conftest import (
+    FAMILIES, closure_residual, const_leaves, generic, identity_rep, oword, su2, su11,
+)
 
 
 def test_close_tuple_identity():
@@ -285,16 +287,8 @@ def test_trace_kernel_only_for_n_3_to_straight_n():
     assert coords._trace_kernel.cache_info().currsize == cached
 
 
-def _leaves(consts):
-    for c in consts:
-        if isinstance(c, tuple):
-            yield from _leaves(c)
-        else:
-            yield c
-
-
 @pytest.mark.parametrize("n", range(3, coords._STRAIGHT_N + 1))
 def test_trace_kernel_source_holds_no_point_data(n):
     # only names and the plan's indices: the key tuples fold into int constants
-    consts = set(map(type, _leaves(coords._trace_kernel(n).__code__.co_consts)))
+    consts = set(map(type, const_leaves(coords._trace_kernel(n).__code__.co_consts)))
     assert consts <= {int, str, type(None)}

@@ -39,6 +39,7 @@ from conftest import (
     branch_gap,
     closure_residual,
     commutator_gap,
+    const_leaves,
     generic,
     identity_rep,
     oracle_gram_rebuild,
@@ -455,20 +456,12 @@ def test_rebuild_kernel_only_for_n_3_to_straight_n():
     assert reconstruction._rebuild_kernel.cache_info().misses == misses
 
 
-def _leaves(consts):
-    for c in consts:
-        if isinstance(c, tuple):
-            yield from _leaves(c)
-        else:
-            yield c
-
-
 @pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
 def test_rebuild_kernel_source_holds_no_point_data(n):
     # names, the plan's indices and the normal form's own 1.0 and 4.0, nothing else
     x = phi(su2(n, 0))
     for e in classify_charts(x).entries:
-        consts = list(_leaves(reconstruction._rebuild_kernel(n, e.chart).__code__.co_consts))
+        consts = list(const_leaves(reconstruction._rebuild_kernel(n, e.chart).__code__.co_consts))
         assert set(map(type, consts)) <= {int, str, float, type(None)}
         assert {c for c in consts if isinstance(c, float)} == {1.0, 4.0}
 
