@@ -26,7 +26,7 @@ written out term for term.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import inf
+from math import hypot, inf
 
 from .coords import TraceCoordinates, _triple_key
 from .errors import BadChart, ChartNotAdmissible
@@ -154,8 +154,9 @@ def require_admissible(x: TraceCoordinates, chart: ChartId,
     """The chart evaluated at x, raising ChartNotAdmissible where p is numerically zero."""
     e = chart_eval(x, chart, tol)
     if not e.admissible:  # |p| = inf: p overflowed, and so did its threshold
-        raise ChartNotAdmissible(f"chart {chart.label()}: |p| = {abs(e.value):.3e} is "
-                                 + ("numerically zero" if abs(e.value) != inf else "out of range"))
+        mag = hypot(e.value.real, e.value.imag)  # |p|, saturated to inf as the table has it
+        raise ChartNotAdmissible(f"chart {chart.label()}: |p| = {mag:.3e} is "
+                                 + ("numerically zero" if mag != inf else "out of range"))
     return e
 
 

@@ -227,15 +227,14 @@ def cmd_coords(args, tol: Tolerance) -> int:
 
 
 def cmd_relations(args, tol: Tolerance) -> int:
-    from .relations import membership
+    from .relations import membership, type1_pairs, type2_terms
 
     x = coords_from_obj(read_json(args.input))
     res = membership(x)
-    # labels in the enumeration order of relations.type1_pairs and type2_terms
-    triples = [str(t) for t in combinations(range(1, x.n + 1), 3)]
-    quads = [str(q) for q in combinations(range(1, x.n + 1), 4)]
-    labels = [f"type1 {ta}x{tb}" for pos, ta in enumerate(triples) for tb in triples[pos:]]
-    labels += [f"type2 i={i} {quad}" for i in range(1, x.n + 1) for quad in quads]
+    # labels in the enumeration order of type1_pairs and type2_terms, each tuple's str once
+    text = {t: str(t) for size in (3, 4) for t in combinations(range(1, x.n + 1), size)}
+    labels = [f"type1 {text[ta]}x{text[tb]}" for ta, tb in type1_pairs(x.n)]
+    labels += [f"type2 i={i} {text[quad]}" for i, quad in type2_terms(x.n)]
     values = res.type1 + res.type2
     if res.type3 is not None:
         labels.append("type3")

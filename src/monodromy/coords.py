@@ -22,15 +22,12 @@ indexes that map, and ``_triple_key`` says which words rotate into the stored on
 Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
 check indices, then read the unchecked cores ``_pair`` and ``_triple``; the chart
 table and the rebuild's per-chart plan read the stored keys ``_triple_key`` names.
-``_traces`` computes a tuple's product entries, local traces, pairs and triples, by
-the compiled straight-line ``_trace_kernel(n)`` up to n = ``_STRAIGHT_N`` (5) and by
-a loop past it, then makes one finiteness pass; when it fails it runs the checked
-path in its order (product entries, then ``LocalData``, then coordinates), which
-names the first bad value.  ``phi`` builds ``LocalData`` and the point on its maps
-unchecked; the rebuild's round trip reads them as they are.
-At n = 3 / 4 / 5 a kernel saves about 1.5 / 2.4 / 3.4 us per call and compiles in
-0.6 / 1.1 / 1.7 ms (the relation kernel in 0.6 / 1.5 / 4.6 ms, timed alongside on a
-2-vCPU Xeon VM); past n = 5 the loop stays, as the relations' comprehension does.
+``_traces`` computes a tuple's product entries, local traces, pairs and triples by
+``_trace_loop`` (traced as ``_trace_kernel(n)`` up to n = ``_STRAIGHT_N``, 5), then
+makes one finiteness pass; when it fails it runs the checked path in its order
+(product entries, ``LocalData``, coordinates), which names the first bad value.  At
+n = 3 / 4 / 5 the kernel saves 1.5 / 2.4 / 3.4 us a call and is built in 0.4 / 0.7 /
+1.1 ms (2-vCPU Xeon VM).  ``phi`` builds ``LocalData`` and the point unchecked.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ from .sl2 import (
     DEFAULT_TOL,
     Mat2,
     Tolerance,
-    _compiled,
     _record,
+    _trace,
     check_unimodular,
     four_trace_reduction,
 )
@@ -226,34 +223,33 @@ class TraceCoordinates:
         return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
-def _matmul_source(a: list, b: list) -> list:
-    """The source of the entries of a @ b from the names of their entries, in the
-    operand order of ``Mat2.__matmul__``."""
-    (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
-    return [f"{a11} * {b11} + {a12} * {b21}", f"{a11} * {b12} + {a12} * {b22}",
-            f"{a21} * {b11} + {a22} * {b21}", f"{a21} * {b12} + {a22} * {b22}"]
+def _trace_loop(mats: tuple, last: tuple) -> tuple:
+    """``(prods, a, pairs, triples)`` from entry tuples: each plan pair's product entries,
+    the local traces and the stored maps, rounded as ``Mat2.__matmul__`` and ``.trace``."""
+    pair_keys, triple_reads, _, _ = _phi_plan(len(mats))
+    prods = []
+    for i, j in pair_keys:
+        a11, a12, a21, a22 = mats[j - 1]
+        b11, b12, b21, b22 = mats[i - 1]
+        prods.append((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                      a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
+    a = tuple([m11 + m22 for m11, _, _, m22 in (*mats, last)])
+    pairs = {key: p[0] + p[3] for key, p in zip(pair_keys, prods)}
+    triples = {}
+    for key, s, i in triple_reads:
+        # tr((M_k M_j) M_i) from entries, rounded as (M_k @ M_j @ M_i).trace rounds it
+        p11, p12, p21, p22 = prods[s]
+        q11, q12, q21, q22 = mats[i]
+        triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
+    return tuple(prods), a, pairs, triples
 
 
 @lru_cache(maxsize=None)
 def _trace_kernel(n: int):
-    """``kernel(mats, last) -> (prods, a, pairs, triples)`` for 3 <= n <= ``_STRAIGHT_N``:
-    the loop of ``_traces`` written out from ``_phi_plan(n)``, every entry a local and
-    every value the loop's expression in its operand order, keys in plan order."""
+    """``kernel(mats, last)``: ``_trace_loop`` traced at size n, for 3 <= n <= ``_STRAIGHT_N``."""
     if not 3 <= n <= _STRAIGHT_N:
         raise ValueError(f"the straight-line trace kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    pair_keys, triple_reads, _, _ = _phi_plan(n)
-    m = [[f"m{s}_{e}" for e in (11, 12, 21, 22)] for s in range(1, n + 2)]  # M_1 .. M_{n+1}
-    p = [[f"p{i}_{j}_{e}" for e in (11, 12, 21, 22)] for i, j in pair_keys]  # by plan slot
-    body = ["(%s), = mats" % "), (".join(map(", ".join, m[:n])), "%s = last" % ", ".join(m[n])]
-    for (i, j), ps in zip(pair_keys, p):
-        body += map("{} = {}".format, ps, _matmul_source(m[j - 1], m[i - 1]))
-    body.append("return (%s), (%s), {%s}, {%s}" % (
-        "".join(f"({', '.join(ps)}), " for ps in p),
-        ", ".join(f"{m11} + {m22}" for m11, _, _, m22 in m),
-        ", ".join(f"{key}: {ps[0]} + {ps[3]}" for key, ps in zip(pair_keys, p)),
-        ", ".join("{}: ({}) + ({})".format(key, *_matmul_source(p[s], m[i])[::3])
-                  for key, s, i in triple_reads)))
-    return _compiled(f"trace kernel n={n}", "mats, last", body)
+    return _trace(f"trace kernel n={n}", _trace_loop, mats=((0,) * 4,) * n, last=(0,) * 4)
 
 
 def _traces(rep: Representation) -> tuple[tuple, dict, dict]:
@@ -261,24 +257,8 @@ def _traces(rep: Representation) -> tuple[tuple, dict, dict]:
     checked by one finiteness pass (module docstring)."""
     mats, last = rep
     n = len(mats)
-    if 3 <= n <= _STRAIGHT_N:
-        prods, a, pairs, triples = _trace_kernel(n)(mats, last)
-    else:
-        pair_keys, triple_reads, _, _ = _phi_plan(n)
-        prods = []
-        for i, j in pair_keys:
-            a11, a12, a21, a22 = mats[j - 1]
-            b11, b12, b21, b22 = mats[i - 1]
-            prods.append((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                          a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
-        a = tuple([m11 + m22 for m11, _, _, m22 in (*mats, last)])
-        pairs = {key: p[0] + p[3] for key, p in zip(pair_keys, prods)}
-        triples = {}
-        for key, s, i in triple_reads:
-            # tr((M_k M_j) M_i) from entries, rounded as (M_k @ M_j @ M_i).trace rounds it
-            p11, p12, p21, p22 = prods[s]
-            q11, q12, q21, q22 = mats[i]
-            triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
+    kernel = _trace_kernel(n) if 3 <= n <= _STRAIGHT_N else _trace_loop
+    prods, a, pairs, triples = kernel(mats, last)
     values = chain(chain.from_iterable(prods), a, pairs.values(), triples.values())
     if n < 3 or not all(map(cmath.isfinite, values)):
         for p in prods:  # the checked path, in its order; one of its checks raises

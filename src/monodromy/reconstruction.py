@@ -21,18 +21,10 @@ per (n, chart) by ``_rebuild_plan``: each matrix's pair keys and its triple
 keys, with the operands of ``coords.opposite_rotation`` where the word does
 not rotate into the stored one.  The four-factor traces are
 ``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` has them.
-For 3 <= n <= ``_STRAIGHT_N`` (5) the rebuild runs ``_rebuild_kernel(n, chart)``,
-one straight-line function per chart generated from that plan and compiled on
-first use (0.4-1.0 ms a chart on a 2-vCPU Xeon VM, 5-7 KB each): the reads
-are locals, and the normal form, the descending product, the one finiteness
-pass, the unchecked ``Mat2``/``Representation`` build and the trace and det
-residuals are the loop's expressions in its operand order, so every value is
-identical.  At n = 3 / 4 / 5 a fresh rebuild of the best chart takes 13.6 /
-21.2 / 30.3 us against the loop's 17.9 / 29.8 / 43.4.  Past n = 5 the loop
-``_rebuild`` reads the plan (charts grow like n^3/2, so kernels would cost
-hundreds of compiles).  When the pass fails, the kernel returns None and the
-loop reruns: ``Mat2`` checks matrices 1..n, then the product, which names the
-first bad entry.
+The loop ``_rebuild`` reads that plan, traced as ``_rebuild_kernel(n, chart)`` for
+3 <= n <= ``_STRAIGHT_N`` (5; built in 0.7-1.4 ms on a 2-vCPU Xeon VM, a call 25-30%
+faster; past n = 5 charts grow like n^3/2).  Where the kernel's finiteness pass fails
+it returns None and the loop reruns, whose ``Mat2`` names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -51,14 +43,13 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 
 from .charts import ChartId, require_admissible
 from .coords import (
     Representation,
     TraceCoordinates,
     _distance,
-    _matmul_source,
     _pair,
     _phi_plan,
     _traces,
@@ -72,8 +63,9 @@ from .sl2 import (
     DEFAULT_TOL,
     Mat2,
     Tolerance,
-    _compiled,
+    _finite,
     _record,
+    _trace,
     four_trace_reduction,
 )
 
@@ -136,7 +128,7 @@ class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # every chart of n = 3..9, 749 in all
 def _rebuild_plan(n: int, chart: ChartId) -> tuple:
     """``(anchor, rows)``: the stored reads of the rebuild on ``chart`` at size n.
     ``anchor`` is None on a base chart, else the reads of x_{k j i0}, x_{k i0} and
@@ -223,7 +215,7 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
         p11, p12, p21, p22 = (a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
                               a21 * p11 + a22 * p21, a21 * p12 + a22 * p22)
     closed = [tuple.__new__(Mat2, m) for m in mats] + [tuple.__new__(Mat2, (p22, -p12, -p21, p11))]
-    if not all(map(cmath.isfinite, chain.from_iterable(closed))):  # the same arithmetic, checked,
+    if not _finite([*chain.from_iterable(closed)]):  # the same arithmetic, checked,
         descending_product([Mat2(*m) for m in mats])  # raises naming the first bad entry
     return (tuple.__new__(Representation, (tuple(closed[:-1]), closed[-1])),
             tuple([abs(m11 + m22 - v) for (m11, _, _, m22), v in zip(closed, a[1:])]),
@@ -232,84 +224,15 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
 
 @lru_cache(maxsize=None)
 def _rebuild_kernel(n: int, chart: ChartId):
-    """``kernel(a, pairs, triples, xkj, ps, r, lp, lm)`` for 3 <= n <= ``_STRAIGHT_N``:
-    ``_rebuild`` on ``chart`` written out from ``_rebuild_plan(n, chart)`` as one
-    straight-line function, every read and entry a local and every value the loop's
-    expression in its operand order; it returns None where the loop would raise."""
+    """``kernel(a, pairs, triples, xkj, ps, r, lp, lm)``: ``_rebuild`` on ``chart`` traced
+    at size n, for 3 <= n <= ``_STRAIGHT_N``; it returns None where the loop would raise."""
     if not 3 <= n <= _STRAIGHT_N:
         raise ValueError(f"the straight-line rebuild kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    j, k, i0 = chart
-    anchor, rows = _rebuild_plan(n, chart)
-    body = ["%s, = a" % ", ".join(f"a{s}" for s in range(1, n + 2)), "disc = xkj * xkj - 4.0"]
-
-    seen = set()
-
-    def local(name: str, source: str) -> str:  # name = source, once
-        if name not in seen:
-            seen.add(name)
-            body.append(f"{name} = {source}")
-        return name
-
-    def pair(key: tuple) -> str:
-        return local("x%d_%d" % key, "pairs[%d, %d]" % key)
-
-    def read(word: tuple) -> str:  # opposite_rotation's expression, in its operand order
-        key, flip = word
-        stored = local("t%d_%d_%d" % key, "triples[%d, %d, %d]" % key)
-        if flip is None:
-            return stored
-        u, v, w, vw, uw, uv = flip
-        return local(f"w{u}_{v}_{w}", f"a{u} * {pair(vw)} + a{v} * {pair(uw)} + a{w} * {pair(uv)}"
-                                      f" - a{u} * a{v} * a{w} - {stored}")
-
-    m = [[f"m{s}_{e}" for e in (11, 12, 21, 22)] for s in range(n + 1)]  # M_1 .. M_n at 1..n
-    aj, ak, mj, mk = f"a{j}", f"a{k}", m[j], m[k]
-    if anchor is None:
-        body += [f"{mj[1]} = -ps / disc", f"{mj[2]} = 1.0",
-                 f"{mk[1]} = lp * ps / disc", f"{mk[2]} = -lm"]
-    else:
-        a0, m0 = f"a{i0}", m[i0]
-        xkji0, xki0, xji0 = read(anchor[0]), pair(anchor[1]), pair(anchor[2])
-        body += [f"{m0[0]} = ({xkji0} - lm * {a0}) / r", f"{m0[3]} = -({xkji0} - lp * {a0}) / r",
-                 f"{mj[1]} = -({xki0} - {ak} * {m0[0]} + lm * ({xji0} - {aj} * {m0[3]})) / r",
-                 f"{mj[2]} = -r * ({xki0} - {ak} * {m0[3]} + lp * ({xji0} - {aj} * {m0[0]})) / ps",
-                 f"{mk[1]} = -lp * {mj[1]}", f"{mk[2]} = -lm * {mj[2]}",
-                 f"{m0[1]} = -ps / disc", f"{m0[2]} = 1.0"]
-    body += [f"{mj[0]} = -({ak} - lp * {aj}) / r", f"{mj[3]} = ({ak} - lm * {aj}) / r",
-             f"{mk[0]} = -({aj} - lp * {ak}) / r", f"{mk[3]} = ({aj} - lm * {ak}) / r"]
-    for i, reads in enumerate(rows, 1):
-        if reads is None:
-            continue
-        ai, mi = f"a{i}", m[i]
-        xkji, xki, xji = read(reads[0]), pair(reads[1]), pair(reads[2])
-        body += [f"{mi[0]} = ({xkji} - lm * {ai}) / r", f"{mi[3]} = -({xkji} - lp * {ai}) / r"]
-        if anchor is None:
-            body += [f"{mi[1]} = ({xki} - {ak} * {mi[3]} + lp * ({xji} - {aj} * {mi[0]})) / r",
-                     f"{mi[2]} = r * ({xki} - {ak} * {mi[0]} + lm * ({xji} - {aj} * {mi[3]})) / ps"]
-        else:
-            xii0 = pair(reads[3])
-            body += [f"q = four_trace_reduction({ak}, {aj}, {ai}, {a0}, xkj, {xki}, {xki0}, {xji}, "
-                     f"{xji0}, {xii0}, {xkji}, {xkji0}, {read(reads[4])}, {read(reads[5])})",
-                     f"{mi[1]} = -(lm * {xii0} + r * {mi[0]} * {m0[0]} - q) / r",
-                     f"{mi[2]} = -r * (lp * {xii0} - r * {mi[3]} * {m0[3]} - q) / ps"]
-    p = m[1]
-    for s in range(2, n + 1):  # M_s @ (M_{s-1} ... M_1)
-        product = [f"p{s}_{e}" for e in (11, 12, 21, 22)]
-        body += map("{} = {}".format, product, _matmul_source(m[s], p))
-        p = product
-    body += [f"l12, l21 = -{p[1]}, -{p[2]}"]
-    closed = [*m[1:], [p[3], "l12", "l21", p[0]]]
-    body += ["if not all(map(isfinite, (%s))):" % ", ".join(e for c in closed for e in c),
-             "    return None",
-             "return new(Representation, ((%s), new(Mat2, (%s)))), (%s), (%s)" % (
-                 "".join(f"new(Mat2, ({', '.join(c)})), " for c in closed[:-1]),
-                 ", ".join(closed[-1]),
-                 "".join(f"abs({c[0]} + {c[3]} - a{s}), " for s, c in enumerate(closed, 1)),
-                 "".join(f"abs({c[0]} * {c[3]} - {c[1]} * {c[2]} - 1.0), " for c in closed))]
-    return _compiled(f"rebuild kernel n={n} chart={chart.label()}",
-                     "a, pairs, triples, xkj, ps, r, lp, lm", body,
-                     four_trace_reduction=four_trace_reduction, isfinite=cmath.isfinite,
-                     new=tuple.__new__, Mat2=Mat2, Representation=Representation)
+    idx = range(1, n + 1)
+    return _trace(f"rebuild kernel n={n} chart={chart.label()}",
+                  lambda *args: _rebuild(n, chart, *args), a=(0,) * (n + 1),
+                  pairs=dict.fromkeys(combinations(idx, 2)),
+                  triples=dict.fromkeys(combinations(idx, 3)), xkj=0, ps=0, r=0, lp=0, lm=0)
 
 
 def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,

@@ -33,28 +33,23 @@ Type 1 reads each row pair's 2x2 minors of ``z`` against one column table all
 row triples share; the determinant's factor 2 rides on a doubled copy of the
 first ``z`` row (doubling is exact).
 
-Two evaluators of type 1 and 2 read that one plan.  ``_comprehension`` reads by
-slot from the ``z`` matrix and ``s3`` list of ``_tables``, one comprehension per
-row.  Up to n = ``_STRAIGHT_N`` (5), ``_kernel(n)`` writes the same evaluation
-out as one straight-line function, compiled on first use: every stored value,
-z entry, s3 value, doubled entry and minor is a local, and every value is the
-comprehension's expression in its operand order, so both give the same values
-of the same type.  The generated source holds only local names and the plan's
-integer indices, never data of a point.  Compiling grows with the relation
-count (Python 3.11, 2-vCPU Xeon VM; traced transient memory):
+Type 1 and 2 are ``_comprehension``, one comprehension per row on the ``z`` and ``s3``
+tables of ``_tables``, traced as ``_kernel(n)`` up to n = ``_STRAIGHT_N`` (5) with the
+same values of the same type.  Building the kernel grows with the relation count
+(Python 3.11, 2-vCPU Xeon VM; traced transient memory):
 
     n                 3      4      5      6      7      8
     relations         1     15     81    301    876   2157
-    compile (ms)    0.3    0.8    2.3    6.3     19     45
-    transient (MB)  0.1    0.3    0.9    2.4    6.6     14
+    build (ms)      0.3    1.0    3.2     10     28     64
+    transient (MB)  0.1    0.3    1.1    3.0    8.3     19
 
 while one call saves about 10 / 16 / 40 us at n = 3 / 4 / 5.  Past n = 5 the
-comprehension stays: a CLI process evaluates one point, and the compile would
+comprehension stays: a CLI process evaluates one point, and the build would
 outweigh the saving of one call many times over.
 
 A point whose every stored value and local trace has imaginary part exactly 0
 (the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
-both evaluators and type 3 read ``_real_view``, the real parts.  With zero imaginary
+every relation reads ``_real_view``, the real parts.  With zero imaginary
 parts complex ``+``, ``-`` and ``*`` compute the float result in the real part
 (the cross terms are +/-0) and ``abs`` is ``hypot(re, 0) = |re|``, so residuals
 are identical, and the public evaluators return ``float`` there; only the sign
@@ -73,7 +68,7 @@ from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
-from .sl2 import _STRAIGHT_N, _compiled, _record, four_trace_reduction
+from .sl2 import _STRAIGHT_N, _record, _trace, four_trace_reduction
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -88,17 +83,15 @@ def _real_view(x: TraceCoordinates) -> tuple:
     return a, pairs, triples
 
 
-def _tables(x: TraceCoordinates) -> tuple:
-    """The per-point tables ``(z, sv, view)``, built from ``view = _real_view(x)``.
+def _tables(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, list]:
+    """The per-point tables ``(z, sv)`` at tuple size n from the maps of ``_real_view``.
 
     ``z`` is the symmetric (n+1) x (n+1) list of lists of z entries, a_i^2/2 - 2
     on the diagonal and x_ij - a_i a_j / 2 off it, row and column 0 padding.
     ``sv`` lists s3(t) for every ascending triple t, in lexicographic order.
     """
-    n = x.n
-    view = a, pairs, triples = _real_view(x)
     # Both halves of z are computed, each entry by the formula above, so the
-    # kernel reproduces the from-definition values bit for bit.
+    # values match the from-definition ones bit for bit.
     z = [[0.0] * (n + 1)]
     for i in range(1, n + 1):
         z.append([0.0] + [
@@ -114,7 +107,7 @@ def _tables(x: TraceCoordinates) -> tuple:
             - a[i3] * a[i2] * a[i1]
             - 2.0 * triples[t]
         )
-    return z, sv, view
+    return z, sv
 
 
 @lru_cache(maxsize=None)
@@ -172,58 +165,20 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
 
 @lru_cache(maxsize=None)
 def _kernel(n: int):
-    """``kernel(a, pairs, triples) -> (type1, type2)`` at tuple size n, for 3 <= n <=
-    ``_STRAIGHT_N``: ``_comprehension`` written out from the plan ``_layout(n)`` as
-    one straight-line function and compiled once.  Every stored value, z entry, s3
-    value, doubled first-row entry and row-pair minor it reads is a local, computed
-    by the expression of ``_tables`` or ``_comprehension`` in its operand order, so
-    the values are identical; the source holds only names and the plan's indices."""
+    """``kernel(a, pairs, triples) -> (type1, type2)``: ``_comprehension`` traced at size n."""
     if not 3 <= n <= _STRAIGHT_N:
         raise ValueError(f"the straight-line kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    col_pairs, rows, cols, quads = _layout(n)
     idx = range(1, n + 1)
-    triples = list(combinations(idx, 3))
-    s = ["s%d_%d_%d" % t for t in triples]
-    used = set()  # the z, doubled and minor locals some value reads
-
-    def ref(name: str) -> str:
-        used.add(name)
-        return name
-
-    v1 = []
-    for i0, i1, i2, pos in rows:
-        d, m = f"d{i0}_%d", f"m{i1}_{i2}_%d_%d"
-        v1 += [f"{s[pos]} * {s_b} + ({ref(d % b0)} * {ref(m % col_pairs[k12])}"
-               f" - {ref(d % b1)} * {ref(m % col_pairs[k02])}"
-               f" + {ref(d % b2)} * {ref(m % col_pairs[k01])})"
-               for (b0, b1, b2, k12, k02, k01), s_b in zip(cols[pos:], s[pos:])]
-    v2 = [f"{ref(f'z{i}_{p0}')} * {s[k0]} - {ref(f'z{i}_{p1}')} * {s[k1]}"
-          f" + {ref(f'z{i}_{p2}')} * {s[k2]} - {ref(f'z{i}_{p3}')} * {s[k3]}"
-          for i in idx for p0, p1, p2, p3, k0, k1, k2, k3 in quads]
-    minors = [f"m{i1}_{i2}_{c}_{d} = {ref(f'z{i1}_{c}')} * {ref(f'z{i2}_{d}')}"
-              f" - {ref(f'z{i1}_{d}')} * {ref(f'z{i2}_{c}')}"
-              for i1, i2 in combinations(range(2, n + 1), 2) for c, d in col_pairs
-              if f"m{i1}_{i2}_{c}_{d}" in used]
-    doubled = [f"d{i}_{j} = 2.0 * {ref(f'z{i}_{j}')}"
-               for i in range(1, n - 1) for j in idx if f"d{i}_{j}" in used]
-    z = [f"z{i}_{j} = " + (f"0.5 * a{i} * a{i} - 2.0" if i == j else
-                           f"x{min(i, j)}_{max(i, j)} - 0.5 * a{i} * a{j}")
-         for i in idx for j in idx if f"z{i}_{j}" in used]
-    body = [*(f"a{i} = a[{i}]" for i in idx),
-            *(f"x{i}_{j} = pairs[{i}, {j}]" for i, j in col_pairs),
-            *("t%d_%d_%d = triples[%d, %d, %d]" % (t + t) for t in triples),
-            *(f"{name} = a{i1} * x{i2}_{i3} + a{i2} * x{i1}_{i3} + a{i3} * x{i1}_{i2}"
-              f" - a{i3} * a{i2} * a{i1} - 2.0 * t{i1}_{i2}_{i3}"
-              for name, (i1, i2, i3) in zip(s, triples)),
-            *z, *doubled, *minors,
-            "return [%s], [%s]" % (", ".join(v1), ", ".join(v2))]
-    return _compiled(f"relations kernel n={n}", "a, pairs, triples", body)
+    return _trace(f"relations kernel n={n}", lambda *view: _comprehension(n, *view),
+                  a=(0,) * (n + 2), pairs=dict.fromkeys(combinations(idx, 2)),
+                  triples=dict.fromkeys(combinations(idx, 3)))
 
 
-def _comprehension(n: int, z: list, sv: list) -> tuple[list, list]:
-    """``(type1, type2)`` at tuple size n from the ``z`` and ``sv`` of ``_tables``:
-    the kernel of ``_values`` past ``_STRAIGHT_N``, one comprehension per row."""
+def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, list]:
+    """``(type1, type2)`` at tuple size n on the maps of ``_real_view``, from the ``z``
+    and ``sv`` of ``_tables``, one comprehension per row."""
     col_pairs, rows, cols, quads = _layout(n)
+    z, sv = _tables(n, a, pairs, triples)
     z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
     minors = {}  # per row pair, its 2x2 minors ra[c] rb[d] - ra[d] rb[c], one per (c, d)
     for i1, i2 in combinations(range(2, n + 1), 2):
@@ -253,12 +208,8 @@ def _values(x: TraceCoordinates) -> tuple:
     if values is not None:
         return values
     n = x.n
-    if n <= _STRAIGHT_N:
-        view = a, pairs, triples = _real_view(x)
-        v1, v2 = _kernel(n)(*view)
-    else:
-        z, sv, (a, pairs, triples) = _tables(x)
-        v1, v2 = _comprehension(n, z, sv)
+    view = a, pairs, triples = _real_view(x)
+    v1, v2 = _kernel(n)(*view) if n <= _STRAIGHT_N else _comprehension(n, *view)
     v3 = None if n == 3 else _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
     values = x._cache["values"] = (v1, v2, v3)
     return values

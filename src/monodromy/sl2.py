@@ -8,6 +8,12 @@ go through the adjugate, which is the exact inverse of a determinant-1 matrix
 and therefore keeps unimodularity residuals tight.  ``Tolerance`` is the one
 positive finite number ``abs`` that every gate of the package reads: each gate
 compares its residual with ``abs`` times its own scale.
+
+Up to n = ``_STRAIGHT_N`` (5) the loops of ``coords._traces``, the relation pass and
+the rebuild run traced: ``_trace`` runs a loop once on ``_Sym`` values, which record
+each ``+ - * /``, unary minus and ``abs`` with its operands in order, and compiles its
+live steps as one straight-line function, parenthesized as precedence and association
+need, so each value is the loop's, bit for bit; ``_finite`` becomes ``return None``.
 """
 
 from __future__ import annotations
@@ -25,16 +31,96 @@ def _record(name: str, fields: str, defaults=None) -> type:
     return base
 
 
-_STRAIGHT_N = 5  # the largest n with generated kernels (costs: coords, relations, reconstruction)
+_STRAIGHT_N = 5  # the largest n with traced kernels (costs: coords, relations, reconstruction)
 
 
-def _compiled(name: str, params: str, lines: list[str], **names):
-    """``kernel(params)`` with the body ``lines``, compiled as ``<name>`` with the
-    globals ``names``."""
-    source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = dict(names)
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace["kernel"]
+class _Sym:
+    """A value traced into ``steps``: ``op`` (source form, precedence, each operand's) on
+    ``args``, an input's form its read; the emitter sets ``reads`` and ``text``."""
+
+    __slots__ = ("op", "args", "steps", "reads", "text")
+
+    def __init__(self, op, args, steps: list) -> None:
+        self.op, self.args, self.steps, self.reads = op, args, steps, 0
+        steps.append(self)
+
+    def _ops(sign: str, q: int) -> tuple:  # a left-associative operator and its reverse
+        op = "{} %s {}" % sign, q, (q, q + 1)
+        return (lambda s, o: _Sym(op, (s, o), s.steps)), (lambda s, o: _Sym(op, (o, s), s.steps))
+
+    (__add__, __radd__), (__sub__, __rsub__) = _ops("+", 1), _ops("-", 1)
+    (__mul__, __rmul__), (__truediv__, __rtruediv__) = _ops("*", 2), _ops("/", 2)
+    __neg__ = lambda s: _Sym(("-{}", 3, (3,)), (s,), s.steps)
+    __abs__ = lambda s: _Sym(("abs({})", 4, (0,)), (s,), s.steps)
+    del _ops
+
+
+def _finite(values: list) -> bool:
+    """``all(map(cmath.isfinite, values))``; in a trace True, recording the statement
+    ``if not all(map(isfinite, values)): return None``."""
+    try:
+        return all(map(cmath.isfinite, values))
+    except TypeError:  # a traced value
+        steps = next(v.steps for v in values if isinstance(v, _Sym))
+        _Sym(("if not all(map(isfinite, {})): return None", None, (0,)), (values,), steps).reads = 1
+        return True
+
+
+def _trace(name: str, fn, **params):
+    """``kernel(*params)`` compiled as ``<name>``: ``fn`` run once on ``params`` templates,
+    each leaf an input read at its index, and its live steps written out in order: a
+    statement (precedence None) as is, a value read twice as a local, others inlined."""
+    steps, names, body = [], {"isfinite": cmath.isfinite, "new": tuple.__new__}, []
+
+    def parts(o):  # the (key, value) pairs of a tuple, list or dict; None for a value
+        return (o.items() if isinstance(o, dict) else
+                enumerate(o) if isinstance(o, (tuple, list)) else None)
+
+    def symbolic(v, read: str):  # a tuple key k is read as [k0, k1, ...]
+        if parts(v) is None:
+            return _Sym((read, 4, ()), (), steps)
+        got = {k: symbolic(u, f"{read}[{repr(k).strip('()')}]") for k, u in parts(v)}
+        return got if isinstance(v, dict) else tuple(got.values())
+
+    def src(v, p: int) -> str:  # v read at precedence p; a tuple subclass as new(cls, (...))
+        if isinstance(v, _Sym) or parts(v) is None:
+            text, q = v.text if isinstance(v, _Sym) else (repr(v), 4)
+            return f"({text})" if q < p else text
+        cls = names[type(v).__name__] = type(v)
+        form = {dict: "{%s}", list: "[%s]", tuple: "(%s)"}.get(cls, f"new({cls.__name__}, (%s))")
+        return form % "".join((f"{k!r}: " if cls is dict else "") + src(u, 0) + ", "
+                              for k, u in parts(v))
+
+    def unpack(v) -> str:  # the target unpacking a tuple input; "_" for a leaf never read
+        if isinstance(v, tuple):
+            return "(%s)" % "".join(unpack(u) + ", " for u in v)
+        v.op = (f"v{steps.index(v)}", 4, ()) if v.reads else v.op
+        return v.op[0] if v.reads else "_"
+
+    inputs = [symbolic(v, k) for k, v in params.items()]
+    _Sym(("return {}", None, (0,)), (fn(*inputs),), steps).reads = 1
+    for s in reversed(steps):  # readers follow what they read: each count is final here
+        args = list(s.args) if s.reads else []  # a dead step reads nothing
+        while args:
+            u = args.pop()
+            if isinstance(u, _Sym):
+                u.reads += 1
+            else:
+                args += [w for _, w in parts(u) or ()]
+    body += [f"{unpack(v)} = {k}" for k, v in zip(params, inputs) if isinstance(v, tuple)]
+    for i, s in enumerate(steps):
+        if not s.reads:
+            continue
+        form, q, ps = s.op
+        s.text = form.format(*map(src, s.args, ps)), q
+        if q is None:  # a statement
+            body.append(s.text[0])
+        elif s.reads > 1 and not s.text[0].isidentifier():  # a local or scalar parameter is one
+            body.append(f"v{i} = {s.text[0]}")
+            s.text = f"v{i}", 4
+    source = f"def kernel({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<{name}>", "exec"), names)
+    return names["kernel"]
 
 
 class Tolerance(_record("Tolerance", "abs")):

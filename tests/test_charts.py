@@ -272,6 +272,8 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
             return fn(*args)
         return wrapper
 
+    if n <= relations._STRAIGHT_N:
+        relations._kernel(n)  # built first: tracing it runs _tables on symbolic values
     monkeypatch.setattr(charts, "_chart_values", counted("charts", charts._chart_values))
     kernel = relations._kernel
     monkeypatch.setattr(relations, "_kernel", lambda n: counted("kernel", kernel(n)))

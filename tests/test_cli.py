@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -553,6 +554,18 @@ def test_admissibility_threshold_saturates(tmp_path, capsys):
     assert run("classify", path) == EXIT_RESIDUAL
     assert capsys.readouterr().err == (
         "error: chart (1,3,2): the rebuilt tuple misses the point by 1.9e+140 > 1e-09\n")
+
+
+def test_inadmissible_chart_modulus_saturates(tmp_path, capsys):
+    # x_21 = 1.19e77 e^(i pi/16): |x_21|^4 overflows, so the threshold reads inf, and p
+    # has finite parts but a modulus past 1.8e308, which the message saturates to inf
+    obj = _coords_with("pairs", "21", 0.0)
+    obj["pairs"]["21"] = [1.19e77 * math.cos(math.pi / 16), 1.19e77 * math.sin(math.pi / 16)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert run("reconstruct", path, "--chart", "1,2,base", "-o", tmp_path / "out.json") == EXIT_NO_CHART
+    assert capsys.readouterr().err == (
+        "chart (1,2,base) unusable: chart (1,2,base): |p| = inf is out of range\n")
 
 
 # Standing defects of ROADMAP's open items: each test asserts the right exit code and

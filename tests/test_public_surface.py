@@ -62,17 +62,18 @@ def test_readme_quickstart_runs():
 def test_no_unused_imports_or_private_functions():
     # No linter runs in CI, so deletions are checked for the debris they leave:
     # an import no longer used in its module, or a private module-level
-    # function nothing in the package references.  The root module's imports
-    # are its exports, pinned above.
+    # function, class or assigned name nothing in the package reads.  The root
+    # module's imports are its exports, pinned above.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((REPO / "src" / "monodromy").glob("*.py"))
     }
 
-    def names(tree, kinds=(ast.Name,)):
+    def names(tree, kinds=(ast.Name,)):  # the names read, not those assigned
         return {
             node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, kinds)
+            for node in ast.walk(tree)
+            if isinstance(node, kinds) and not isinstance(node.ctx, ast.Store)
         }
 
     referenced = set().union(*(names(t, (ast.Name, ast.Attribute)) for t in trees.values()))
@@ -88,9 +89,16 @@ def test_no_unused_imports_or_private_functions():
                     if bound not in used:
                         debris.append(f"{module}: unused import {bound}")
         for node in tree.body:
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__") and node.name not in referenced):
-                debris.append(f"{module}: unreferenced private function {node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__") and name not in referenced:
+                    debris.append(f"{module}: unreferenced private name {name}")
     assert debris == []
 
 

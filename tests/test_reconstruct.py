@@ -458,12 +458,22 @@ def test_rebuild_kernel_only_for_n_3_to_straight_n():
 
 @pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
 def test_rebuild_kernel_source_holds_no_point_data(n):
-    # names, the plan's indices and the normal form's own 1.0 and 4.0, nothing else
+    # names, the plan's indices and the float literals of the functions traced, nothing else
+    def floats(code):
+        for c in const_leaves(code.co_consts):
+            if hasattr(c, "co_consts"):  # a nested function or comprehension
+                yield from floats(c)
+            elif isinstance(c, float):
+                yield c
+
+    traced = (reconstruction._rebuild, four_trace_reduction, opposite_rotation)
+    literals = {c for f in traced for c in floats(f.__code__)}
+    assert literals == {0.5, 1.0, 4.0}
     x = phi(su2(n, 0))
     for e in classify_charts(x).entries:
-        consts = list(const_leaves(reconstruction._rebuild_kernel(n, e.chart).__code__.co_consts))
-        assert set(map(type, consts)) <= {int, str, float, type(None)}
-        assert {c for c in consts if isinstance(c, float)} == {1.0, 4.0}
+        code = reconstruction._rebuild_kernel(n, e.chart).__code__
+        assert set(map(type, const_leaves(code.co_consts))) <= {int, str, float, type(None)}
+        assert set(floats(code)) <= literals
 
 
 def test_rebuild_loop_reads_the_plan(monkeypatch):

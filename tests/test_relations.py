@@ -35,9 +35,14 @@ from conftest import (
 )
 
 
+def tables(x):
+    """``(z, sv)``: the kernel's ``_tables`` on x's ``_real_view``."""
+    return relations._tables(x.n, *relations._real_view(x))
+
+
 def s3_table(x):
     """{ascending triple: s3} from the kernel's ``_tables``."""
-    return dict(zip(combinations(range(1, x.n + 1), 3), relations._tables(x)[1]))
+    return dict(zip(combinations(range(1, x.n + 1), 3), tables(x)[1]))
 
 
 def word_trace(x, word):
@@ -102,7 +107,7 @@ def test_s3_requires_ascending():
 
 
 def test_z_entry_values(fixture_coords):
-    z = relations._tables(fixture_coords)[0]
+    z = tables(fixture_coords)[0]
     assert z[1][1] == -2.0  # a_1 = 0
     assert z[3][3] == 0.5 * 9 - 2
     assert z[1][2] == -2.5  # x_21 - 0
@@ -111,7 +116,7 @@ def test_z_entry_values(fixture_coords):
 
 def test_z_entry_diag_identity():
     x = phi(identity_rep(4))
-    assert relations._tables(x)[0][2][2] == 0.0
+    assert tables(x)[0][2][2] == 0.0
 
 
 def test_type1_n3_cubic_on_fixture(fixture_coords):
@@ -319,7 +324,7 @@ def test_kernel_bit_identical_to_definition(n, family):
         assert type1(x, ta, tb) == oracle_type1(x, ta, tb)
     for i, quad in type2_terms(n):
         assert type2(x, i, quad) == oracle_type2(x, i, quad)
-    z, sv, _ = relations._tables(x)
+    z, sv = tables(x)
     assert sv == [oracle_s3(x, *t) for t in combinations(range(1, n + 1), 3)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -430,7 +435,7 @@ def test_membership_max_is_nan_when_any_residual_is():
 
 def test_real_view_only_on_exactly_real_points():
     x = phi(FAMILIES["su2"](5, 11))
-    z, sv, _ = relations._tables(x)
+    z, sv = tables(x)
     assert {type(v) for row in z for v in row} == {type(v) for v in sv} == {float}
     assert type(type1(x, (1, 2, 3), (2, 3, 4))) is type(type2(x, 1, (2, 3, 4, 5))) is float
     assert type(type3(x)) is float
@@ -438,7 +443,7 @@ def test_real_view_only_on_exactly_real_points():
     pairs[(2, 4)] += 1e-30j  # one imaginary part off zero keeps every table complex
     y = TraceCoordinates(x.local, pairs, dict(x.triples))
     assert relations._real_view(y) == ((0.0,) + y.local.a, y.pairs, y.triples)
-    z, sv, _ = relations._tables(y)
+    z, sv = tables(y)
     assert type(z[2][4]) is type(z[1][1]) is complex
     assert {type(v) for v in sv} == {complex}
     assert membership(y).max > 0.0

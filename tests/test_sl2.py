@@ -1,3 +1,5 @@
+from math import inf, nan
+
 import pytest
 
 from monodromy import (
@@ -8,7 +10,14 @@ from monodromy import (
     close_tuple,
 )
 from monodromy.samplers import SplitMix64, random_unimodular
-from monodromy.sl2 import IDENTITY, check_unimodular, four_trace_reduction, max_entry_diff
+from monodromy.sl2 import (
+    IDENTITY,
+    _finite,
+    _trace,
+    check_unimodular,
+    four_trace_reduction,
+    max_entry_diff,
+)
 
 from conftest import omat, omul, otr
 
@@ -157,3 +166,53 @@ def test_four_trace_seeded_quadruples():
         traces, direct = _traces_of(quad)
         got = four_trace_reduction(**traces)
         assert abs(got - direct) <= 1e-9 * (1.0 + abs(direct))
+
+
+# Traced kernels: each case with a wrong bracketing of it whose bits differ at one of
+# TRACED_POINTS (rounding, or the signed zeros of complex arithmetic)
+TRACED_CASES = [
+    (lambda a, b, c: a - (b - c), lambda a, b, c: a - b - c),
+    (lambda a, b, c: a + (b + c), lambda a, b, c: a + b + c),
+    (lambda a, b, c: -(a * b), lambda a, b, c: -a * b),
+    (lambda a, b, c: -a * b, lambda a, b, c: -(a * b)),
+    (lambda a, b, c: a * -b, lambda a, b, c: -(a * b)),
+    (lambda a, b, c: a / (b * c), lambda a, b, c: a / b * c),
+    (lambda a, b, c: a * (b * c), lambda a, b, c: a * b * c),
+    (lambda a, b, c: 2.0 - a, lambda a, b, c: a - 2.0),  # a constant on the left
+    (lambda a, b, c: -0.0 - a * b, lambda a, b, c: 0.0 - a * b),  # a negative constant
+    (lambda a, b, c: abs(a - b) * c, lambda a, b, c: abs(a - b * c)),
+]
+TRACED_POINTS = [(0.1, 0.2, 0.3), (0j, 1 + 1j, 0.5), (-1.5, 2j, 1e-300)]
+
+
+@pytest.mark.parametrize("case, wrong", TRACED_CASES)
+def test_trace_keeps_operand_order_association_and_precedence(case, wrong):
+    kernel = _trace("case", case, a=0, b=0, c=0)
+    for point in TRACED_POINTS:
+        assert repr(kernel(*point)) == repr(case(*point))
+    assert any(repr(case(*point)) != repr(wrong(*point)) for point in TRACED_POINTS)
+
+
+def test_traced_guard_returns_none_on_a_non_finite_value():
+    kernel = _trace("guard", lambda a: _finite([a[0] * 2.0]) and (1.0 / a[1],), a=(0, 0))
+    assert kernel((1.0, 4.0)) == (0.25,)
+    for bad in (inf, nan, 1e308, complex(1.0, inf)):
+        assert kernel((bad, 0.0)) is None  # returned before the division by zero
+    assert _finite([1.0, 2j]) and not _finite([1.0, nan])
+
+
+def test_trace_reads_only_live_inputs():
+    reads = []
+
+    class Probe(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+    def fn(p, s, unused):
+        p[1, 3] * p[1, 3] * s  # a dead step
+        return p[1, 2] * p[1, 2] + s
+
+    kernel = _trace("reads", fn, p=dict.fromkeys([(1, 2), (1, 3)]), s=0, unused=0)
+    assert kernel(Probe({(1, 2): 3.0, (1, 3): 5.0}), 1.0, None) == 10.0
+    assert reads == [(1, 2)]  # read once into a local; (1, 3) feeds only a dead step
