@@ -22,12 +22,10 @@ indexes that map, and ``_triple_key`` says which words rotate into the stored on
 Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
 check indices, then read the unchecked cores ``_pair`` and ``_triple``; the chart
 table and the rebuild's per-chart plan read the stored keys ``_triple_key`` names.
-``_traces`` computes a tuple's product entries, local traces, pairs and triples by
-``_trace_loop`` (traced as ``_trace_kernel(n)`` up to n = ``_STRAIGHT_N``, 5), then
-makes one finiteness pass; when it fails it runs the checked path in its order
-(product entries, ``LocalData``, coordinates), which names the first bad value.  At
-n = 3 / 4 / 5 the kernel saves 1.5 / 2.4 / 3.4 us a call and is built in 0.4 / 0.7 /
-1.1 ms (2-vCPU Xeon VM).  ``phi`` builds ``LocalData`` and the point unchecked.
+``_traces`` (traced at small n, as ``sl2._straight`` decides) computes a tuple's product
+entries, local traces, pairs and triples, then makes one finiteness pass; when it fails
+it runs the checked path in its order (product entries, ``LocalData``, coordinates),
+which names the first bad value.  ``phi`` builds ``LocalData`` and the point unchecked.
 """
 
 from __future__ import annotations
@@ -40,12 +38,12 @@ from types import MappingProxyType
 
 from .errors import BadIndex
 from .sl2 import (
-    _STRAIGHT_N,
     DEFAULT_TOL,
     Mat2,
     Tolerance,
+    _finite,
     _record,
-    _trace,
+    _straight,
     check_unimodular,
     four_trace_reduction,
 )
@@ -223,10 +221,11 @@ class TraceCoordinates:
         return max(map(abs, chain(self.local.a, self.pairs.values(), self.triples.values())))
 
 
-def _trace_loop(mats: tuple, last: tuple) -> tuple:
-    """``(prods, a, pairs, triples)`` from entry tuples: each plan pair's product entries,
-    the local traces and the stored maps, rounded as ``Mat2.__matmul__`` and ``.trace``."""
-    pair_keys, triple_reads, _, _ = _phi_plan(len(mats))
+@_straight(1)
+def _traces(n: int, mats: tuple, last: Mat2) -> tuple[tuple, dict, dict]:
+    """``(a, pairs, triples)`` of the size-n tuple (mats, last) from its entries, rounded as
+    ``Mat2.__matmul__`` and ``.trace`` round them, checked by one pass (module docstring)."""
+    pair_keys, triple_reads, _, _ = _phi_plan(n)
     prods = []
     for i, j in pair_keys:
         a11, a12, a21, a22 = mats[j - 1]
@@ -241,29 +240,10 @@ def _trace_loop(mats: tuple, last: tuple) -> tuple:
         p11, p12, p21, p22 = prods[s]
         q11, q12, q21, q22 = mats[i]
         triples[key] = (p11 * q11 + p12 * q21) + (p21 * q12 + p22 * q22)
-    return tuple(prods), a, pairs, triples
-
-
-@lru_cache(maxsize=None)
-def _trace_kernel(n: int):
-    """``kernel(mats, last)``: ``_trace_loop`` traced at size n, for 3 <= n <= ``_STRAIGHT_N``."""
-    if not 3 <= n <= _STRAIGHT_N:
-        raise ValueError(f"the straight-line trace kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    return _trace(f"trace kernel n={n}", _trace_loop, mats=((0,) * 4,) * n, last=(0,) * 4)
-
-
-def _traces(rep: Representation) -> tuple[tuple, dict, dict]:
-    """``(a, pairs, triples)`` of a tuple: its local traces and stored coordinate maps,
-    checked by one finiteness pass (module docstring)."""
-    mats, last = rep
-    n = len(mats)
-    kernel = _trace_kernel(n) if 3 <= n <= _STRAIGHT_N else _trace_loop
-    prods, a, pairs, triples = kernel(mats, last)
-    values = chain(chain.from_iterable(prods), a, pairs.values(), triples.values())
-    if n < 3 or not all(map(cmath.isfinite, values)):
+    if n < 3 or not _finite([*chain.from_iterable(prods), *a, *pairs.values(), *triples.values()]):
         for p in prods:  # the checked path, in its order; one of its checks raises
             Mat2(*p)
-        TraceCoordinates(rep.local(), pairs, triples)
+        TraceCoordinates(LocalData(a), pairs, triples)
     return a, pairs, triples
 
 
@@ -274,7 +254,7 @@ def phi(rep: Representation) -> TraceCoordinates:
     from the entry tuples, rounded as ``Mat2.__matmul__`` and ``Mat2.trace``
     round it, and the point is built unchecked from ``_traces`` (module docstring).
     """
-    a, pairs, triples = _traces(rep)
+    a, pairs, triples = _traces(len(rep.mats), *rep)
     x = object.__new__(TraceCoordinates)
     x._fill(tuple.__new__(LocalData, (a,)), pairs, triples)  # the plan's keys, checked values
     return x

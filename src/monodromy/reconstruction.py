@@ -21,10 +21,8 @@ per (n, chart) by ``_rebuild_plan``: each matrix's pair keys and its triple
 keys, with the operands of ``coords.opposite_rotation`` where the word does
 not rotate into the stored one.  The four-factor traces are
 ``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` has them.
-The loop ``_rebuild`` reads that plan, traced as ``_rebuild_kernel(n, chart)`` for
-3 <= n <= ``_STRAIGHT_N`` (5; built in 0.7-1.4 ms on a 2-vCPU Xeon VM, a call 25-30%
-faster; past n = 5 charts grow like n^3/2).  Where the kernel's finiteness pass fails
-it returns None and the loop reruns, whose ``Mat2`` names the first bad entry.
+The loop ``_rebuild`` reads that plan, traced per chart at small n as ``sl2._straight``
+decides; where its finiteness pass fails, ``Mat2`` names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 
 from .charts import ChartId, require_admissible
 from .coords import (
@@ -59,13 +57,12 @@ from .coords import (
 )
 from .errors import DegenerateEigenvalues
 from .sl2 import (
-    _STRAIGHT_N,
     DEFAULT_TOL,
     Mat2,
     Tolerance,
     _finite,
     _record,
-    _trace,
+    _straight,
     four_trace_reduction,
 )
 
@@ -161,6 +158,7 @@ def _rebuild_plan(n: int, chart: ChartId) -> tuple:
     return (word(k, j, i0), pair(k, i0), pair(j, i0)) if i0 else None, tuple(rows)
 
 
+@_straight(2)
 def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps: complex,
              r: complex, lp: complex, lm: complex) -> tuple[Representation, tuple, tuple]:
     """``(rep, trace, det)`` of the rebuild on ``chart`` from the local traces ``a``, the
@@ -222,19 +220,6 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
             tuple([abs(m11 * m22 - m12 * m21 - 1.0) for m11, m12, m21, m22 in closed]))
 
 
-@lru_cache(maxsize=None)
-def _rebuild_kernel(n: int, chart: ChartId):
-    """``kernel(a, pairs, triples, xkj, ps, r, lp, lm)``: ``_rebuild`` on ``chart`` traced
-    at size n, for 3 <= n <= ``_STRAIGHT_N``; it returns None where the loop would raise."""
-    if not 3 <= n <= _STRAIGHT_N:
-        raise ValueError(f"the straight-line rebuild kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    idx = range(1, n + 1)
-    return _trace(f"rebuild kernel n={n} chart={chart.label()}",
-                  lambda *args: _rebuild(n, chart, *args), a=(0,) * (n + 1),
-                  pairs=dict.fromkeys(combinations(idx, 2)),
-                  triples=dict.fromkeys(combinations(idx, 3)), xkj=0, ps=0, r=0, lp=0, lm=0)
-
-
 def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS,
                 tol: Tolerance = DEFAULT_TOL) -> ReconstructionResult:
     """The tuple rebuilt from x on ``chart`` by the normal form of its kind
@@ -252,9 +237,8 @@ def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS
     ps = require_admissible(x, chart, tol).psi
     n, pairs = x.n, x.pairs
     xkj = _pair(pairs, chart.k, chart.j)
-    args = (x.local.a, pairs, x._triples, xkj, ps, *lambdas(xkj, branch, tol))
-    built = _rebuild_kernel(n, chart)(*args) if n <= _STRAIGHT_N else None
-    rep, trace, det = built or _rebuild(n, chart, *args)  # the loop names a non-finite entry
-    diag = Diagnostics(trace, det, _distance(x, *_traces(rep)[1:]))  # _traces raises as phi does
+    rep, trace, det = _rebuild(n, chart, x.local.a, pairs, x._triples, xkj, ps,
+                               *lambdas(xkj, branch, tol))
+    diag = Diagnostics(trace, det, _distance(x, *_traces(n, *rep)[1:]))  # raises as phi does
     result = x._cache[key] = ReconstructionResult(rep, diag)
     return result

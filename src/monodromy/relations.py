@@ -34,18 +34,7 @@ row triples share; the determinant's factor 2 rides on a doubled copy of the
 first ``z`` row (doubling is exact).
 
 Type 1 and 2 are ``_comprehension``, one comprehension per row on the ``z`` and ``s3``
-tables of ``_tables``, traced as ``_kernel(n)`` up to n = ``_STRAIGHT_N`` (5) with the
-same values of the same type.  Building the kernel grows with the relation count
-(Python 3.11, 2-vCPU Xeon VM; traced transient memory):
-
-    n                 3      4      5      6      7      8
-    relations         1     15     81    301    876   2157
-    build (ms)      0.3    1.0    3.2     10     28     64
-    transient (MB)  0.1    0.3    1.1    3.0    8.3     19
-
-while one call saves about 10 / 16 / 40 us at n = 3 / 4 / 5.  Past n = 5 the
-comprehension stays: a CLI process evaluates one point, and the build would
-outweigh the saving of one call many times over.
+tables of ``_tables``; at small n it runs traced, as ``sl2._straight`` decides.
 
 A point whose every stored value and local trace has imaginary part exactly 0
 (the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
@@ -68,7 +57,7 @@ from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
-from .sl2 import _STRAIGHT_N, _record, _trace, four_trace_reduction
+from .sl2 import _record, _straight, four_trace_reduction
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -163,17 +152,7 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
     return v[-1]
 
 
-@lru_cache(maxsize=None)
-def _kernel(n: int):
-    """``kernel(a, pairs, triples) -> (type1, type2)``: ``_comprehension`` traced at size n."""
-    if not 3 <= n <= _STRAIGHT_N:
-        raise ValueError(f"the straight-line kernel covers n = 3..{_STRAIGHT_N}, got {n}")
-    idx = range(1, n + 1)
-    return _trace(f"relations kernel n={n}", lambda *view: _comprehension(n, *view),
-                  a=(0,) * (n + 2), pairs=dict.fromkeys(combinations(idx, 2)),
-                  triples=dict.fromkeys(combinations(idx, 3)))
-
-
+@_straight(1)
 def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, list]:
     """``(type1, type2)`` at tuple size n on the maps of ``_real_view``, from the ``z``
     and ``sv`` of ``_tables``, one comprehension per row."""
@@ -199,17 +178,16 @@ def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, 
 
 
 def _values(x: TraceCoordinates) -> tuple:
-    """``(type1, type2, type3)``: the signed value of every defining relation at x,
-    type 1 and 2 as lists in enumeration order, type 3 None for n = 3.  The one
-    evaluation of the relations, memoized on x: type 1 and 2 by ``_kernel(n)`` up to
-    ``_STRAIGHT_N``, by ``_comprehension`` past it, type 3 by ``_word_trace``.
-    Indices are checked only by the public evaluators' ``_slots`` lookup, never here."""
+    """``(type1, type2, type3)``: the signed value of every defining relation at x, type 1
+    and 2 as lists in enumeration order by ``_comprehension``, type 3 by ``_word_trace``
+    (None for n = 3).  The one evaluation of the relations, memoized on x; indices are
+    checked only by the public evaluators' ``_slots`` lookup, never here."""
     values = x._cache.get("values")
     if values is not None:
         return values
     n = x.n
-    view = a, pairs, triples = _real_view(x)
-    v1, v2 = _kernel(n)(*view) if n <= _STRAIGHT_N else _comprehension(n, *view)
+    a, pairs, triples = _real_view(x)
+    v1, v2 = _comprehension(n, a, pairs, triples)
     v3 = None if n == 3 else _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
     values = x._cache["values"] = (v1, v2, v3)
     return values

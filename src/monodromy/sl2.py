@@ -9,17 +9,31 @@ and therefore keeps unimodularity residuals tight.  ``Tolerance`` is the one
 positive finite number ``abs`` that every gate of the package reads: each gate
 compares its residual with ``abs`` times its own scale.
 
-Up to n = ``_STRAIGHT_N`` (5) the loops of ``coords._traces``, the relation pass and
-the rebuild run traced: ``_trace`` runs a loop once on ``_Sym`` values, which record
-each ``+ - * /``, unary minus and ``abs`` with its operands in order, and compiles its
-live steps as one straight-line function, parenthesized as precedence and association
-need, so each value is the loop's, bit for bit; ``_finite`` becomes ``return None``.
+This module alone decides which loops run traced: ``coords._traces``,
+``relations._comprehension`` and ``reconstruction._rebuild``, decorated ``_straight``
+and called as loops.  At 3 <= n <= ``_STRAIGHT_N`` (5) the first call per static values
+traces the loop with ``_trace``: it runs once on ``_Sym`` values shaped as that call's
+arguments, which record each operation with its operands in order, and its live steps
+compile to one straight-line function, parenthesized as precedence and association need,
+so each value is the loop's, bit for bit; ``_finite`` becomes ``return None``, on which
+the loop reruns and raises.  Library workloads evaluate many points per n, so a kernel
+pays back its build, but builds grow with n (the relation kernel's like the relation
+count) and a CLI process, one point, pays each one it needs; past n = 5 the loops stay
+(Python 3.11, 2-vCPU Xeon VM, su2 points; memory is a trace's transient peak):
+
+    build ms / saving us a call   n = 3        4          5          6          8
+    trace                        0.41 / 1.8  0.80 / 2.4  1.2 / 4.7
+    rebuild, one chart           0.67 / 3.4  0.98 / 4.1  1.4 / 5.7
+    relations                    0.35 / 7.4   1.0 / 14   3.3 / 30   9.6 / 58   58 / 222
+    relations, memory (MB)       0.10         0.32        1.1        3.0        18
 """
 
 from __future__ import annotations
 
 import cmath
 from collections import namedtuple
+from collections.abc import Mapping
+from functools import update_wrapper
 
 from .errors import NotUnimodular
 
@@ -31,7 +45,7 @@ def _record(name: str, fields: str, defaults=None) -> type:
     return base
 
 
-_STRAIGHT_N = 5  # the largest n with traced kernels (costs: coords, relations, reconstruction)
+_STRAIGHT_N = 5  # the largest n with traced kernels (costs: module docstring)
 
 
 class _Sym:
@@ -72,15 +86,15 @@ def _trace(name: str, fn, **params):
     statement (precedence None) as is, a value read twice as a local, others inlined."""
     steps, names, body = [], {"isfinite": cmath.isfinite, "new": tuple.__new__}, []
 
-    def parts(o):  # the (key, value) pairs of a tuple, list or dict; None for a value
-        return (o.items() if isinstance(o, dict) else
+    def parts(o):  # the (key, value) pairs of a tuple, list or mapping; None for a value
+        return (o.items() if isinstance(o, Mapping) else
                 enumerate(o) if isinstance(o, (tuple, list)) else None)
 
     def symbolic(v, read: str):  # a tuple key k is read as [k0, k1, ...]
         if parts(v) is None:
             return _Sym((read, 4, ()), (), steps)
         got = {k: symbolic(u, f"{read}[{repr(k).strip('()')}]") for k, u in parts(v)}
-        return got if isinstance(v, dict) else tuple(got.values())
+        return got if isinstance(v, Mapping) else tuple(got.values())
 
     def src(v, p: int) -> str:  # v read at precedence p; a tuple subclass as new(cls, (...))
         if isinstance(v, _Sym) or parts(v) is None:
@@ -121,6 +135,30 @@ def _trace(name: str, fn, **params):
     source = f"def kernel({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, f"<{name}>", "exec"), names)
     return names["kernel"]
+
+
+def _straight(static: int):
+    """Decorate a loop whose first ``static`` arguments, n first, fix every step it takes:
+    at 3 <= n <= ``_STRAIGHT_N`` it runs as its kernel per static values, in ``kernels``."""
+    def decorate(loop):
+        names, kernels = loop.__code__.co_varnames[:loop.__code__.co_argcount], {}
+
+        def build(key: tuple, args: tuple):  # kernel(*args), the static ones fixed by key
+            kernels[key] = _trace(f"{loop.__name__}{key}", lambda *a: loop(*key, *a[static:]),
+                                  **dict(zip(names, (None,) * static + args[static:])))
+            return kernels[key]
+
+        def run(*args):
+            if 3 <= args[0] <= _STRAIGHT_N:
+                key = args[:static]
+                built = (kernels.get(key) or build(key, args))(*args)
+                if built is not None:
+                    return built
+            return loop(*args)
+
+        run.kernels = kernels
+        return update_wrapper(run, loop)
+    return decorate
 
 
 class Tolerance(_record("Tolerance", "abs")):

@@ -25,7 +25,7 @@ from monodromy import (
     type2,
     type3,
 )
-from monodromy import charts, coords, reconstruction, relations
+from monodromy import charts, coords, reconstruction, relations, sl2
 from monodromy.charts import chart_eval, index_set, require_admissible
 from monodromy.samplers import SplitMix64, random_unimodular
 
@@ -261,10 +261,11 @@ def test_classify_charts_memoized_per_tolerance():
 def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
     # phi -> membership -> classify_charts -> reconstruct -> classify ->
     # hermitian_form, with the public evaluators after: one chart table per
-    # tolerance and one relation pass per point: type 1 and 2 by one straight-line
-    # kernel call (n <= 5) or from one build of the z/s3 tables, type 3 by one word;
-    # one trace pass per phi call and per fresh rebuild, none on a memo hit
-    calls = {"charts": 0, "kernel": 0, "tables": 0, "words": 0, "traces": 0}
+    # tolerance and one relation pass per point: type 1 and 2 by one call of the
+    # traced loop (its straight-line kernel at n <= 5, the z/s3 tables past it),
+    # type 3 by one word; one trace pass per phi call and per fresh rebuild, and
+    # one rebuild per tolerance, none on a memo hit
+    calls = {"charts": 0, "comprehension": 0, "tables": 0, "words": 0, "traces": 0, "rebuild": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -272,16 +273,16 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
             return fn(*args)
         return wrapper
 
-    if n <= relations._STRAIGHT_N:
-        relations._kernel(n)  # built first: tracing it runs _tables on symbolic values
+    membership(phi(FAMILIES[family](n, 3)))  # kernels built first: a trace runs _tables
     monkeypatch.setattr(charts, "_chart_values", counted("charts", charts._chart_values))
-    kernel = relations._kernel
-    monkeypatch.setattr(relations, "_kernel", lambda n: counted("kernel", kernel(n)))
+    monkeypatch.setattr(relations, "_comprehension",
+                        counted("comprehension", relations._comprehension))
     monkeypatch.setattr(relations, "_tables", counted("tables", relations._tables))
     monkeypatch.setattr(relations, "_word_trace", counted("words", relations._word_trace))
     traces = counted("traces", coords._traces)
     monkeypatch.setattr(coords, "_traces", traces)
     monkeypatch.setattr(reconstruction, "_traces", traces)
+    monkeypatch.setattr(reconstruction, "_rebuild", counted("rebuild", reconstruction._rebuild))
     x = phi(FAMILIES[family](n, 2))
     tols = (DEFAULT_TOL, Tolerance(1e-3))
     for tol in tols:
@@ -295,9 +296,8 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
         type1(x, (1, 2, 3), (n - 2, n - 1, n))
         type2(x, 1, (n - 3, n - 2, n - 1, n))
         type3(x)
-    relation_pass = "kernel" if n <= relations._STRAIGHT_N else "tables"
-    assert calls == {"charts": len(tols), "kernel": 0, "tables": 0, "words": 1, relation_pass: 1,
-                     "traces": 1 + len(tols)}
+    assert calls == {"charts": len(tols), "comprehension": 1, "tables": int(n > sl2._STRAIGHT_N),
+                     "words": 1, "traces": 1 + len(tols), "rebuild": len(tols)}
 
 
 @pytest.mark.parametrize("family", ["su2", "generic"])

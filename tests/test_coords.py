@@ -15,7 +15,7 @@ from monodromy import (
     quad_trace,
     triple_trace,
 )
-from monodromy import coords
+from monodromy import coords, sl2
 from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, four_trace_reduction
 
@@ -263,32 +263,24 @@ def _records(a, pairs, triples):
     return repr((a, pairs, triples)), [type(v) for v in values]
 
 
-@pytest.mark.parametrize("n", range(3, coords._STRAIGHT_N + 1))
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_trace_kernel_identical_to_loop(n, monkeypatch):
-    pair_keys = list(combinations(range(1, n + 1), 2))
+    # the kernel returns no product entries; their rounding is pinned by
+    # test_phi_triples_equal_matrix_product_traces and the overflow-order tests below
     for sampler, bound, seed in product((su2, su11, generic), (4.0, 16.0), range(4)):
         rep = sampler(n, seed, entry_bound=bound)
-        prods, *got = coords._trace_kernel(n)(*rep)
+        got = coords._traces(n, *rep)
         with monkeypatch.context() as m:
-            m.setattr(coords, "_STRAIGHT_N", 2)  # every n through the loop of _traces
-            want = coords._traces(rep)
+            m.setattr(sl2, "_STRAIGHT_N", 2)  # every n through the loop of _traces
+            want = coords._traces(n, *rep)
         assert _records(*got) == _records(*want)
-        mats = rep.mats
-        assert repr(prods) == repr(tuple(tuple(mats[j - 1] @ mats[i - 1]) for i, j in pair_keys))
+    assert (n,) in coords._traces.kernels
 
 
-def test_trace_kernel_only_for_n_3_to_straight_n():
-    cached = coords._trace_kernel.cache_info().currsize
-    for n in (2, coords._STRAIGHT_N + 1, 9):
-        with pytest.raises(ValueError):
-            coords._trace_kernel(n)
-    for n in range(6, 10):
-        phi(generic(n, seed=700))
-    assert coords._trace_kernel.cache_info().currsize == cached
-
-
-@pytest.mark.parametrize("n", range(3, coords._STRAIGHT_N + 1))
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_trace_kernel_source_holds_no_point_data(n):
     # only names and the plan's indices: the key tuples fold into int constants
-    consts = set(map(type, const_leaves(coords._trace_kernel(n).__code__.co_consts)))
+    coords._traces.kernels.clear()
+    phi(generic(n, 0))  # traced from a point of complex entries
+    consts = set(map(type, const_leaves(coords._traces.kernels[(n,)].__code__.co_consts)))
     assert consts <= {int, str, type(None)}

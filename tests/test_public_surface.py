@@ -2,10 +2,12 @@
 quickstart runs as written."""
 
 import ast
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -110,3 +112,37 @@ def test_root_reconstruct_is_the_function_after_its_module_loads():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["monodromy.reconstruction", "True"]
+
+
+def _private_names(text: str, span: str) -> set:
+    """The private identifiers (``_name``, not dunders) inside ``span``-quoted spans."""
+    spans = re.findall(f"{span}(.+?){span}", text, re.S)
+    return {name for s in spans for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", s)}
+
+
+def test_docs_name_no_stale_private_names():
+    # a private name quoted in a src docstring or comment, or in the README, must be
+    # one that src code defines or reads (namedtuple's _make and _replace aside)
+    sources = [path.read_text(encoding="utf-8") for path in (REPO / "src").rglob("*.py")]
+    known = {"_make", "_replace"}
+    quoted = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            known.add(
+                node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.arg if isinstance(node, ast.arg) else
+                node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                node.asname or node.name if isinstance(node, ast.alias) else
+                node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier() else None)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                quoted |= _private_names(ast.get_docstring(node, clean=False) or "", "``")
+        comments = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                    if t.type == tokenize.COMMENT]
+        quoted |= _private_names("\n".join(comments), "``")
+    readme = re.sub(r"```.*?```", "", (REPO / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    quoted |= _private_names(readme, "`")
+    assert {"_traces", "_STRAIGHT_N"} <= quoted  # the scan finds the quoted names
+    assert sorted(quoted - known) == []

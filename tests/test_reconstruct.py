@@ -27,7 +27,7 @@ from monodromy import (
     reconstruct,
     triple_trace,
 )
-from monodromy import reconstruction
+from monodromy import reconstruction, sl2
 from monodromy.cli import coords_from_obj, coords_to_obj
 from monodromy.coords import _pair, _triple, opposite_rotation
 from monodromy.reconstruction import lambdas
@@ -425,7 +425,7 @@ def _overflow_points(n):
     return points
 
 
-@pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_rebuild_kernel_identical_to_loop(n, monkeypatch):
     # every admissible chart and both branches, on the sampler grid (4608 rebuilds
     # over n = 3..5, every chart admissible) and on points whose rebuilds overflow,
@@ -437,7 +437,7 @@ def test_rebuild_kernel_identical_to_loop(n, monkeypatch):
         for chart, branch in product(classify_charts(x).admissible(), (PLUS, MINUS)):
             got = _rebuild_record(x, chart, branch)
             with monkeypatch.context() as m:
-                m.setattr(reconstruction, "_STRAIGHT_N", 2)  # every n through the loop
+                m.setattr(sl2, "_STRAIGHT_N", 2)  # every n through the loop
                 assert _rebuild_record(x, chart, branch) == got
             records.append(got)
     rebuilt = [r for r in records if r.startswith("ReconstructionResult(")]
@@ -445,18 +445,7 @@ def test_rebuild_kernel_identical_to_loop(n, monkeypatch):
     assert any(r.startswith("ValueError: non-finite matrix entry") for r in records)
 
 
-def test_rebuild_kernel_only_for_n_3_to_straight_n():
-    for n in (2, reconstruction._STRAIGHT_N + 1, 9):
-        with pytest.raises(ValueError):
-            reconstruction._rebuild_kernel(n, ChartId(1, 2))
-    misses = reconstruction._rebuild_kernel.cache_info().misses
-    for n in range(6, 10):
-        x = phi(generic(n, seed=700))
-        reconstruct(x, classify_charts(x).best)
-    assert reconstruction._rebuild_kernel.cache_info().misses == misses
-
-
-@pytest.mark.parametrize("n", range(3, reconstruction._STRAIGHT_N + 1))
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_rebuild_kernel_source_holds_no_point_data(n):
     # names, the plan's indices and the float literals of the functions traced, nothing else
     def floats(code):
@@ -466,12 +455,17 @@ def test_rebuild_kernel_source_holds_no_point_data(n):
             elif isinstance(c, float):
                 yield c
 
-    traced = (reconstruction._rebuild, four_trace_reduction, opposite_rotation)
+    traced = (reconstruction._rebuild.__wrapped__, four_trace_reduction, opposite_rotation)
     literals = {c for f in traced for c in floats(f.__code__)}
     assert literals == {0.5, 1.0, 4.0}
-    x = phi(su2(n, 0))
-    for e in classify_charts(x).entries:
-        code = reconstruction._rebuild_kernel(n, e.chart).__code__
+    reconstruction._rebuild.kernels.clear()
+    x = phi(generic(n, 0))  # traced from a point of complex values
+    admissible = classify_charts(x).admissible()
+    for chart in admissible:
+        reconstruct(x, chart)
+    assert admissible
+    for chart in admissible:
+        code = reconstruction._rebuild.kernels[(n, chart)].__code__
         assert set(map(type, const_leaves(code.co_consts))) <= {int, str, float, type(None)}
         assert set(floats(code)) <= literals
 

@@ -19,7 +19,7 @@ from monodromy import (
     type2_terms,
     type3,
 )
-from monodromy import relations
+from monodromy import relations, sl2
 from conftest import (
     FAMILIES,
     generic,
@@ -390,7 +390,7 @@ def _value_records(x):
     return [(type(v), repr(v)) for v in [*v1, *v2, v3]]
 
 
-@pytest.mark.parametrize("n", range(3, relations._STRAIGHT_N + 1))
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_straight_line_kernel_identical_to_comprehension(n, monkeypatch):
     points = []
     for family in ("su2", "su11", "generic"):
@@ -401,23 +401,14 @@ def test_straight_line_kernel_identical_to_comprehension(n, monkeypatch):
     for x in points:
         got = _value_records(x), _membership_outcome(x)
         with monkeypatch.context() as m:
-            m.setattr(relations, "_STRAIGHT_N", 2)  # every n through _comprehension
+            m.setattr(sl2, "_STRAIGHT_N", 2)  # every n through the loop of _comprehension
             want = _value_records(x), _membership_outcome(x)
         assert got == want
         types.update(t for t, _ in got[0])
         outcomes.append(got[1])
     assert types >= {float, complex}  # the real locus and generic points both covered
     assert any("nan" in o or "inf" in o for o in outcomes)
-
-
-def test_kernel_only_up_to_straight_n():
-    for n in (2, relations._STRAIGHT_N + 1, 9):
-        with pytest.raises(ValueError):
-            relations._kernel(n)
-    misses = relations._kernel.cache_info().misses
-    for n in range(6, 10):
-        membership(phi(generic(n, seed=700)))
-    assert relations._kernel.cache_info().misses == misses
+    assert (n,) in relations._comprehension.kernels
 
 
 def test_membership_max_is_nan_when_any_residual_is():

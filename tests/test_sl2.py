@@ -1,4 +1,5 @@
 from math import inf, nan
+from types import MappingProxyType
 
 import pytest
 
@@ -216,3 +217,11 @@ def test_trace_reads_only_live_inputs():
     kernel = _trace("reads", fn, p=dict.fromkeys([(1, 2), (1, 3)]), s=0, unused=0)
     assert kernel(Probe({(1, 2): 3.0, (1, 3): 5.0}), 1.0, None) == 10.0
     assert reads == [(1, 2)]  # read once into a local; (1, 3) feeds only a dead step
+
+
+def test_trace_reads_any_mapping():
+    # a point's stored maps are read-only views; the kernel reads them as dicts
+    proxy = MappingProxyType({(1, 2): 3.0, (1, 3): 5.0})
+    kernel = _trace("mapping", lambda p, s: {"x": p[1, 2] * s + p[1, 3]}, p=proxy, s=0)
+    assert kernel(proxy, 2.0) == kernel(dict(proxy), 2.0) == {"x": 11.0}
+    assert kernel(MappingProxyType({(1, 2): 1j, (1, 3): 0.5}), 2.0) == {"x": 0.5 + 2j}
