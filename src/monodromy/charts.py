@@ -19,8 +19,8 @@ point per tolerance, is the only evaluation: ``chart_eval`` checks the chart
 and returns the report's entry, so ``require_admissible``, ``reconstruct``
 and ``unitary`` all read its ``ChartEval`` (p, psi, x_kj).  Indices are
 checked at ``chart_eval`` and ``ChartId`` only: the table reads the stored
-coordinates by the keys of its layout, with psi and ``opposite_rotation``
-written out term for term.
+coordinates by the keys of its layout, with psi written out and each anchored
+chart's triple word read by ``coords._read``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import hypot, inf
 
-from .coords import TraceCoordinates, _triple_key
+from .coords import TraceCoordinates, _key, _read, _word
 from .errors import BadChart, ChartNotAdmissible
 from .sl2 import DEFAULT_TOL, Tolerance, _record
 
@@ -74,19 +74,11 @@ def _layout(n: int) -> tuple[tuple, dict]:
 
 def _group(j: int, k: int, n: int) -> tuple:
     """``(kj, k, j, charts, reads)`` for the charts (j, k, i0) of size n, base chart
-    first: ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, tkey, flip)``
-    per chart, ``tkey`` the stored key of the triple (k, j, i0) and ``flip`` those of
-    x_{j i0} and x_{k i0} when M_k M_j M_i0 is no rotation of the stored word."""
+    first: ``kj`` is the stored key of x_kj, and ``reads`` holds ``(i0, word)`` per
+    chart, ``word`` the ``_word`` of M_k M_j M_i0 (None on the base chart)."""
     anchors = (0, *(i0 for i0 in range(1, n + 1) if i0 not in (j, k)))
-    reads = []
-    for i0 in anchors:
-        tkey = flip = None
-        if i0:
-            tkey, rotation = _triple_key(k, j, i0)
-            if not rotation:
-                flip = ((min(j, i0), max(j, i0)), (min(k, i0), max(k, i0)))
-        reads.append((i0, tkey, flip))
-    return (min(j, k), max(j, k)), k, j, tuple(ChartId(j, k, i0) for i0 in anchors), tuple(reads)
+    reads = tuple((i0, _word(k, j, i0) if i0 else None) for i0 in anchors)
+    return _key(k, j), k, j, tuple(ChartId(j, k, i0) for i0 in anchors), reads
 
 
 class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
@@ -99,7 +91,7 @@ class ChartEval(_record("ChartEval", "chart value admissible psi xkj")):
 def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval], ChartId | None]:
     """A ``ChartEval`` per chart of x's ``_layout``, read straight from the stored
     coordinates, and the first admissible chart of largest |p|.  The triple trace
-    is canonicalized as ``triple_trace`` does; p is admissible when |p| exceeds
+    is read as ``triple_trace`` reads it; p is admissible when |p| exceeds
     the scale-aware zero threshold tol.abs * (1 + |x_kj|^4)."""
     a = (0.0,) + x.local.a  # 1-based
     pairs, triples = x.pairs, x._triples
@@ -115,14 +107,11 @@ def _chart_values(x: TraceCoordinates, tol: Tolerance) -> tuple[list[ChartEval],
         except OverflowError:  # |x_kj| past about 1e77: no |p| can clear it
             threshold = inf
         ak, aj = a[k], a[j]
-        # psi and opposite_rotation inlined, term for term
-        for chart, (i0, tkey, flip) in zip(charts, reads):
+        for chart, (i0, word) in zip(charts, reads):  # psi inlined, term for term
             if i0 == 0:
                 ps = xkj2 + ak * ak + aj * aj - xkj * ak * aj - 4.0
             else:
-                t, ai = triples[tkey], a[i0]
-                if flip is not None:
-                    t = ak * pairs[flip[0]] + aj * pairs[flip[1]] + ai * xkj - ak * aj * ai - t
+                t, ai = _read(word, a, pairs, triples), a[i0]
                 ps = t * t + xkj2 + ai * ai - t * xkj * ai - 4.0
             value = disc * ps
             try:

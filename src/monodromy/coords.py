@@ -16,12 +16,15 @@ and the opposite rotation class follows from the linear reordering identity
 
 For n = 3 the triple map is empty: the single triple trace is the closing
 trace a_4, which the private read map ``TraceCoordinates._triples`` holds at
-(1, 2, 3) (for n > 3 it is the stored map).  Every reader of a triple trace
-indexes that map, and ``_triple_key`` says which words rotate into the stored one.
+(1, 2, 3) (for n > 3 it is the stored map).  This module alone knows how a word
+is read from the stored maps: ``_key`` is a pair's stored key, the cached ``_word``
+names a triple word's stored key and, off the stored rotation class, the pair keys of
+the identity, and ``_read`` evaluates a ``_word`` on the local traces and the maps,
+the one caller of ``opposite_rotation``.
 
 Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
 check indices, then read the unchecked cores ``_pair`` and ``_triple``; the chart
-table and the rebuild's per-chart plan read the stored keys ``_triple_key`` names.
+table and the rebuild's per-chart plan hold ``_word`` entries and call ``_read``.
 ``_traces`` (traced at small n, as ``sl2._straight`` decides) computes a tuple's product
 entries, local traces, pairs and triples, then makes one finiteness pass; when it fails
 it runs the checked path in its order (product entries, ``LocalData``, coordinates),
@@ -268,9 +271,14 @@ def _check_distinct(x: TraceCoordinates, indices: tuple[int, ...]) -> None:
             raise BadIndex(f"index {v} out of range 1..{x.n}")
 
 
+def _key(u: int, v: int) -> tuple[int, int]:
+    """The stored key of the pair x_uv = x_vu."""
+    return (u, v) if u < v else (v, u)
+
+
 def _pair(pairs, u: int, v: int) -> complex:
     """x_uv = x_vu read from the stored ``pairs`` map, on checked indices."""
-    return pairs[(u, v) if u < v else (v, u)]
+    return pairs[_key(u, v)]
 
 
 def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
@@ -284,23 +292,30 @@ def triple_trace(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     return _triple(x, k, j, i)
 
 
-def _triple_key(k: int, j: int, i: int) -> tuple[tuple[int, int, int], bool]:
-    """The stored key of the word M_k M_j M_i, and whether it rotates into the stored word."""
+@lru_cache(maxsize=None)
+def _word(k: int, j: int, i: int) -> tuple:
+    """``(key, flip)``: how the word M_k M_j M_i is read.  ``key`` is the stored key of its
+    triple; ``flip`` is None when the word rotates into the stored one, else (k, j, i) and
+    the ``_key`` of x_ji, x_ki and x_kj, the operands ``opposite_rotation`` reads with it."""
     lo, mid, hi = key = tuple(sorted((k, j, i)))
-    return key, (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid))
+    if (k, j, i) in ((hi, mid, lo), (mid, lo, hi), (lo, hi, mid)):
+        return key, None
+    return key, (k, j, i, _key(j, i), _key(k, i), _key(k, j))
+
+
+def _read(word: tuple, a: tuple, pairs, triples) -> complex:
+    """The trace of a ``_word`` from the 1-based local traces ``a``, the stored ``pairs``
+    and the triple read map ``triples``."""
+    key, flip = word
+    if flip is None:
+        return triples[key]
+    k, j, i, ji, ki, kj = flip
+    return opposite_rotation(a[k], a[j], a[i], pairs[ji], pairs[ki], pairs[kj], triples[key])
 
 
 def _triple(x: TraceCoordinates, k: int, j: int, i: int) -> complex:
     """``triple_trace`` on indices the caller has checked."""
-    key, rotation = _triple_key(k, j, i)
-    stored = x._triples[key]
-    if rotation:
-        return stored
-    a, pairs = x.local.a, x.pairs
-    return opposite_rotation(
-        a[k - 1], a[j - 1], a[i - 1],
-        _pair(pairs, j, i), _pair(pairs, k, i), _pair(pairs, k, j), stored
-    )
+    return _read(_word(k, j, i), (None,) + x.local.a, x.pairs, x._triples)
 
 
 def opposite_rotation(ak, aj, ai, xji, xki, xkj, stored: complex) -> complex:

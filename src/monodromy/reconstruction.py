@@ -17,12 +17,12 @@ its conjugacy class, so coordinates of the output never depend on it.
 The chart is checked once, by ``require_admissible``, which reads its entry
 of the memoized ``classify_charts`` report, so a rebuild evaluates no chart
 polynomial of its own.  Which stored values a chart reads is worked out once
-per (n, chart) by ``_rebuild_plan``: each matrix's pair keys and its triple
-keys, with the operands of ``coords.opposite_rotation`` where the word does
-not rotate into the stored one.  The four-factor traces are
-``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` has them.
-The loop ``_rebuild`` reads that plan, traced per chart at small n as ``sl2._straight``
-decides; where its finiteness pass fails, ``Mat2`` names the first bad entry.
+per (n, chart) by ``_rebuild_plan``: each matrix's pair keys (``coords._key``)
+and triple words (``coords._word``), each word read by ``coords._read``.  The
+four-factor traces are ``sl2.four_trace_reduction`` on those reads, as
+``coords.quad_trace`` has them.  The loop ``_rebuild`` reads that plan, traced
+per chart at small n as ``sl2._straight`` decides; where its finiteness pass
+fails, ``Mat2`` names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -48,12 +48,12 @@ from .coords import (
     Representation,
     TraceCoordinates,
     _distance,
+    _key,
     _pair,
-    _phi_plan,
+    _read,
     _traces,
-    _triple_key,
+    _word,
     descending_product,
-    opposite_rotation,
 )
 from .errors import DegenerateEigenvalues
 from .sl2 import (
@@ -63,6 +63,7 @@ from .sl2 import (
     _finite,
     _record,
     _straight,
+    _worst,
     four_trace_reduction,
 )
 
@@ -110,9 +111,7 @@ class Diagnostics(_record("Diagnostics", "trace det round_trip")):
 
     def worst(self) -> float:
         """The largest residual, NaN when any residual is NaN."""
-        values = (*self.trace, *self.det, self.round_trip)
-        total = sum(values)  # of non-negative terms: NaN exactly when one is NaN
-        return total if total != total else max(values)
+        return _worst(self.trace, self.det, (self.round_trip,))
 
     def passes(self, tol: Tolerance) -> bool:
         """The variety gate: every residual within tol.abs (NaN fails it)."""
@@ -131,31 +130,17 @@ def _rebuild_plan(n: int, chart: ChartId) -> tuple:
     ``anchor`` is None on a base chart, else the reads of x_{k j i0}, x_{k i0} and
     x_{j i0}; ``rows`` holds the reads of each matrix i = 1..n: None at j, k and i0,
     else those of x_kji, x_ki and x_ji, then on an anchored chart those of x_{i i0},
-    x_{k i i0} and x_{j i i0}.  A pair is read by its stored key, a triple
-    word by ``(key, flip)``: ``flip`` is None when the word rotates into the stored
-    one, else the indices (k, j, i) and the keys of x_ji, x_ki and x_kj, which
-    ``opposite_rotation`` reads with it."""
+    x_{k i i0} and x_{j i i0}: a pair by its ``_key``, a triple word by its ``_word``."""
     j, k, i0 = chart
-    pair_keys, _, _, triple_keys = _phi_plan(n)
-    canon = {key: key for key in chain(pair_keys, triple_keys)}  # the per-n key objects, shared
-
-    def pair(u: int, v: int) -> tuple[int, int]:
-        return canon[(u, v) if u < v else (v, u)]
-
-    def word(u: int, v: int, w: int) -> tuple:
-        key, rotation = _triple_key(u, v, w)
-        return canon.get(key, key), None if rotation else (u, v, w, pair(v, w), pair(u, w),
-                                                             pair(u, v))
-
     rows = []
     for i in range(1, n + 1):
         reads = None
         if i not in chart:
-            reads = (word(k, j, i), pair(k, i), pair(j, i))
+            reads = (_word(k, j, i), _key(k, i), _key(j, i))
             if i0:
-                reads += (pair(i, i0), word(k, i, i0), word(j, i, i0))
+                reads += (_key(i, i0), _word(k, i, i0), _word(j, i, i0))
         rows.append(reads)
-    return (word(k, j, i0), pair(k, i0), pair(j, i0)) if i0 else None, tuple(rows)
+    return (_word(k, j, i0), _key(k, i0), _key(j, i0)) if i0 else None, tuple(rows)
 
 
 @_straight(2)
@@ -166,21 +151,14 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
     ``_rebuild_plan(n, chart)``; raises naming the first non-finite entry."""
     j, k, i0 = chart
     a = (None,) + a  # 1-based
-
-    def read(word: tuple) -> complex:
-        key, flip = word
-        if flip is None:
-            return triples[key]
-        u, v, w, vw, uw, uv = flip
-        return opposite_rotation(a[u], a[v], a[w], pairs[vw], pairs[uw], pairs[uv], triples[key])
-
     anchor, rows = _rebuild_plan(n, chart)
     disc = xkj * xkj - 4.0
     if anchor is None:
         u12_j, u21_j = -ps / disc, 1.0
         u12_k, u21_k = lp * ps / disc, -lm
     else:  # the anchor's triple and pairs, read once for every matrix
-        xkji0, xki0, xji0 = read(anchor[0]), pairs[anchor[1]], pairs[anchor[2]]
+        xkji0 = _read(anchor[0], a, pairs, triples)
+        xki0, xji0 = pairs[anchor[1]], pairs[anchor[2]]
         u11_0, u22_0 = (xkji0 - lm * a[i0]) / r, -(xkji0 - lp * a[i0]) / r
         u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
         u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
@@ -196,7 +174,7 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
         if i == i0:
             mats.append((u11_0, -ps / disc, 1.0, u22_0))
             continue
-        xkji, xki, xji = read(reads[0]), pairs[reads[1]], pairs[reads[2]]
+        xkji, xki, xji = _read(reads[0], a, pairs, triples), pairs[reads[1]], pairs[reads[2]]
         u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
         if anchor is None:
             u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
@@ -204,7 +182,8 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
         else:
             xii0 = pairs[reads[3]]
             q = four_trace_reduction(a[k], a[j], a[i], a[i0], xkj, xki, xki0, xji, xji0, xii0,
-                                     xkji, xkji0, read(reads[4]), read(reads[5]))
+                                     xkji, xkji0, _read(reads[4], a, pairs, triples),
+                                     _read(reads[5], a, pairs, triples))
             u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
             u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
         mats.append((u11, u12, u21, u22))

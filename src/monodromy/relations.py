@@ -33,8 +33,9 @@ Type 1 reads each row pair's 2x2 minors of ``z`` against one column table all
 row triples share; the determinant's factor 2 rides on a doubled copy of the
 first ``z`` row (doubling is exact).
 
-Type 1 and 2 are ``_comprehension``, one comprehension per row on the ``z`` and ``s3``
-tables of ``_tables``; at small n it runs traced, as ``sl2._straight`` decides.
+``_comprehension`` evaluates all three types: type 1 and 2 one comprehension per row
+on the ``z`` and ``s3`` tables of ``_tables``, type 3 by ``_word_trace``; at small n it
+runs traced, as ``sl2._straight`` decides, so the word reduction is straight-line too.
 
 A point whose every stored value and local trace has imaginary part exactly 0
 (the real locus; every su2 and su11 sampler point) is evaluated in ``float``:
@@ -57,7 +58,7 @@ from math import nan
 
 from .coords import TraceCoordinates
 from .errors import BadIndex, NotApplicable
-from .sl2 import _record, _straight, four_trace_reduction
+from .sl2 import _record, _straight, _worst, four_trace_reduction
 
 
 def _real_view(x: TraceCoordinates) -> tuple:
@@ -153,9 +154,10 @@ def _word_trace(word: tuple[int, ...], a: tuple, pairs: dict, triples: dict) -> 
 
 
 @_straight(1)
-def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, list]:
-    """``(type1, type2)`` at tuple size n on the maps of ``_real_view``, from the ``z``
-    and ``sv`` of ``_tables``, one comprehension per row."""
+def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple:
+    """``(type1, type2, type3)`` at tuple size n on the maps of ``_real_view``: type 1 and 2
+    as lists in enumeration order, from the ``z`` and ``sv`` of ``_tables``, one
+    comprehension per row; type 3 by ``_word_trace`` (None for n = 3)."""
     col_pairs, rows, cols, quads = _layout(n)
     z, sv = _tables(n, a, pairs, triples)
     z2 = [[2.0 * v for v in row] for row in z[:n - 1]]  # the first rows of the triples, doubled
@@ -174,22 +176,17 @@ def _comprehension(n: int, a: tuple, pairs: dict, triples: dict) -> tuple[list, 
     for z_i in z[1:]:
         v2 += [z_i[p0] * c0 - z_i[p1] * c1 + z_i[p2] * c2 - z_i[p3] * c3
                for p0, p1, p2, p3, c0, c1, c2, c3 in terms]
-    return v1, v2
+    v3 = None if n == 3 else _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
+    return v1, v2, v3
 
 
 def _values(x: TraceCoordinates) -> tuple:
-    """``(type1, type2, type3)``: the signed value of every defining relation at x, type 1
-    and 2 as lists in enumeration order by ``_comprehension``, type 3 by ``_word_trace``
-    (None for n = 3).  The one evaluation of the relations, memoized on x; indices are
+    """``(type1, type2, type3)``: the signed value of every defining relation at x, by
+    ``_comprehension``.  The one evaluation of the relations, memoized on x; indices are
     checked only by the public evaluators' ``_slots`` lookup, never here."""
     values = x._cache.get("values")
-    if values is not None:
-        return values
-    n = x.n
-    a, pairs, triples = _real_view(x)
-    v1, v2 = _comprehension(n, a, pairs, triples)
-    v3 = None if n == 3 else _word_trace(tuple(range(n, 0, -1)), a, pairs, triples) - a[n + 1]
-    values = x._cache["values"] = (v1, v2, v3)
+    if values is None:
+        values = x._cache["values"] = _comprehension(x.n, *_real_view(x))
     return values
 
 
@@ -286,9 +283,6 @@ def membership(x: TraceCoordinates) -> RelationResiduals:
     v1, v2, v3 = _values(x)
     r1, r2 = _magnitudes(v1), _magnitudes(v2)
     r3 = None if v3 is None else _magnitudes([v3])[0]
-    # a sum of non-negative terms is NaN exactly when one is NaN, which max() skips
-    worst = sum(r1) + sum(r2) + (r3 or 0.0)
-    if worst == worst:
-        worst = max(max(r1), max(r2, default=0.0), r3 or 0.0)
+    worst = _worst(r1, r2, () if r3 is None else (r3,))
     scale = (1.0 + x.max_abs()) ** 3
     return RelationResiduals(r1, r2, r3, worst, scale, worst / scale)

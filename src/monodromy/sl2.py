@@ -24,8 +24,8 @@ count) and a CLI process, one point, pays each one it needs; past n = 5 the loop
     build ms / saving us a call   n = 3        4          5          6          8
     trace                        0.41 / 1.8  0.80 / 2.4  1.2 / 4.7
     rebuild, one chart           0.67 / 3.4  0.98 / 4.1  1.4 / 5.7
-    relations                    0.35 / 7.4   1.0 / 14   3.3 / 30   9.6 / 58   58 / 222
-    relations, memory (MB)       0.10         0.32        1.1        3.0        18
+    relations, with type 3       0.44 / 7.1   1.4 / 17   4.4 / 34    11 / 60   77 / 240
+    relations, memory (MB)       0.10         0.33        1.1        3.5        18
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ def _record(name: str, fields: str, defaults=None) -> type:
     base = namedtuple(name, fields, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
+
+
+def _worst(*groups) -> float:
+    """The largest value in ``groups`` of non-negative numbers (a group may be empty), NaN
+    when any value is NaN: their sum is NaN exactly then, where ``max`` would skip it."""
+    total = sum(map(sum, groups))
+    return total if total != total else max(max(g, default=0.0) for g in groups)
 
 
 _STRAIGHT_N = 5  # the largest n with traced kernels (costs: module docstring)

@@ -191,7 +191,7 @@ def test_chart_psi_matches_commutator_interpretation():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("n", range(3, 10))
 def test_chart_table_matches_definition(n, family):
-    # the table writes psi and opposite_rotation out; every ChartEval must be ==
+    # the table writes psi out and reads triple words by coords._read; every ChartEval must be ==
     # a recomputation with psi and triple_trace
     for seed, tol in product((400 + n, 0, 1, 2), (DEFAULT_TOL, Tolerance(1e-3))):
         x = phi(FAMILIES[family](n, seed))
@@ -261,10 +261,10 @@ def test_classify_charts_memoized_per_tolerance():
 def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
     # phi -> membership -> classify_charts -> reconstruct -> classify ->
     # hermitian_form, with the public evaluators after: one chart table per
-    # tolerance and one relation pass per point: type 1 and 2 by one call of the
-    # traced loop (its straight-line kernel at n <= 5, the z/s3 tables past it),
-    # type 3 by one word; one trace pass per phi call and per fresh rebuild, and
-    # one rebuild per tolerance, none on a memo hit
+    # tolerance and one relation pass per point, one call of the traced loop (its
+    # straight-line kernel at n <= 5, the z/s3 tables and the word past it); one
+    # trace pass per phi call and per fresh rebuild, and one rebuild per
+    # tolerance, none on a memo hit
     calls = {"charts": 0, "comprehension": 0, "tables": 0, "words": 0, "traces": 0, "rebuild": 0}
 
     def counted(name, fn):
@@ -297,7 +297,8 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
         type2(x, 1, (n - 3, n - 2, n - 1, n))
         type3(x)
     assert calls == {"charts": len(tols), "comprehension": 1, "tables": int(n > sl2._STRAIGHT_N),
-                     "words": 1, "traces": 1 + len(tols), "rebuild": len(tols)}
+                     "words": int(n > sl2._STRAIGHT_N), "traces": 1 + len(tols),
+                     "rebuild": len(tols)}
 
 
 @pytest.mark.parametrize("family", ["su2", "generic"])

@@ -471,13 +471,17 @@ def test_rebuild_kernel_source_holds_no_point_data(n):
 
 
 def test_rebuild_loop_reads_the_plan(monkeypatch):
-    # past n = 5 the stored keys come from the per-chart plan: once it is built, a
-    # rebuild on the chart canonicalizes no triple word
+    # past n = 5 the stored keys come from the per-n chart layout and the per-chart
+    # plan: once they are built, a fresh point's chart table and rebuilds
+    # canonicalize no triple word
     x = phi(generic(9, seed=701))
     admissible = classify_charts(x).admissible()
     for chart in admissible:
         reconstruction._rebuild_plan(9, chart)
-    monkeypatch.setattr(reconstruction, "_triple_key", None)
+    for module in ("charts", "reconstruction"):
+        monkeypatch.setattr(f"monodromy.{module}._word", None)
+    fresh = phi(generic(9, seed=701))
+    assert classify_charts(fresh) == classify_charts(x)
     for chart in admissible:
-        reconstruct(x, chart, MINUS)
+        assert reconstruct(fresh, chart, MINUS) == reconstruct(x, chart, MINUS)
     assert {chart.i0 == 0 for chart in admissible} == {True, False}
