@@ -227,14 +227,16 @@ def cmd_coords(args, tol: Tolerance) -> int:
 
 
 def cmd_relations(args, tol: Tolerance) -> int:
-    from .relations import membership, type1_pairs, type2_terms
+    from .relations import membership
 
     x = coords_from_obj(read_json(args.input))
     res = membership(x)
-    # labels in the enumeration order of type1_pairs and type2_terms, each tuple's str once
-    text = {t: str(t) for size in (3, 4) for t in combinations(range(1, x.n + 1), size)}
-    labels = [f"type1 {text[ta]}x{text[tb]}" for ta, tb in type1_pairs(x.n)]
-    labels += [f"type2 i={i} {text[quad]}" for i, quad in type2_terms(x.n)]
+    # labels in the enumeration order of relations.type1_pairs and type2_terms, written out
+    # as comprehensions (a generator resumes once a label), each tuple's str taken once
+    idx = range(1, x.n + 1)
+    triples, quads = ([str(t) for t in combinations(idx, size)] for size in (3, 4))
+    labels = [f"type1 {ta}x{tb}" for pos, ta in enumerate(triples) for tb in triples[pos:]]
+    labels += [f"type2 i={i} {quad}" for i in idx for quad in quads]
     values = res.type1 + res.type2
     if res.type3 is not None:
         labels.append("type3")

@@ -12,14 +12,17 @@ compares its residual with ``abs`` times its own scale.
 This module alone decides which loops run traced: ``coords._traces``,
 ``relations._comprehension`` and ``reconstruction._rebuild``, decorated ``_straight``
 and called as loops.  At 3 <= n <= ``_STRAIGHT_N`` (5) the first call per static values
-traces the loop with ``_trace``: it runs once on ``_Sym`` values shaped as that call's
-arguments, which record each operation with its operands in order, and its live steps
-compile to one straight-line function, parenthesized as precedence and association need,
-so each value is the loop's, bit for bit; ``_finite`` becomes ``return None``, on which
-the loop reruns and raises.  Library workloads evaluate many points per n, so a kernel
-pays back its build, but builds grow with n (the relation kernel's like the relation
-count) and a CLI process, one point, pays each one it needs; past n = 5 the loops stay
-(Python 3.11, 2-vCPU Xeon VM, su2 points; memory is a trace's transient peak):
+runs the loop and records them, and the second traces the loop with ``_trace``: it runs
+once on ``_Sym`` values shaped as that call's arguments, which record each operation with
+its operands in order, and its live steps compile to one straight-line function,
+parenthesized as precedence and association need, so each value is the loop's, bit for
+bit; ``_finite`` becomes ``return None``, on which the loop reruns and raises.  That call
+and every later one run the kernel.  A kernel is built on reuse, since a build takes
+milliseconds and a run of the loop microseconds: a CLI process, one point, calls each loop
+once per static values and so builds none, while library workloads evaluate many points
+per n and pay each build back.  Builds grow with n (the relation kernel's like the
+relation count), so past n = 5 the loops stay (Python 3.11, 2-vCPU Xeon VM, su2 points;
+memory is a trace's transient peak):
 
     build ms / saving us a call   n = 3        4          5          6          8
     trace                        0.41 / 1.8  0.80 / 2.4  1.2 / 4.7
@@ -146,11 +149,15 @@ def _trace(name: str, fn, **params):
 
 def _straight(static: int):
     """Decorate a loop whose first ``static`` arguments, n first, fix every step it takes:
-    at 3 <= n <= ``_STRAIGHT_N`` it runs as its kernel per static values, in ``kernels``."""
+    at 3 <= n <= ``_STRAIGHT_N`` the first call per static values runs the loop and
+    records them in ``seen``; the second traces its kernel into ``kernels``, run from then on."""
     def decorate(loop):
-        names, kernels = loop.__code__.co_varnames[:loop.__code__.co_argcount], {}
+        names, kernels, seen = loop.__code__.co_varnames[:loop.__code__.co_argcount], {}, set()
 
-        def build(key: tuple, args: tuple):  # kernel(*args), the static ones fixed by key
+        def build(key: tuple, args: tuple):  # the loop on key's first call, else its kernel
+            if key not in seen:
+                seen.add(key)
+                return loop
             kernels[key] = _trace(f"{loop.__name__}{key}", lambda *a: loop(*key, *a[static:]),
                                   **dict(zip(names, (None,) * static + args[static:])))
             return kernels[key]
@@ -163,7 +170,7 @@ def _straight(static: int):
                     return built
             return loop(*args)
 
-        run.kernels = kernels
+        run.kernels, run.seen = kernels, seen
         return update_wrapper(run, loop)
     return decorate
 

@@ -433,3 +433,14 @@ def const_leaves(consts):
             yield from const_leaves(c)
         else:
             yield c
+
+
+def traced(loop, call, *args):
+    """``call(*args)`` twice after clearing the kernels and reuse record of ``loop``, a loop
+    ``sl2._straight`` decorates: each of its static keys that one ``call`` reaches once
+    runs the loop on the first call and traces its kernel on the second.  The second
+    call's value."""
+    loop.kernels.clear()
+    loop.seen.clear()
+    call(*args)
+    return call(*args)

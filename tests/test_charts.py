@@ -41,6 +41,7 @@ from conftest import (
     otr,
     oword,
     psi,
+    traced,
 )
 
 
@@ -273,7 +274,8 @@ def test_pipeline_evaluates_each_layer_once(family, n, monkeypatch):
             return fn(*args)
         return wrapper
 
-    membership(phi(FAMILIES[family](n, 3)))  # kernels built first: a trace runs _tables
+    # the kernel built first: a trace runs _tables
+    traced(relations._comprehension, lambda: membership(phi(FAMILIES[family](n, 3))))
     monkeypatch.setattr(charts, "_chart_values", counted("charts", charts._chart_values))
     monkeypatch.setattr(relations, "_comprehension",
                         counted("comprehension", relations._comprehension))

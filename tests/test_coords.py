@@ -20,7 +20,7 @@ from monodromy.samplers import SplitMix64, random_unimodular
 from monodromy.sl2 import IDENTITY, four_trace_reduction
 
 from conftest import (
-    FAMILIES, closure_residual, const_leaves, generic, identity_rep, oword, su2, su11,
+    FAMILIES, closure_residual, const_leaves, generic, identity_rep, oword, su2, su11, traced,
 )
 
 
@@ -267,6 +267,7 @@ def _records(a, pairs, triples):
 def test_trace_kernel_identical_to_loop(n, monkeypatch):
     # the kernel returns no product entries; their rounding is pinned by
     # test_phi_triples_equal_matrix_product_traces and the overflow-order tests below
+    traced(coords._traces, coords._traces, n, *su2(n, 0))  # the kernel runs every case
     for sampler, bound, seed in product((su2, su11, generic), (4.0, 16.0), range(4)):
         rep = sampler(n, seed, entry_bound=bound)
         got = coords._traces(n, *rep)
@@ -274,13 +275,12 @@ def test_trace_kernel_identical_to_loop(n, monkeypatch):
             m.setattr(sl2, "_STRAIGHT_N", 2)  # every n through the loop of _traces
             want = coords._traces(n, *rep)
         assert _records(*got) == _records(*want)
-    assert (n,) in coords._traces.kernels
+    assert list(coords._traces.kernels) == [(n,)]
 
 
 @pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 def test_trace_kernel_source_holds_no_point_data(n):
     # only names and the plan's indices: the key tuples fold into int constants
-    coords._traces.kernels.clear()
-    phi(generic(n, 0))  # traced from a point of complex entries
+    traced(coords._traces, phi, generic(n, 0))  # traced from a point of complex entries
     consts = set(map(type, const_leaves(coords._traces.kernels[(n,)].__code__.co_consts)))
     assert consts <= {int, str, type(None)}

@@ -44,6 +44,7 @@ from conftest import (
     identity_rep,
     oracle_gram_rebuild,
     su2,
+    traced,
 )
 
 
@@ -432,9 +433,12 @@ def test_rebuild_kernel_identical_to_loop(n, monkeypatch):
     # where the kernel returns None and the loop names the bad entry
     grid = [phi(sampler(n, seed, entry_bound=bound)) for sampler, bound, seed
             in product((su2, FAMILIES["su11"], generic), (4.0, 16.0), range(6))]
+    charts = classify_charts(grid[0]).admissible()
+    traced(reconstruction._rebuild, lambda: [_rebuild_record(grid[0], c, PLUS) for c in charts])
     records = []
     for x in grid + _overflow_points(n):
         for chart, branch in product(classify_charts(x).admissible(), (PLUS, MINUS)):
+            assert (n, chart) in reconstruction._rebuild.kernels  # the kernel runs every case
             got = _rebuild_record(x, chart, branch)
             with monkeypatch.context() as m:
                 m.setattr(sl2, "_STRAIGHT_N", 2)  # every n through the loop
@@ -455,15 +459,17 @@ def test_rebuild_kernel_source_holds_no_point_data(n):
             elif isinstance(c, float):
                 yield c
 
-    traced = (reconstruction._rebuild.__wrapped__, four_trace_reduction, opposite_rotation)
-    literals = {c for f in traced for c in floats(f.__code__)}
+    sources = (reconstruction._rebuild.__wrapped__, four_trace_reduction, opposite_rotation)
+    literals = {c for f in sources for c in floats(f.__code__)}
     assert literals == {0.5, 1.0, 4.0}
-    reconstruction._rebuild.kernels.clear()
-    x = phi(generic(n, 0))  # traced from a point of complex values
-    admissible = classify_charts(x).admissible()
-    for chart in admissible:
-        reconstruct(x, chart)
+    admissible = classify_charts(phi(generic(n, 0))).admissible()
     assert admissible
+
+    def rebuilds():  # on a fresh point each call, since reconstruct memoizes on the point
+        x = phi(generic(n, 0))  # traced from a point of complex values
+        return [reconstruct(x, chart) for chart in admissible]
+
+    traced(reconstruction._rebuild, rebuilds)
     for chart in admissible:
         code = reconstruction._rebuild.kernels[(n, chart)].__code__
         assert set(map(type, const_leaves(code.co_consts))) <= {int, str, float, type(None)}

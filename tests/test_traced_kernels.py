@@ -1,17 +1,19 @@
-"""The loops ``sl2._straight`` runs traced: which n get a kernel, and that a kernel,
-traced from its first call's arguments, does not depend on which call that was."""
+"""The loops ``sl2._straight`` runs traced: which n get a kernel, that a kernel is built
+on the second call per static values, so that a one-point CLI process builds none, and
+that a kernel, traced from that call's arguments, does not depend on which call it was."""
 
+import json
 from importlib import import_module
 from types import MappingProxyType
 
 import pytest
 
 from monodromy import Mat2, Representation, classify_charts, membership, phi, reconstruct
-from monodromy import reconstruction, relations, sl2
+from monodromy import cli, reconstruction, relations, sl2
 from monodromy.charts import require_admissible
 from monodromy.coords import _pair
 
-from conftest import generic, su2
+from conftest import generic, su2, traced
 
 LOOPS = ["coords._traces", "relations._comprehension", "reconstruction._rebuild"]
 
@@ -30,14 +32,14 @@ def _pipeline(n: int, seed: int) -> None:
 
 @pytest.mark.parametrize("name", LOOPS)
 def test_kernels_only_for_n_3_to_straight_n(name):
-    kernels = _loop(name).kernels
-    for n in range(3, 10):
-        _pipeline(n, 700)
-    assert {key[0] for key in kernels} == set(range(3, sl2._STRAIGHT_N + 1))
-    built = dict(kernels)
+    loop = _loop(name)
+    traced(loop, lambda: [_pipeline(n, 700) for n in range(3, 10)])
+    assert {key[0] for key in loop.kernels} == set(range(3, sl2._STRAIGHT_N + 1))
+    built = dict(loop.kernels)
     for n in range(6, 10):
         _pipeline(n, 701)
-    assert kernels == built
+        _pipeline(n, 701)
+    assert loop.kernels == built
 
 
 def _real(m: Mat2) -> Mat2:
@@ -71,12 +73,53 @@ def _calls(name: str, n: int) -> tuple[tuple, tuple]:
 
 @pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
 @pytest.mark.parametrize("name", LOOPS)
+def test_second_call_builds_the_kernel(name, n, monkeypatch):
+    loop, (args, _) = _loop(name), _calls(name, n)
+    key = args[:2] if name == "reconstruction._rebuild" else args[:1]  # n, and the chart
+    loop.kernels.clear()
+    loop.seen.clear()
+    first = loop(*args)
+    assert loop.kernels == {} and loop.seen == {key}
+    second = loop(*args)
+    assert list(loop.kernels) == [key]
+    with monkeypatch.context() as m:
+        m.setattr(sl2, "_STRAIGHT_N", 2)  # the loop itself
+        want = loop(*args)
+    assert first == second == want
+
+
+def _cli_inputs(tmp_path, n: int) -> list[list[str]]:
+    """The five commands on a tuple and a coordinate file at n, written beforehand."""
+    rep, point = tmp_path / "rep.json", tmp_path / "coords.json"
+    rep.write_text(json.dumps(cli.rep_to_obj(su2(n, 0))))
+    point.write_text(json.dumps(cli.coords_to_obj(phi(su2(n, 0)))))
+    return [["sample", "--n", str(n), "-o", str(tmp_path / "sampled.json")],
+            ["coords", str(rep), "-o", str(tmp_path / "out.json")], ["relations", str(point)],
+            ["reconstruct", str(point), "-o", str(tmp_path / "rebuilt.json")],
+            ["classify", str(point)]]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_one_point_cli_process_builds_no_kernel(n, tmp_path, capsys):
+    # a CLI process evaluates one point: each traced loop it calls runs once per key
+    loops, ran = list(map(_loop, LOOPS)), set()
+    for argv in _cli_inputs(tmp_path, n):
+        for loop in loops:
+            loop.kernels.clear()
+            loop.seen.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [loop.kernels for loop in loops] == [{}, {}, {}], argv[0]
+        ran.update(name for name, loop in zip(LOOPS, loops) if loop.seen)
+    assert ran == set(LOOPS)  # each loop ran at n, on its first call per key
+
+
+@pytest.mark.parametrize("n", range(3, sl2._STRAIGHT_N + 1))
+@pytest.mark.parametrize("name", LOOPS)
 def test_kernel_does_not_depend_on_the_first_caller(name, n, monkeypatch):
     loop, calls = _loop(name), _calls(name, n)
     got = []
-    for order in (calls, calls[::-1]):
-        loop.kernels.clear()
-        got.append([repr(loop(*args)) for args in order])
+    for first, then in (calls, calls[::-1]):  # the kernel traced from first, run on both
+        got.append([repr(traced(loop, loop, *first)), repr(loop(*then))])
         assert len(loop.kernels) == 1
     with monkeypatch.context() as m:
         m.setattr(sl2, "_STRAIGHT_N", 2)  # the loop itself
