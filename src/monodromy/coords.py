@@ -24,7 +24,7 @@ the one caller of ``opposite_rotation``.
 
 Checks run once, at the boundary.  ``pair``, ``triple_trace`` and ``quad_trace``
 check indices, then read the unchecked cores ``_pair`` and ``_triple``; the chart
-table and the rebuild's per-chart plan hold ``_word`` entries and call ``_read``.
+table and the rebuild read triple words by ``_read`` of their ``_word``.
 ``_traces`` (traced at small n, as ``sl2._straight`` decides) computes a tuple's product
 entries, local traces, pairs and triples, then makes one finiteness pass; when it fails
 it runs the checked path in its order (product entries, ``LocalData``, coordinates),

@@ -14,15 +14,14 @@ own factor, read from the point's chart report.
 The square-root branch in r = sqrt(x_kj^2 - 4) only moves the tuple inside
 its conjugacy class, so coordinates of the output never depend on it.
 
-The chart is checked once, by ``require_admissible``, which reads its entry
-of the memoized ``classify_charts`` report, so a rebuild evaluates no chart
-polynomial of its own.  Which stored values a chart reads is worked out once
-per (n, chart) by ``_rebuild_plan``: each matrix's pair keys (``coords._key``)
-and triple words (``coords._word``), each word read by ``coords._read``.  The
-four-factor traces are ``sl2.four_trace_reduction`` on those reads, as
-``coords.quad_trace`` has them.  The loop ``_rebuild`` reads that plan, traced
-per chart at small n as ``sl2._straight`` decides; where its finiteness pass
-fails, ``Mat2`` names the first bad entry.
+The chart is checked once, by ``require_admissible``, whose entry of the memoized
+``classify_charts`` report gives x_kj and psi, so a rebuild evaluates no chart
+polynomial of its own.  The loop ``_rebuild`` reads each stored value where it uses
+it, as the chart table reads them: a pair by its ``coords._key``, a triple word by
+``coords._read`` of its ``coords._word``.  The four-factor traces are
+``sl2.four_trace_reduction`` on those reads, as ``coords.quad_trace`` has them.  The
+loop is traced per chart at small n as ``sl2._straight`` decides; where its finiteness
+pass fails, ``Mat2`` names the first bad entry.
 
 The rebuild is the package's variety test: its trace residuals compare every
 a_s, closing trace included, and its round trip every stored coordinate with
@@ -40,7 +39,6 @@ or (M_k M_j, M_{i0}) on an anchored chart, generates a reducible group.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 from itertools import chain
 
 from .charts import ChartId, require_admissible
@@ -49,7 +47,6 @@ from .coords import (
     TraceCoordinates,
     _distance,
     _key,
-    _pair,
     _read,
     _traces,
     _word,
@@ -124,47 +121,27 @@ class ReconstructionResult(_record("ReconstructionResult", "rep diagnostics")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=1024)  # every chart of n = 3..9, 749 in all
-def _rebuild_plan(n: int, chart: ChartId) -> tuple:
-    """``(anchor, rows)``: the stored reads of the rebuild on ``chart`` at size n.
-    ``anchor`` is None on a base chart, else the reads of x_{k j i0}, x_{k i0} and
-    x_{j i0}; ``rows`` holds the reads of each matrix i = 1..n: None at j, k and i0,
-    else those of x_kji, x_ki and x_ji, then on an anchored chart those of x_{i i0},
-    x_{k i i0} and x_{j i i0}: a pair by its ``_key``, a triple word by its ``_word``."""
-    j, k, i0 = chart
-    rows = []
-    for i in range(1, n + 1):
-        reads = None
-        if i not in chart:
-            reads = (_word(k, j, i), _key(k, i), _key(j, i))
-            if i0:
-                reads += (_key(i, i0), _word(k, i, i0), _word(j, i, i0))
-        rows.append(reads)
-    return (_word(k, j, i0), _key(k, i0), _key(j, i0)) if i0 else None, tuple(rows)
-
-
 @_straight(2)
 def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps: complex,
              r: complex, lp: complex, lm: complex) -> tuple[Representation, tuple, tuple]:
     """``(rep, trace, det)`` of the rebuild on ``chart`` from the local traces ``a``, the
-    stored maps and the chart's x_kj, psi and lambdas, by the loop over
-    ``_rebuild_plan(n, chart)``; raises naming the first non-finite entry."""
+    stored maps and the chart's x_kj, psi and lambdas, each stored value read where it is
+    used (module docstring); raises naming the first non-finite entry."""
     j, k, i0 = chart
     a = (None,) + a  # 1-based
-    anchor, rows = _rebuild_plan(n, chart)
     disc = xkj * xkj - 4.0
-    if anchor is None:
+    if not i0:
         u12_j, u21_j = -ps / disc, 1.0
         u12_k, u21_k = lp * ps / disc, -lm
     else:  # the anchor's triple and pairs, read once for every matrix
-        xkji0 = _read(anchor[0], a, pairs, triples)
-        xki0, xji0 = pairs[anchor[1]], pairs[anchor[2]]
+        xkji0 = _read(_word(k, j, i0), a, pairs, triples)
+        xki0, xji0 = pairs[_key(k, i0)], pairs[_key(j, i0)]
         u11_0, u22_0 = (xkji0 - lm * a[i0]) / r, -(xkji0 - lp * a[i0]) / r
         u12_j = -(xki0 - a[k] * u11_0 + lm * (xji0 - a[j] * u22_0)) / r
         u21_j = -r * (xki0 - a[k] * u22_0 + lp * (xji0 - a[j] * u11_0)) / ps
         u12_k, u21_k = -lp * u12_j, -lm * u21_j
     mats = []
-    for i, reads in enumerate(rows, 1):
+    for i in range(1, n + 1):
         if i == j:
             mats.append((-(a[k] - lp * a[j]) / r, u12_j, u21_j, (a[k] - lm * a[j]) / r))
             continue
@@ -174,16 +151,17 @@ def _rebuild(n: int, chart: ChartId, a: tuple, pairs, triples, xkj: complex, ps:
         if i == i0:
             mats.append((u11_0, -ps / disc, 1.0, u22_0))
             continue
-        xkji, xki, xji = _read(reads[0], a, pairs, triples), pairs[reads[1]], pairs[reads[2]]
+        xkji = _read(_word(k, j, i), a, pairs, triples)
+        xki, xji = pairs[_key(k, i)], pairs[_key(j, i)]
         u11, u22 = (xkji - lm * a[i]) / r, -(xkji - lp * a[i]) / r
-        if anchor is None:
+        if not i0:
             u12 = (xki - a[k] * u22 + lp * (xji - a[j] * u11)) / r
             u21 = r * (xki - a[k] * u11 + lm * (xji - a[j] * u22)) / ps
         else:
-            xii0 = pairs[reads[3]]
+            xii0 = pairs[_key(i, i0)]
             q = four_trace_reduction(a[k], a[j], a[i], a[i0], xkj, xki, xki0, xji, xji0, xii0,
-                                     xkji, xkji0, _read(reads[4], a, pairs, triples),
-                                     _read(reads[5], a, pairs, triples))
+                                     xkji, xkji0, _read(_word(k, i, i0), a, pairs, triples),
+                                     _read(_word(j, i, i0), a, pairs, triples))
             u12 = -(lm * xii0 + r * u11 * u11_0 - q) / r
             u21 = -r * (lp * xii0 - r * u22 * u22_0 - q) / ps
         mats.append((u11, u12, u21, u22))
@@ -213,11 +191,9 @@ def reconstruct(x: TraceCoordinates, chart: ChartId, branch: BranchChoice = PLUS
     result = x._cache.get(key)
     if result is not None:
         return result
-    ps = require_admissible(x, chart, tol).psi
-    n, pairs = x.n, x.pairs
-    xkj = _pair(pairs, chart.k, chart.j)
-    rep, trace, det = _rebuild(n, chart, x.local.a, pairs, x._triples, xkj, ps,
-                               *lambdas(xkj, branch, tol))
-    diag = Diagnostics(trace, det, _distance(x, *_traces(n, *rep)[1:]))  # raises as phi does
+    e = require_admissible(x, chart, tol)
+    rep, trace, det = _rebuild(x.n, chart, x.local.a, x.pairs, x._triples, e.xkj, e.psi,
+                               *lambdas(e.xkj, branch, tol))
+    diag = Diagnostics(trace, det, _distance(x, *_traces(x.n, *rep)[1:]))  # raises as phi does
     result = x._cache[key] = ReconstructionResult(rep, diag)
     return result

@@ -476,18 +476,11 @@ def test_rebuild_kernel_source_holds_no_point_data(n):
         assert set(floats(code)) <= literals
 
 
-def test_rebuild_loop_reads_the_plan(monkeypatch):
-    # past n = 5 the stored keys come from the per-n chart layout and the per-chart
-    # plan: once they are built, a fresh point's chart table and rebuilds
-    # canonicalize no triple word
+def test_chart_table_reads_its_layout(monkeypatch):
+    # past n = 5 the chart table's stored keys come from the per-n chart layout: once
+    # it is built, a fresh point's table canonicalizes no triple word
     x = phi(generic(9, seed=701))
     admissible = classify_charts(x).admissible()
-    for chart in admissible:
-        reconstruction._rebuild_plan(9, chart)
-    for module in ("charts", "reconstruction"):
-        monkeypatch.setattr(f"monodromy.{module}._word", None)
-    fresh = phi(generic(9, seed=701))
-    assert classify_charts(fresh) == classify_charts(x)
-    for chart in admissible:
-        assert reconstruct(fresh, chart, MINUS) == reconstruct(x, chart, MINUS)
+    monkeypatch.setattr("monodromy.charts._word", None)
+    assert classify_charts(phi(generic(9, seed=701))) == classify_charts(x)
     assert {chart.i0 == 0 for chart in admissible} == {True, False}

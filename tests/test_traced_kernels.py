@@ -11,7 +11,6 @@ import pytest
 from monodromy import Mat2, Representation, classify_charts, membership, phi, reconstruct
 from monodromy import cli, reconstruction, relations, sl2
 from monodromy.charts import require_admissible
-from monodromy.coords import _pair
 
 from conftest import generic, su2, traced
 
@@ -49,7 +48,8 @@ def _real(m: Mat2) -> Mat2:
 def _rebuild_args(x, chart, real: bool) -> tuple:
     """``_rebuild``'s arguments on x as ``reconstruct`` passes them (complex values and
     a read-only pair map), or as floats in dicts."""
-    xkj, ps = _pair(x.pairs, chart.k, chart.j), require_admissible(x, chart).psi
+    e = require_admissible(x, chart)
+    xkj, ps = e.xkj, e.psi
     a, pairs, triples = x.local.a, x.pairs, MappingProxyType(x._triples)
     if real:
         xkj, ps, a = xkj.real, ps.real, tuple(v.real for v in a)
